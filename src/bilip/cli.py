@@ -51,7 +51,10 @@ SCENARIOS = (
 
 def _default_seed():
     env = os.environ.get("BILIP_SEED")
-    return int(env) if env else 7
+    try:
+        return int(env) if env else 7
+    except ValueError as exc:
+        raise ConfigError(f"BILIP_SEED must be an integer, got {env!r}") from exc
 
 
 def parse_config_file(path):
@@ -89,20 +92,8 @@ def parse_region(spec, dim):
     raise ConfigError(f"unknown region kind {kind!r}")
 
 
-def _json_default(x):
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return list(x)
-    raise TypeError(f"not JSON serializable: {type(x).__name__}")
-
-
 def _emit(obj, out_path):
-    text = json.dumps(obj, sort_keys=True, default=_json_default)
+    text = json.dumps(V._jsonable(obj), sort_keys=True)
     sys.stdout.write(text + "\n")
     if out_path:
         with open(out_path, "a", encoding="utf-8") as fh:
@@ -472,15 +463,14 @@ def _build_parser():
 def run_cli(argv=None):
     """Parse arguments and run one subcommand; returns the exit code
     (0 pass, 1 fail, 2 usage error)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the parser's seed defaults read BILIP_SEED, which may be malformed
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "witnesses", None) == "psi":
+            args.witnesses = "replication"
+        return int(args.func(args))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if getattr(args, "witnesses", None) == "psi":
-        args.witnesses = "replication"
-    try:
-        return int(args.func(args))
     except BilipError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, ConfigError) else 1

@@ -177,13 +177,6 @@ def sphere_geodesic(x, y):
     return float(np.arccos(c))
 
 
-def chordal_distance(x, y):
-    """Ambient Euclidean distance between two points."""
-    xv = as_vector(x)
-    yv = as_vector(y, dim=xv.shape[0])
-    return float(np.linalg.norm(xv - yv))
-
-
 # =====================================================================
 # Rotations
 # =====================================================================

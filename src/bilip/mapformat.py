@@ -9,9 +9,16 @@ calls with keyword arguments, e.g.::
 Numbers are written with 17 significant digits so float64 values
 round-trip exactly; the emitted argument order is fixed, making the
 format canonical: equal expressions serialize to equal strings.
+
+No constructor is named here. Every node class declares its
+constructor name (``tag``) and its ordered ``(keyword, attribute)``
+pairs (``fields``), as described in :mod:`bilip.maps`, and both the
+writer and the parser read only those declarations.
 """
 
+import inspect
 import re
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,119 +39,66 @@ def _fmt_num(x):
 def _fmt_value(v):
     if v is None:
         return "none"
-    if isinstance(v, str):
-        return v
+    if hasattr(type(v), "tag"):
+        return map_to_text(v)
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ",".join(_fmt_value(x) for x in v) + "]"
     return _fmt_num(v)
 
 
-def _call(name, args):
-    body = ",".join(f"{k}={_fmt_value(v)}" for k, v in args)
-    return f"{name}({body})"
-
-
-def _cubic_text(p: CubicProfile):
-    return _call("cubic", [
-        ("knots", p.knots),
-        ("coeffs", p.coeffs),
-        ("values", p.values),
-    ])
-
-
-def _plmap_text(f: plmod.PLMap):
-    tri = f.triangulation
-    return _call("plmap", [
-        ("dim", tri.dim),
-        ("lo", tri.lo),
-        ("hi", tri.hi),
-        ("resolution", tri.resolution),
-        ("boundary_fixed", f.boundary_fixed),
-        ("images", f.vertex_images),
-    ])
-
-
-def _sphere_text(phi):
-    if isinstance(phi, M.OrthogonalSphereMap):
-        return _call("orthogonal", [("matrix", phi.matrix)])
-    if isinstance(phi, M.LatitudeSphereMap):
-        return _call("latitude", [("beta", phi.beta), ("axis", phi.axis)])
-    if isinstance(phi, M._InverseLatitudeSphereMap):
-        return _call("latitude_inverse", [
-            ("beta", phi.forward.beta), ("axis", phi.forward.axis)])
-    if isinstance(phi, M.ConjugatedSphereMap):
-        return _call("conjugated", [
-            ("rotation", phi.rotation), ("map", _sphere_text(phi.inner))])
-    if isinstance(phi, M.ComposedSphereMap):
-        return _call("sphere_compose",
-                     [("maps", [_sphere_text(m) for m in phi.maps])])
-    raise MapFormatError(f"cannot serialize sphere map {type(phi).__name__}")
-
-
-def _disk_text(g):
-    if isinstance(g, M.TwistDiskMap):
-        return _call("twist", [
-            ("profile", _cubic_text(g.profile)),
-            ("plane", list(g.plane)),
-            ("dim", g.dim),
-        ])
-    if isinstance(g, M.PLDiskMap):
-        return _call("pl_disk", [
-            ("map", _plmap_text(g.plmap)),
-            ("inverted", g._inverse),
-        ])
-    if isinstance(g, M.ComposedDiskMap):
-        return _call("disk_compose", [("maps", [_disk_text(m) for m in g.maps])])
-    raise MapFormatError(f"cannot serialize disk map {type(g).__name__}")
-
-
-def _profile_text(p):
-    if isinstance(p, M.ConstantRotationProfile):
-        return _call("constant_rotation", [("matrix", p.matrix_value)])
-    if isinstance(p, M.LogSpiralProfile):
-        return _call("log_spiral", [
-            ("c", p.c), ("plane", list(p.plane)), ("dim", p.dim)])
-    if isinstance(p, M.CutoffRotationProfile):
-        return _call("cutoff_rotation", [
-            ("angle", _cubic_text(p.theta)),
-            ("plane", list(p.plane)),
-            ("dim", p.dim),
-        ])
-    raise MapFormatError(f"cannot serialize profile {type(p).__name__}")
-
-
 def map_to_text(m):
-    """Serialize a map expression to its canonical one-line text."""
-    if isinstance(m, M.IdentityMap):
-        return _call("identity", [("dim", m.dim)])
-    if isinstance(m, M.AffineMap):
-        return _call("affine", [("matrix", m.matrix), ("offset", m.offset)])
-    if isinstance(m, M.RadialExtensionMap):
-        return _call("radial_extension", [("map", _sphere_text(m.sphere_map))])
-    if isinstance(m, M.DiskReplicationMap):
-        return _call("disk_replication", [("map", _disk_text(m.disk_map))])
-    if isinstance(m, M.TranslatedReplicationMap):
-        if m.uniform is not None:
-            return _call("translated_replication", [("uniform", _disk_text(m.uniform))])
-        entries = [(None if g is None else _disk_text(g)) for g in m.disk_maps]
-        return _call("translated_replication", [("maps", entries)])
-    if isinstance(m, M.ProductMap):
-        return _call("product", [
-            ("left", map_to_text(m.left)), ("right", map_to_text(m.right))])
-    if isinstance(m, M.SpiralMap):
-        return _call("spiral", [("profile", _profile_text(m.profile))])
-    if isinstance(m, M.PLHomeomorphismMap):
-        return _call("pl", [("map", _plmap_text(m.plmap))])
-    if isinstance(m, M.CompositionMap):
-        return _call("compose", [("maps", [map_to_text(x) for x in m.maps])])
-    if isinstance(m, M.InverseMap):
-        return _call("inverse", [("map", map_to_text(m.inner))])
-    raise MapFormatError(f"cannot serialize map {type(m).__name__}")
+    """Serialize a map expression to its canonical one-line text.
+
+    Fields are written in declared order; a field whose value is None
+    is left out.
+    """
+    cls = type(m)
+    if "tag" not in vars(cls):
+        raise MapFormatError(f"cannot serialize {cls.__name__}")
+    values = ((key, attrgetter(attr)(m)) for key, attr in cls.fields)
+    body = ",".join(f"{key}={_fmt_value(v)}" for key, v in values if v is not None)
+    return f"{cls.tag}({body})"
 
 
 # =====================================================================
 # Parsing
 # =====================================================================
+
+def _constructors(roots):
+    """Tag -> (fields, constructor, its parameters) for every class
+    under ``roots`` that declares its own tag."""
+    classes = list(roots)
+    for cls in classes:
+        classes.extend(c for c in cls.__subclasses__() if c not in classes)
+    table = {}
+    for cls in classes:
+        if "tag" in vars(cls):
+            make = getattr(cls, "from_fields", cls)
+            table[cls.tag] = (cls.fields, make,
+                              list(inspect.signature(make).parameters.values()))
+    return table
+
+
+_CONSTRUCTORS = _constructors((M.MapExpr, M.SphereMap, M.DiskMap, M.SpiralProfile,
+                               CubicProfile, plmod.PLMap))
+
+
+def _build(name, kw):
+    """Call the constructor tagged ``name`` with its declared fields in
+    order; a missing keyword takes the constructor's default."""
+    if name not in _CONSTRUCTORS:
+        raise MapFormatError(f"unknown constructor {name!r}")
+    fields, make, params = _CONSTRUCTORS[name]
+    args = []
+    for (key, _), param in zip(fields, params):
+        if key in kw:
+            args.append(kw[key])
+        elif param.default is not param.empty:
+            args.append(param.default)
+        else:
+            raise MapFormatError(f"{name} needs argument {key!r}")
+    return make(*args)
+
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[-+]?[0-9][^,()\[\]\s]*|[(),=\[\]])")
 
@@ -195,7 +149,10 @@ class _Parser:
             raise MapFormatError(f"unknown bare word {name!r}")
         tok = self.next()
         try:
-            return int(tok) if re.fullmatch(r"[-+]?[0-9]+", tok) else float(tok)
+            # -0 is how the writer spells the float -0.0
+            if re.fullmatch(r"[-+]?[0-9]+", tok) and tok != "-0":
+                return int(tok)
+            return float(tok)
         except ValueError as exc:
             raise MapFormatError(f"bad number {tok!r}") from exc
 
@@ -228,75 +185,7 @@ class _Parser:
                     break
                 if tok != ",":
                     raise MapFormatError(f"expected ',' or ')', got {tok!r}")
-        try:
-            return _build(name, kwargs)
-        except KeyError as exc:
-            raise MapFormatError(f"{name} is missing argument {exc}") from exc
-
-
-def _need(kwargs, name, *keys):
-    try:
-        return [kwargs[k] for k in keys]
-    except KeyError as exc:
-        raise MapFormatError(f"{name} needs argument {exc}") from exc
-
-
-def _build(name, kw):
-    if name == "cubic":
-        knots, coeffs, values = _need(kw, name, "knots", "coeffs", "values")
-        return CubicProfile(knots, coeffs, values)
-    if name == "plmap":
-        dim, lo, hi, res, bf, images = _need(
-            kw, name, "dim", "lo", "hi", "resolution", "boundary_fixed", "images")
-        tri = plmod.kuhn_triangulation(dim, (lo, hi), res)
-        return plmod.PLMap(tri, np.asarray(images, dtype=float), boundary_fixed=bf)
-    if name == "orthogonal":
-        return M.OrthogonalSphereMap(np.asarray(kw["matrix"], dtype=float))
-    if name == "latitude":
-        return M.LatitudeSphereMap(kw["beta"], kw["axis"])
-    if name == "latitude_inverse":
-        return M.LatitudeSphereMap(kw["beta"], kw["axis"]).inverse()
-    if name == "conjugated":
-        return M.ConjugatedSphereMap(np.asarray(kw["rotation"], dtype=float),
-                                     kw["map"])
-    if name == "sphere_compose":
-        return M.ComposedSphereMap(kw["maps"])
-    if name == "twist":
-        return M.TwistDiskMap(kw["profile"], kw["plane"], kw["dim"])
-    if name == "pl_disk":
-        g = M.PLDiskMap(kw["map"])
-        return g.inverse() if kw.get("inverted", False) else g
-    if name == "disk_compose":
-        return M.ComposedDiskMap(kw["maps"])
-    if name == "constant_rotation":
-        return M.ConstantRotationProfile(np.asarray(kw["matrix"], dtype=float))
-    if name == "log_spiral":
-        return M.LogSpiralProfile(kw["c"], kw["plane"], kw["dim"])
-    if name == "cutoff_rotation":
-        return M.CutoffRotationProfile(kw["angle"], kw["plane"], kw["dim"])
-    if name == "identity":
-        return M.IdentityMap(kw["dim"])
-    if name == "affine":
-        return M.AffineMap(np.asarray(kw["matrix"], dtype=float), kw.get("offset"))
-    if name == "radial_extension":
-        return M.RadialExtensionMap(kw["map"])
-    if name == "disk_replication":
-        return M.DiskReplicationMap(kw["map"])
-    if name == "translated_replication":
-        if "uniform" in kw:
-            return M.TranslatedReplicationMap(uniform=kw["uniform"])
-        return M.TranslatedReplicationMap(disk_maps=kw["maps"])
-    if name == "product":
-        return M.ProductMap(kw["left"], kw["right"])
-    if name == "spiral":
-        return M.SpiralMap(kw["profile"])
-    if name == "pl":
-        return M.PLHomeomorphismMap(kw["map"])
-    if name == "compose":
-        return M.CompositionMap(kw["maps"])
-    if name == "inverse":
-        return M.InverseMap(kw["map"])
-    raise MapFormatError(f"unknown constructor {name!r}")
+        return _build(name, kwargs)
 
 
 def parse_map(text):

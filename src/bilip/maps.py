@@ -13,7 +13,29 @@ act on translated and dilated disks the naive difference of absolute
 coordinates loses all precision once the disk center dwarfs the disk
 radius; the displacement form is the same quantity rearranged exactly,
 and drift measurements rely on it.
+
+Node protocol. Nodes come in four families, each rooted in a base
+class: sphere maps (``SphereMap``) and disk maps (``DiskMap``) map rows
+with ``apply``; rotation profiles (``SpiralProfile``) turn rows with
+``rotate``; map expressions (``MapExpr``) evaluate through ``_eval``,
+``_eval_inverse`` and ``_displacement``, and also answer ``apply``.
+Every node's ``inverse()`` returns a node of its own family. The three
+compositions share one constructor and one right-to-left ``apply``
+(``_Composition``); the two replication nodes share one per-disk
+transport (``_Replication``).
+
+Every node class also declares how it is written: ``tag``, its
+constructor name in the canonical map text, and ``fields``, ordered
+``(keyword, attribute)`` pairs that follow its constructor's parameters
+(a dotted attribute reads through a sub-object). ``bilip.mapformat``
+writes and parses every node from these declarations alone, so a new
+constructor is one class. A field whose value is None is left out of
+the text and reads back as the constructor's default. A class whose
+constructor takes other parameters supplies a ``from_fields``
+classmethod that does (``pl.PLMap``).
 """
+
+import copy
 
 import numpy as np
 
@@ -55,6 +77,36 @@ def _rotate_columns(out, i, j, cos_a, sin_a):
     out[:, j] = sin_a * xi + cos_a * xj
 
 
+class _Composition:
+    """maps[0] o maps[1] o ... (rightmost applied first), for factors of
+    one family and one dimension; the claim is the product of the
+    factors' claims, or None when any factor has none."""
+
+    fields = (("maps", "maps"),)
+
+    def __init__(self, maps):
+        maps = list(maps)
+        if not maps:
+            raise InvalidPointError("need at least one map")
+        dims = {m.dim for m in maps}
+        if len(dims) != 1:
+            raise DimensionMismatchError(f"mixed dimensions {dims}")
+        self.maps = maps
+        self.dim = maps[0].dim
+        claims = [m.lambda_claimed for m in maps]
+        self.lambda_claimed = (
+            float(np.prod(claims)) if all(c is not None for c in claims) else None
+        )
+
+    def apply(self, pts):
+        for m in reversed(self.maps):
+            pts = m.apply(pts)
+        return pts
+
+    def inverse(self):
+        return type(self)([m.inverse() for m in reversed(self.maps)])
+
+
 # =====================================================================
 # Sphere self-maps
 # =====================================================================
@@ -90,6 +142,9 @@ class SphereMap:
 class OrthogonalSphereMap(SphereMap):
     """Restriction of an orthogonal linear map; an isometry of the sphere."""
 
+    tag = "orthogonal"
+    fields = (("matrix", "matrix"),)
+
     def __init__(self, matrix):
         m = as_matrix(matrix)
         if orthogonality_defect(m) > 1e-9:
@@ -116,6 +171,9 @@ class LatitudeSphereMap(SphereMap):
     recorded for falsification testing.
     """
 
+    tag = "latitude"
+    fields = (("beta", "beta"), ("axis", "axis"))
+
     def __init__(self, beta, axis):
         if not np.isfinite(beta) or abs(beta) > 0.9:
             raise MonotonicityError(
@@ -126,7 +184,8 @@ class LatitudeSphereMap(SphereMap):
         if nrm == 0.0:
             raise InvalidPointError("axis must be nonzero")
         self.beta = float(beta)
-        self.axis = ax / nrm
+        self.axis = ax  # as given: the inverse and the map text rebuild from it
+        self._unit = ax / nrm
         self.dim = ax.shape[0]
         b = abs(self.beta)
         self.lambda_claimed = max(1.0 + b, 1.0 / (1.0 - b)) if b > 0 else 1.0
@@ -145,8 +204,8 @@ class LatitudeSphereMap(SphereMap):
         return np.clip(a, 0.0, np.pi)
 
     def _remap(self, units, angle_fn):
-        c = np.clip(units @ self.axis, -1.0, 1.0)
-        tang = units - c[:, None] * self.axis[None, :]
+        c = np.clip(units @ self._unit, -1.0, 1.0)
+        tang = units - c[:, None] * self._unit[None, :]
         s = np.linalg.norm(tang, axis=1)
         # arctan2 keeps the polar angle well conditioned near the poles,
         # where arccos would amplify rounding by 1/sin(alpha)
@@ -155,7 +214,7 @@ class LatitudeSphereMap(SphereMap):
         safe = np.where(polar, 1.0, s)
         u = tang / safe[:, None]
         h = angle_fn(alpha)
-        out = np.cos(h)[:, None] * self.axis[None, :] + np.sin(h)[:, None] * u
+        out = np.cos(h)[:, None] * self._unit[None, :] + np.sin(h)[:, None] * u
         out[polar] = units[polar]
         return self._renormalize(out)
 
@@ -163,24 +222,27 @@ class LatitudeSphereMap(SphereMap):
         return self._remap(units, self._angle_map)
 
     def inverse(self):
-        return _InverseLatitudeSphereMap(self)
+        return _InverseLatitudeSphereMap(self.beta, self.axis)
 
 
-class _InverseLatitudeSphereMap(SphereMap):
-    def __init__(self, fwd):
-        self.forward = fwd
-        self.dim = fwd.dim
-        self.lambda_claimed = fwd.lambda_claimed
+class _InverseLatitudeSphereMap(LatitudeSphereMap):
+    """Inverse of the latitude map with the same beta and axis; the
+    angle map is inverted by Newton's method. Same claim."""
+
+    tag = "latitude_inverse"
 
     def apply(self, units):
-        return self.forward._remap(units, self.forward._angle_map_inverse)
+        return self._remap(units, self._angle_map_inverse)
 
     def inverse(self):
-        return self.forward
+        return LatitudeSphereMap(self.beta, self.axis)
 
 
 class ConjugatedSphereMap(SphereMap):
     """R o inner o R^{-1} for an orthogonal R; same constant as inner."""
+
+    tag = "conjugated"
+    fields = (("rotation", "rotation"), ("map", "inner"))
 
     def __init__(self, rotation, inner):
         r = as_matrix(rotation, dim=inner.dim)
@@ -199,31 +261,10 @@ class ConjugatedSphereMap(SphereMap):
         return ConjugatedSphereMap(self.rotation, self.inner.inverse())
 
 
-class ComposedSphereMap(SphereMap):
+class ComposedSphereMap(_Composition, SphereMap):
     """Composition maps[0] o maps[1] o ... applied right to left."""
 
-    def __init__(self, maps):
-        maps = list(maps)
-        if not maps:
-            raise InvalidPointError("need at least one sphere map")
-        dims = {m.dim for m in maps}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed sphere map dimensions {dims}")
-        self.maps = maps
-        self.dim = maps[0].dim
-        claims = [m.lambda_claimed for m in maps]
-        self.lambda_claimed = (
-            float(np.prod(claims)) if all(c is not None for c in claims) else None
-        )
-
-    def apply(self, units):
-        out = units
-        for m in reversed(self.maps):
-            out = m.apply(out)
-        return out
-
-    def inverse(self):
-        return ComposedSphereMap([m.inverse() for m in reversed(self.maps)])
+    tag = "sphere_compose"
 
 
 def make_latitude_sphere_map(beta, axis=None, dim=None):
@@ -278,6 +319,9 @@ class TwistDiskMap(DiskMap):
     tested, not assumed.
     """
 
+    tag = "twist"
+    fields = (("profile", "profile"), ("plane", "plane"), ("dim", "dim"))
+
     def __init__(self, profile, plane, dim):
         if not isinstance(profile, CubicProfile):
             raise InvalidPointError("twist profile must be a CubicProfile")
@@ -312,11 +356,14 @@ class PLDiskMap(DiskMap):
     """A boundary-fixed PLMap conjugated by a similarity into the unit
     ball (the box lands inside radius 0.95). Conjugation by a
     similarity preserves the bi-Lipschitz constant, so the claim is the
-    exact PL constant of the underlying map."""
+    exact PL constant of the underlying map. With ``inverted`` the node
+    is the inverse map, which has the same constant."""
 
+    tag = "pl_disk"
+    fields = (("map", "plmap"), ("inverted", "inverted"))
     _FIT_RADIUS = 0.95
 
-    def __init__(self, plmap, _inverse=False):
+    def __init__(self, plmap, inverted=False):
         if not plmap.boundary_fixed:
             raise SupportViolationError("disk embedding needs a boundary-fixed PLMap")
         tri = plmap.triangulation
@@ -325,7 +372,7 @@ class PLDiskMap(DiskMap):
         half = 0.5 * (tri.hi - tri.lo)
         self.center = 0.5 * (tri.hi + tri.lo)
         self.scale = self._FIT_RADIUS / (np.sqrt(tri.dim) * half)
-        self._inverse = bool(_inverse)
+        self.inverted = bool(inverted)
         self.lambda_claimed = plmod.pl_bilip_constant(plmap)
 
     def apply(self, pts):
@@ -335,38 +382,23 @@ class PLDiskMap(DiskMap):
         inside = ((u > tri.lo + tol) & (u < tri.hi - tol)).all(axis=1)
         out = pts.copy()
         if inside.any():
-            fn = plmod.pl_eval_inverse if self._inverse else plmod.pl_eval
+            fn = plmod.pl_eval_inverse if self.inverted else plmod.pl_eval
             fu = fn(self.plmap, u[inside])
             out[inside] = (fu - self.center) * self.scale
         return out
 
     def inverse(self):
-        return PLDiskMap(self.plmap, _inverse=not self._inverse)
+        # a copy keeps the claim: the exact constant is a full sweep
+        # over the simplices and does not change under inversion
+        inv = copy.copy(self)
+        inv.inverted = not self.inverted
+        return inv
 
 
-class ComposedDiskMap(DiskMap):
-    def __init__(self, maps):
-        maps = list(maps)
-        if not maps:
-            raise InvalidPointError("need at least one disk map")
-        dims = {m.dim for m in maps}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed disk map dimensions {dims}")
-        self.maps = maps
-        self.dim = maps[0].dim
-        claims = [m.lambda_claimed for m in maps]
-        self.lambda_claimed = (
-            float(np.prod(claims)) if all(c is not None for c in claims) else None
-        )
+class ComposedDiskMap(_Composition, DiskMap):
+    """Composition maps[0] o maps[1] o ... applied right to left."""
 
-    def apply(self, pts):
-        out = pts
-        for m in reversed(self.maps):
-            out = m.apply(out)
-        return out
-
-    def inverse(self):
-        return ComposedDiskMap([m.inverse() for m in reversed(self.maps)])
+    tag = "disk_compose"
 
 
 def make_twist_disk_map(theta=None, plane=(0, 1), dim=2, amplitude=0.8):
@@ -408,7 +440,8 @@ class SpiralProfile:
     def rotate(self, radii, pts):
         raise NotImplementedError
 
-    def rotate_inverse(self, radii, pts):
+    def inverse(self):
+        """The profile t -> f(t)^{-1}."""
         raise NotImplementedError
 
     def matrix(self, t):
@@ -424,6 +457,9 @@ class SpiralProfile:
 class ConstantRotationProfile(SpiralProfile):
     """f(t) = A for a fixed A in SO(n); the induced map is linear."""
 
+    tag = "constant_rotation"
+    fields = (("matrix", "matrix_value"),)
+
     def __init__(self, matrix):
         m = as_matrix(matrix)
         if orthogonality_defect(m) > 1e-12:
@@ -436,9 +472,6 @@ class ConstantRotationProfile(SpiralProfile):
 
     def rotate(self, radii, pts):
         return pts @ self.matrix_value.T
-
-    def rotate_inverse(self, radii, pts):
-        return pts @ self.matrix_value
 
     def matrix(self, t):
         return self.matrix_value
@@ -464,13 +497,6 @@ class _PlaneAngleProfile(SpiralProfile):
         _rotate_columns(out, i, j, np.cos(ang), np.sin(ang))
         return out
 
-    def rotate_inverse(self, radii, pts):
-        ang = -self.angle(radii)
-        out = pts.copy()
-        i, j = self.plane
-        _rotate_columns(out, i, j, np.cos(ang), np.sin(ang))
-        return out
-
     def matrix(self, t):
         return rotation_matrix(self.plane, float(self.angle(np.asarray([t]))[0]),
                                self.dim)
@@ -479,6 +505,9 @@ class _PlaneAngleProfile(SpiralProfile):
 class LogSpiralProfile(_PlaneAngleProfile):
     """f(t) = plane rotation by c*ln(t); |d/dt cos(c ln t)| <= |c|/t,
     so c_bound = |c| exactly."""
+
+    tag = "log_spiral"
+    fields = (("c", "c"), ("plane", "plane"), ("dim", "dim"))
 
     def __init__(self, c, plane, dim):
         if not np.isfinite(c):
@@ -502,6 +531,9 @@ class CutoffRotationProfile(_PlaneAngleProfile):
     """Plane rotation by a compactly supported C^1 angle; the identity
     from the end of the support outward, hence quasi-isometrically
     trivial. c_bound = sup |t * theta'(t)| from closed-form extrema."""
+
+    tag = "cutoff_rotation"
+    fields = (("angle", "theta"), ("plane", "plane"), ("dim", "dim"))
 
     def __init__(self, theta, plane, dim):
         if not isinstance(theta, CubicProfile):
@@ -564,11 +596,22 @@ class MapExpr:
     def _displacement(self, pts):
         return self._eval(pts) - pts
 
+    def apply(self, pts):
+        """Image of (N, n) rows, unvalidated; the name sphere and disk
+        maps use, so that one composition serves all three families."""
+        return self._eval(pts)
+
+    def inverse(self):
+        return InverseMap(self)
+
     def __call__(self, pts):
         return evaluate_points(self, pts)
 
 
 class IdentityMap(MapExpr):
+    tag = "identity"
+    fields = (("dim", "dim"),)
+
     def __init__(self, dim):
         if dim < 1:
             raise InvalidPointError("dimension must be >= 1")
@@ -587,6 +630,9 @@ class IdentityMap(MapExpr):
 
 class AffineMap(MapExpr):
     """x -> M x + b."""
+
+    tag = "affine"
+    fields = (("matrix", "matrix"), ("offset", "offset"))
 
     def __init__(self, matrix, offset=None):
         m = as_matrix(matrix)
@@ -625,39 +671,75 @@ class RadialExtensionMap(MapExpr):
     claimed constant lambda, the extension claims 1 + lambda.
     """
 
+    tag = "radial_extension"
+    fields = (("map", "sphere_map"),)
+
     def __init__(self, sphere_map):
         self.sphere_map = sphere_map
         self.dim = sphere_map.dim
         lam = sphere_map.lambda_claimed
         self.lambda_claimed = (1.0 + lam) if lam is not None else None
 
-    def _radial(self, pts, phi_apply):
+    def _radial(self, pts, phi, displacement=False):
+        """||v|| phi(v / ||v||) for nonzero rows v; with ``displacement``
+        that minus v, computed at unit scale as ||v|| (phi(u) - u)."""
         r = np.linalg.norm(pts, axis=1)
         nz = r > 0.0
-        out = pts.copy()
+        out = np.zeros_like(pts) if displacement else pts.copy()
         if nz.any():
             u = pts[nz] / r[nz, None]
-            out[nz] = r[nz, None] * phi_apply(u)
+            image = phi.apply(u)
+            out[nz] = r[nz, None] * (image - u if displacement else image)
         return out
 
     def _eval(self, pts):
-        return self._radial(pts, self.sphere_map.apply)
+        return self._radial(pts, self.sphere_map)
 
     def _eval_inverse(self, pts):
-        return self._radial(pts, self.sphere_map.inverse().apply)
+        return self._radial(pts, self.sphere_map.inverse())
 
     def _displacement(self, pts):
-        # ||v|| (phi(u) - u): same value as f(v) - v, computed at unit scale.
-        r = np.linalg.norm(pts, axis=1)
-        nz = r > 0.0
-        out = np.zeros_like(pts)
-        if nz.any():
-            u = pts[nz] / r[nz, None]
-            out[nz] = r[nz, None] * (self.sphere_map.apply(u) - u)
+        return self._radial(pts, self.sphere_map, displacement=True)
+
+
+class _Replication(MapExpr):
+    """Per-disk transport shared by the replication nodes. A subclass
+    names the disk holding each row (``_locate``: index or -1), the
+    similarity onto disk j (``_disk``: center and scale) and the disk
+    map acting there (``_map_for``: None for the identity)."""
+
+    def _per_disk(self, pts, inverse=False, displacement=False):
+        """Rows of each disk through its disk map (or its inverse) in
+        the disk's unit coordinates; other rows pass through. With
+        ``displacement`` the image minus the input, computed at the
+        disk's own scale."""
+        j = self._locate(pts)
+        out = np.zeros_like(pts) if displacement else pts.copy()
+        for jj in np.unique(j[j >= 0]):
+            g = self._map_for(int(jj))
+            if g is None:
+                continue
+            if inverse:
+                g = g.inverse()
+            rows = j == jj
+            center, scale = self._disk(int(jj))
+            local = (pts[rows] - center) / scale
+            moved = g.apply(local)
+            out[rows] = (scale * (moved - local) if displacement
+                         else center + scale * moved)
         return out
 
+    def _eval(self, pts):
+        return self._per_disk(pts)
 
-class DiskReplicationMap(MapExpr):
+    def _eval_inverse(self, pts):
+        return self._per_disk(pts, inverse=True)
+
+    def _displacement(self, pts):
+        return self._per_disk(pts, displacement=True)
+
+
+class DiskReplicationMap(_Replication):
     """Replicates one disk map on the disjoint disks C_j = D(4^j e1, 2^j).
 
     Evaluation is lazy and exact: a point is matched to its disk (if
@@ -667,45 +749,34 @@ class DiskReplicationMap(MapExpr):
     disk map's own claim.
     """
 
+    tag = "disk_replication"
+    fields = (("map", "disk_map"),)
+
     def __init__(self, disk_map):
         self.disk_map = disk_map
         self.dim = disk_map.dim
         self.lambda_claimed = disk_map.lambda_claimed
 
-    def _transport(self, pts, apply_fn):
-        j = locate_replication_disks(pts)
-        out = pts.copy()
-        for jj in np.unique(j[j >= 0]):
-            rows = j == jj
-            center, scale = replication_disk(int(jj), self.dim)
-            local = (pts[rows] - center) / scale
-            out[rows] = center + scale * apply_fn(local)
-        return out
+    def _locate(self, pts):
+        return locate_replication_disks(pts)
 
-    def _eval(self, pts):
-        return self._transport(pts, self.disk_map.apply)
+    def _disk(self, j):
+        return replication_disk(j, self.dim)
 
-    def _eval_inverse(self, pts):
-        return self._transport(pts, self.disk_map.inverse().apply)
-
-    def _displacement(self, pts):
-        j = locate_replication_disks(pts)
-        out = np.zeros_like(pts)
-        for jj in np.unique(j[j >= 0]):
-            rows = j == jj
-            center, scale = replication_disk(int(jj), self.dim)
-            local = (pts[rows] - center) / scale
-            out[rows] = scale * (self.disk_map.apply(local) - local)
-        return out
+    def _map_for(self, j):
+        return self.disk_map
 
 
-class TranslatedReplicationMap(MapExpr):
+class TranslatedReplicationMap(_Replication):
     """Applies disk maps on the unit disks centered at 0, 2e1, 4e1, ...
 
     Either a finite list of disk maps (entry j acts on the disk at
     2j*e1; None entries mean the identity) or a single uniform map
     acting on every disk of the family.
     """
+
+    tag = "translated_replication"
+    fields = (("maps", "disk_maps"), ("uniform", "uniform"))
 
     def __init__(self, disk_maps=None, uniform=None):
         if (disk_maps is None) == (uniform is None):
@@ -740,6 +811,9 @@ class TranslatedReplicationMap(MapExpr):
             return self.disk_maps[j]
         return None
 
+    def _disk(self, j):
+        return 2.0 * j * unit_axis(self.dim), 1.0
+
     def _locate(self, pts):
         x1 = pts[:, 0]
         rest_sq = np.sum(pts[:, 1:] ** 2, axis=1)
@@ -759,45 +833,12 @@ class TranslatedReplicationMap(MapExpr):
             found[idx] = cand[open_rows][hit]
         return found
 
-    def _transport(self, pts, inverse=False):
-        j = self._locate(pts)
-        out = pts.copy()
-        for jj in np.unique(j[j >= 0]):
-            g = self._map_for(int(jj))
-            if g is None:
-                continue
-            if inverse:
-                g = g.inverse()
-            rows = j == jj
-            center = np.zeros(self.dim)
-            center[0] = 2.0 * jj
-            local = pts[rows] - center
-            out[rows] = center + g.apply(local)
-        return out
-
-    def _eval(self, pts):
-        return self._transport(pts, inverse=False)
-
-    def _eval_inverse(self, pts):
-        return self._transport(pts, inverse=True)
-
-    def _displacement(self, pts):
-        j = self._locate(pts)
-        out = np.zeros_like(pts)
-        for jj in np.unique(j[j >= 0]):
-            g = self._map_for(int(jj))
-            if g is None:
-                continue
-            rows = j == jj
-            center = np.zeros(self.dim)
-            center[0] = 2.0 * jj
-            local = pts[rows] - center
-            out[rows] = g.apply(local) - local
-        return out
-
 
 class ProductMap(MapExpr):
     """(x, y) -> (f(x), g(y)) on R^{k+l}."""
+
+    tag = "product"
+    fields = (("left", "left"), ("right", "right"))
 
     def __init__(self, left, right):
         self.left = left
@@ -830,29 +871,36 @@ class SpiralMap(MapExpr):
     is n * c_bound + 1.
     """
 
+    tag = "spiral"
+    fields = (("profile", "profile"),)
+
     def __init__(self, profile):
         self.profile = profile
         self.dim = profile.dim
         self.lambda_claimed = profile.dim * profile.c_bound + 1.0
 
-    def _spun(self, pts, rotate_fn):
+    def _spun(self, pts, profile):
         r = np.linalg.norm(pts, axis=1)
         nz = r > 0.0
         out = pts.copy()
         if nz.any():
-            out[nz] = rotate_fn(r[nz], pts[nz])
+            out[nz] = profile.rotate(r[nz], pts[nz])
         return out
 
     def _eval(self, pts):
-        return self._spun(pts, self.profile.rotate)
+        return self._spun(pts, self.profile)
 
     def _eval_inverse(self, pts):
-        # (phi_f)^{-1} = phi_g with g(t) = f(t)^{-1}
-        return self._spun(pts, self.profile.rotate_inverse)
+        # (phi_f)^{-1} = phi_g with g(t) = f(t)^{-1}; negating an angle
+        # or transposing a matrix is exact
+        return self._spun(pts, self.profile.inverse())
 
 
 class PLHomeomorphismMap(MapExpr):
     """A boundary-fixed PLMap as a self-map of R^n (identity outside)."""
+
+    tag = "pl"
+    fields = (("map", "plmap"),)
 
     def __init__(self, plmap):
         if not plmap.boundary_fixed:
@@ -870,34 +918,16 @@ class PLHomeomorphismMap(MapExpr):
         return plmod.pl_eval_inverse(self.plmap, pts)
 
 
-class CompositionMap(MapExpr):
+class CompositionMap(_Composition, MapExpr):
     """maps[0] o maps[1] o ... (rightmost applied first)."""
 
-    def __init__(self, maps):
-        maps = list(maps)
-        if not maps:
-            raise InvalidPointError("need at least one map")
-        dims = {m.dim for m in maps}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed dimensions {dims}")
-        self.maps = maps
-        self.dim = maps[0].dim
-        claims = [m.lambda_claimed for m in maps]
-        self.lambda_claimed = (
-            float(np.prod(claims)) if all(c is not None for c in claims) else None
-        )
+    tag = "compose"
 
     def _eval(self, pts):
-        out = pts
-        for m in reversed(self.maps):
-            out = m._eval(out)
-        return out
+        return self.apply(pts)
 
     def _eval_inverse(self, pts):
-        out = pts
-        for m in self.maps:
-            out = m._eval_inverse(out)
-        return out
+        return self.inverse().apply(pts)
 
     def _displacement(self, pts):
         # (f o g)(x) - x = disp_f(g(x)) + disp_g(x), folded right to left
@@ -910,6 +940,9 @@ class CompositionMap(MapExpr):
 
 
 class InverseMap(MapExpr):
+    tag = "inverse"
+    fields = (("map", "inner"),)
+
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
@@ -920,6 +953,9 @@ class InverseMap(MapExpr):
 
     def _eval_inverse(self, pts):
         return self.inner._eval(pts)
+
+    def inverse(self):
+        return self.inner
 
 
 # =====================================================================

@@ -135,6 +135,18 @@ class PLMap:
     lazily and never mutated afterwards.
     """
 
+    tag = "plmap"
+    fields = (("dim", "triangulation.dim"), ("lo", "triangulation.lo"),
+              ("hi", "triangulation.hi"), ("resolution", "triangulation.resolution"),
+              ("boundary_fixed", "boundary_fixed"), ("images", "vertex_images"))
+
+    @classmethod
+    def from_fields(cls, dim, lo, hi, resolution, boundary_fixed, vertex_images):
+        """The map on the Kuhn triangulation of [lo, hi]^dim, built from
+        its declared fields in order."""
+        return cls(kuhn_triangulation(dim, (lo, hi), resolution), vertex_images,
+                   boundary_fixed=boundary_fixed)
+
     def __init__(self, triangulation, vertex_images, boundary_fixed=True,
                  validate=True):
         tri = triangulation

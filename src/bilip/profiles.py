@@ -21,6 +21,9 @@ class CubicProfile:
     the identity outside their support with no rounding residue.
     """
 
+    tag = "cubic"
+    fields = (("knots", "knots"), ("coeffs", "coeffs"), ("values", "values"))
+
     def __init__(self, knots, coeffs, values):
         self.knots = np.asarray(knots, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=float)  # (m, 4): a + b s + c s^2 + d s^3

@@ -257,3 +257,10 @@ class TestConfigHelpers:
         code, records = run(capsys, "verify", "matrix-norms", "--pairs", "100")
         assert code == 0
         assert records[0]["seed"] == 123
+
+    def test_malformed_seed_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BILIP_SEED", "abc")
+        assert run_cli(["verify", "matrix-norms", "--pairs", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "BILIP_SEED" in captured.err and "Traceback" not in captured.err

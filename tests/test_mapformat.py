@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bilip.pl
 from bilip import maps as M
 from bilip.core import rotation_matrix
 from bilip.errors import MapFormatError
@@ -33,23 +34,46 @@ def map_zoo():
     yield M.pl_homeomorphism(pl_twist_example(2, 4, 0.25))
     yield M.compose(M.disk_replication(twist), M.identity(2))
     yield M.inverse(M.spiral_map(M.LogSpiralProfile(1.0, (0, 1), 2)))
+    yield M.disk_replication(M.pl_disk_map(pl_twist_example(2, 4, 0.3)).inverse())
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("idx", range(17))
+    @pytest.mark.parametrize("idx", range(len(list(map_zoo()))))
     def test_eval_identical_after_round_trip(self, idx):
         m = list(map_zoo())[idx]
         text = map_to_text(m)
         m2 = parse_map(text)
+        assert map_to_text(m2) == text
         assert m2.dim == m.dim
+        assert m2.lambda_claimed == m.lambda_claimed
         rng = np.random.default_rng(idx)
         pts = rng.normal(size=(200, m.dim)) * 20.0
         assert np.array_equal(M.evaluate_points(m, pts), M.evaluate_points(m2, pts))
 
-    def test_canonical_text_is_stable(self):
-        m = M.disk_replication(M.make_twist_disk_map(dim=2))
-        text = map_to_text(m)
-        assert map_to_text(parse_map(text)) == text
+    def test_non_unit_axis_round_trips_exactly(self):
+        m = M.radial_extension(M.LatitudeSphereMap(0.4, [0.3, -0.2, 0.9]).inverse())
+        m2 = parse_map(map_to_text(m))
+        assert map_to_text(m2) == map_to_text(m)
+        pts = np.random.default_rng(0).normal(size=(200, 3))
+        assert np.array_equal(M.evaluate_points(m, pts), M.evaluate_points(m2, pts))
+
+    def test_optional_fields_take_constructor_defaults(self):
+        m = parse_map("affine(matrix=[[2,0],[0,1]])")
+        assert np.array_equal(m.offset, [0.0, 0.0])
+        text = map_to_text(M.disk_replication(M.pl_disk_map(pl_twist_example(2, 4, 0.3))))
+        assert ",inverted=false" in text
+        g = parse_map(text.replace(",inverted=false", "")).disk_map
+        assert g.inverted is False
+
+    def test_inverted_pl_disk_parses_with_one_constant_sweep(self, monkeypatch):
+        text = map_to_text(M.disk_replication(
+            M.pl_disk_map(pl_twist_example(2, 4, 0.3)).inverse()))
+        calls = []
+        exact = bilip.pl.pl_bilip_constant
+        monkeypatch.setattr(bilip.pl, "pl_bilip_constant",
+                            lambda plmap: calls.append(plmap) or exact(plmap))
+        parse_map(text)
+        assert len(calls) == 1
 
     def test_file_round_trip(self, tmp_path):
         m = M.spiral_map(M.LogSpiralProfile(np.pi, (0, 1), 2))

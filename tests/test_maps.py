@@ -4,6 +4,7 @@ spiral profiles and the exactly evaluable constructors."""
 import numpy as np
 import pytest
 
+import bilip.pl
 from bilip import maps as M
 from bilip.core import operator_norm, orthogonality_defect, rotation_matrix
 from bilip.errors import (
@@ -288,6 +289,18 @@ class TestDiskReplication:
         rng = np.random.default_rng(16)
         pts = random_points(rng, 2, 2000, scale=50.0)
         assert roundtrip_residual(f, pts) <= 1e-9
+
+    def test_pl_disk_inverse_keeps_the_exact_constant(self, monkeypatch):
+        g = M.pl_disk_map(pl_twist_example(2, 8, 0.3))
+        f = M.disk_replication(g)
+        calls = []
+        exact = bilip.pl.pl_bilip_constant
+        monkeypatch.setattr(bilip.pl, "pl_bilip_constant",
+                            lambda plmap: calls.append(plmap) or exact(plmap))
+        pts = 0.5 * np.random.default_rng(3).uniform(-1, 1, size=(6, 2))
+        M.evaluate_inverse_points(f, pts)
+        assert calls == []
+        assert g.inverse().lambda_claimed == g.lambda_claimed
 
     def test_drift_law_exact_to_k40(self):
         g = M.make_twist_disk_map(dim=2)
