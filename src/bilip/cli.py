@@ -32,7 +32,7 @@ from . import estimators as E
 from . import maps as M
 from . import pl as plmod
 from . import verify as V
-from .errors import BilipError, ConfigError
+from .errors import BilipError, ConfigError, MapFormatError
 from .mapformat import load_map, map_to_text
 from .profiles import bump_profile
 
@@ -370,6 +370,10 @@ def _cmd_pl_norm(args):
 
 def _cmd_geodesic(args):
     cloud = E.load_cloud_csv(args.cloud)
+    n_points = cloud.shape[0]
+    if args.pair is not None and not all(0 <= k < n_points for k in args.pair):
+        raise ConfigError(f"--pair {args.pair[0]} {args.pair[1]} is out of range "
+                          f"for a cloud of {n_points} points")
     eps = args.eps
     if eps is None:
         # connect each point to a handful of neighbors by default
@@ -380,7 +384,7 @@ def _cmd_geodesic(args):
     record = {
         "op": "geodesic",
         "cloud": args.cloud,
-        "n_points": int(cloud.shape[0]),
+        "n_points": n_points,
         "eps": eps,
         "max_ratio": E.metric_equivalence_ratio(cloud, eps, args.pairs, args.seed),
     }
@@ -473,7 +477,7 @@ def run_cli(argv=None):
         return int(exc.code) if exc.code is not None else 2
     except BilipError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2 if isinstance(exc, ConfigError) else 1
+        return 2 if isinstance(exc, (ConfigError, MapFormatError)) else 1
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -22,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import MapFormatError
+from .errors import BilipError, MapFormatError
 from . import maps as M
 from . import pl as plmod
 from .profiles import CubicProfile
@@ -85,7 +85,8 @@ _CONSTRUCTORS = _constructors((M.MapExpr, M.SphereMap, M.DiskMap, M.SpiralProfil
 
 def _build(name, kw):
     """Call the constructor tagged ``name`` with its declared fields in
-    order; a missing keyword takes the constructor's default."""
+    order; a missing keyword takes the constructor's default. A value
+    the constructor cannot take is a format error that names the node."""
     if name not in _CONSTRUCTORS:
         raise MapFormatError(f"unknown constructor {name!r}")
     fields, make, params = _CONSTRUCTORS[name]
@@ -97,7 +98,12 @@ def _build(name, kw):
             args.append(param.default)
         else:
             raise MapFormatError(f"{name} needs argument {key!r}")
-    return make(*args)
+    try:
+        return make(*args)
+    except BilipError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise MapFormatError(f"{name}: {exc}") from exc
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[-+]?[0-9][^,()\[\]\s]*|[(),=\[\]])")

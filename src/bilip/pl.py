@@ -17,6 +17,7 @@ from .errors import (
     DisplacementTooLargeError,
     EmptyGridError,
     InvalidPointError,
+    MapFormatError,
     NotHomeomorphismError,
     OutOfDomainError,
     SupportViolationError,
@@ -171,7 +172,7 @@ class PLMap:
         self.boundary_fixed = bool(boundary_fixed)
         self._diffs = None
         self._dets = None
-        self._buckets = None
+        self._inverse = None
 
     @property
     def dim(self):
@@ -259,86 +260,109 @@ def pl_eval(f, pts):
 # =====================================================================
 
 def _build_buckets(f):
-    """Map each grid cube to the image simplices whose bounding box
-    touches it. The image of an orientation-positive boundary-fixed
-    map is the box itself, so the source grid doubles as a spatial
-    index for inverse queries."""
+    """CSR index of the image simplices by grid cube.
+
+    The candidates of flat cube c are ``simplices[indptr[c]:indptr[c + 1]]``,
+    in ascending simplex order: every simplex whose image bounding box,
+    padded by 1e-9 cells, touches c. The image of an orientation-positive
+    boundary-fixed map is the box itself, so the source grid doubles as a
+    spatial index for inverse queries. Returns (indptr, simplices).
+    """
     tri = f.triangulation
+    n, res = tri.dim, tri.resolution
     img = f.vertex_images[tri.simplices]  # (S, n+1, n)
     pad = 1e-9 * tri.cell
     lo_box = (img.min(axis=1) - tri.lo - pad) / tri.cell
     hi_box = (img.max(axis=1) - tri.lo + pad) / tri.cell
-    lo_idx = np.clip(np.floor(lo_box).astype(np.int64), 0, tri.resolution - 1)
-    hi_idx = np.clip(np.floor(hi_box).astype(np.int64), 0, tri.resolution - 1)
-    buckets = {}
-    for s in range(tri.n_simplices):
-        ranges = [range(lo_idx[s, a], hi_idx[s, a] + 1) for a in range(tri.dim)]
-        for cube in itertools.product(*ranges):
-            buckets.setdefault(cube, []).append(s)
-    return buckets
+    lo_idx = np.clip(np.floor(lo_box).astype(np.int64), 0, res - 1)
+    hi_idx = np.clip(np.floor(hi_box).astype(np.int64), 0, res - 1)
+    span = hi_idx - lo_idx + 1
+    counts = span.prod(axis=1)
+    owner = np.repeat(np.arange(tri.n_simplices), counts)
+    # rank of each entry in its simplex's box of cubes, unravelled in C order
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cube = np.zeros(owner.size, dtype=np.int64)
+    stride = 1
+    for a in reversed(range(n)):
+        width = span[owner, a]
+        cube += (lo_idx[owner, a] + rank % width) * stride
+        rank //= width
+        stride *= res
+    order = np.argsort(cube, kind="stable")  # by cube, then by simplex
+    indptr = np.zeros(res ** n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cube, minlength=res ** n), out=indptr[1:])
+    return indptr, owner[order]
+
+
+def _inverse_index(f):
+    """Cached bucket arrays, inverse image-edge matrices, first image
+    vertices and source vertices of every simplex."""
+    if f._inverse is None:
+        tri = f.triangulation
+        img = f.vertex_images[tri.simplices]
+        e_inv = np.linalg.inv((img[:, 1:, :] - img[:, :1, :]).transpose(0, 2, 1))
+        f._inverse = (*_build_buckets(f), e_inv, img[:, 0], tri.vertices[tri.simplices])
+    return f._inverse
+
+
+def _first_containing(index, y, cube):
+    """Pull each row of ``y`` back through the first candidate of its
+    flat ``cube`` whose barycentric weights are all >= -1e-9.
+
+    Step k tests every unresolved row against the k-th candidate of its
+    cube. Returns (x, found); x is undefined where found is False.
+    """
+    indptr, simplices, e_inv, first, src = index
+    start = indptr[cube]
+    count = indptr[cube + 1] - start
+    x = np.empty_like(y)
+    found = np.zeros(y.shape[0], dtype=bool)
+    for k in range(int(count.max(initial=0))):
+        rows = np.flatnonzero(~found & (count > k))
+        s = simplices[start[rows] + k]
+        w_rest = np.einsum("pij,pj->pi", e_inv[s], y[rows] - first[s])
+        w = np.concatenate([1.0 - w_rest.sum(axis=1, keepdims=True), w_rest], axis=1)
+        ok = (w >= -1e-9).all(axis=1)
+        x[rows[ok]] = np.einsum("pk,pkd->pd", w[ok], src[s[ok]])
+        found[rows[ok]] = True
+    return x, found
 
 
 def pl_eval_inverse(f, pts):
     """Evaluate the inverse PL map at row points.
 
     Requires a positively oriented map. Each query point is matched to
-    the image simplex containing it (via barycentric coordinates in the
-    image) and pulled back with the same weights.
+    the first image simplex of its grid cube that contains it (via
+    barycentric coordinates in the image) and pulled back with the same
+    weights. Points that no simplex of their own cube contains are
+    tried against the simplices of the 3^n neighbouring cubes.
     """
     tri = f.triangulation
     pts = as_points(pts, tri.dim)
-    dets = f.determinants()
-    if np.any(dets <= 0.0):
+    if np.any(f.determinants() <= 0.0):
         raise NotHomeomorphismError("map is not orientation-positive")
-    if f._buckets is None:
-        f._buckets = _build_buckets(f)
+    index = _inverse_index(f)
     outside = _outside_mask(tri, pts)
     if outside.any() and not f.boundary_fixed:
         raise OutOfDomainError("point outside the triangulated box")
     out = pts.copy()
-
-    img_all = f.vertex_images[tri.simplices]
-    src_all = tri.vertices[tri.simplices]
-    inside_idx = np.flatnonzero(~outside)
-    for i in inside_idx:
-        y = pts[i]
-        u = np.clip((y - tri.lo) / tri.cell, 0.0, float(tri.resolution))
-        cube = tuple(np.minimum(u.astype(np.int64), tri.resolution - 1))
-        found = False
-        for cands in (f._buckets.get(cube, ()), _neighbor_candidates(f, cube)):
-            for s in cands:
-                q = img_all[s]
-                e = (q[1:] - q[0]).T
-                try:
-                    w_rest = np.linalg.solve(e, y - q[0])
-                except np.linalg.LinAlgError:
-                    continue
-                w0 = 1.0 - w_rest.sum()
-                if w0 >= -1e-9 and np.all(w_rest >= -1e-9):
-                    w = np.concatenate([[w0], w_rest])
-                    out[i] = w @ src_all[s]
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            raise OutOfDomainError(f"no image simplex contains point {y!r}")
-    return out
-
-
-def _neighbor_candidates(f, cube):
-    tri = f.triangulation
-    seen = set(f._buckets.get(cube, ()))
-    cands = []
+    inside = np.flatnonzero(~outside)
+    y = pts[inside]
+    u = np.clip((y - tri.lo) / tri.cell, 0.0, float(tri.resolution))
+    cube = np.minimum(u.astype(np.int64), tri.resolution - 1)
+    cubes = (tri.resolution,) * tri.dim
+    x, found = _first_containing(index, y, np.ravel_multi_index(tuple(cube.T), cubes))
     for delta in itertools.product((-1, 0, 1), repeat=tri.dim):
-        ncube = tuple(
-            min(max(c + d, 0), tri.resolution - 1) for c, d in zip(cube, delta)
-        )
-        for s in f._buckets.get(ncube, ()):
-            if s not in seen:
-                seen.add(s)
-                cands.append(s)
-    return cands
+        pending = np.flatnonzero(~found)
+        if pending.size == 0:
+            break
+        near = np.clip(cube[pending] + delta, 0, tri.resolution - 1)
+        x[pending], found[pending] = _first_containing(
+            index, y[pending], np.ravel_multi_index(tuple(near.T), cubes))
+    if not found.all():
+        raise OutOfDomainError(f"no image simplex contains point {y[~found][0]!r}")
+    out[inside] = x
+    return out
 
 
 # =====================================================================
@@ -348,7 +372,7 @@ def _neighbor_candidates(f, cube):
 def pl_differential_norm(f, with_argmax=False):
     """sup over simplices of the operator norm of the affine differential.
 
-    Exact up to the singular-value iteration tolerance. With
+    Exact to the rounding of one batched SVD. With
     ``with_argmax`` also returns the index of the realizing simplex.
     """
     diffs = f.differentials()
@@ -470,9 +494,18 @@ def save_plmap_csv(f, path):
 
 
 def load_plmap_csv(path):
-    """Read a PLMap written by :func:`save_plmap_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    """Read a PLMap written by :func:`save_plmap_csv`.
+
+    A malformed file raises MapFormatError: a missing or bad header
+    value (the triangulation's limits included), a vertex row whose
+    index is not an integer below the vertex count or that does not
+    hold exactly ``dim`` finite coordinates, or a missing vertex row.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"plmap csv is not UTF-8 text: {exc}") from exc
     header = {}
     body = []
     for ln in rows:
@@ -480,21 +513,31 @@ def load_plmap_csv(path):
         if parts[0] in ("dim", "box", "resolution", "boundary_fixed"):
             header[parts[0]] = parts[1:]
         else:
-            body.append(parts)
+            body.append(ln)
     try:
         dim = int(header["dim"][0])
         lo, hi = float(header["box"][0]), float(header["box"][1])
         resolution = int(header["resolution"][0])
         boundary_fixed = bool(int(header["boundary_fixed"][0]))
+        tri = kuhn_triangulation(dim, (lo, hi), resolution)
     except (KeyError, IndexError, ValueError) as exc:
-        raise InvalidPointError(f"malformed plmap csv header: {exc}") from exc
-    tri = kuhn_triangulation(dim, (lo, hi), resolution)
+        raise MapFormatError(f"malformed plmap csv header: {exc}") from exc
     images = np.empty_like(tri.vertices)
     seen = np.zeros(tri.n_vertices, dtype=bool)
-    for parts in body:
-        idx = int(parts[0])
-        images[idx] = [float(x) for x in parts[1 : dim + 1]]
+    for ln in body:
+        parts = ln.split(",")
+        try:
+            idx = int(parts[0])
+            coords = [float(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise MapFormatError(f"malformed plmap csv row {ln!r}: {exc}") from exc
+        if not (0 <= idx < tri.n_vertices and len(coords) == dim
+                and np.all(np.isfinite(coords))):
+            raise MapFormatError(
+                f"plmap csv row {ln!r} needs a vertex index in [0, {tri.n_vertices}) "
+                f"and {dim} finite coordinates")
+        images[idx] = coords
         seen[idx] = True
     if not seen.all():
-        raise InvalidPointError("plmap csv is missing vertex rows")
+        raise MapFormatError("plmap csv is missing vertex rows")
     return PLMap(tri, images, boundary_fixed=boundary_fixed)

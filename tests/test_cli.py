@@ -14,6 +14,15 @@ from bilip.errors import ConfigError
 from bilip.mapformat import save_map
 
 
+def assert_usage_error(capsys, *args):
+    """Exit 2 with one ``error:`` line on stderr, nothing on stdout."""
+    assert run_cli(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 def run(capsys, *args):
     code = run_cli(list(args))
     out = capsys.readouterr().out
@@ -129,6 +138,16 @@ class TestEstimateCommand:
         assert run_cli(["estimate", "--map", "/nonexistent.map",
                         "--region", "ball:0,0:1"]) == 2
 
+    @pytest.mark.parametrize("text", ["identity(dim=2", "identity(dim=[2])",
+                                      "identity()", "nosuch(dim=2)"])
+    def test_malformed_map_text_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.map"
+        path.write_text(text + "\n")
+        err = assert_usage_error(capsys, "estimate", "--map", str(path),
+                                 "--region", "ball:0,0:1", "--pairs", "100")
+        if "[2]" in text:
+            assert "identity" in err  # the node that refused the value
+
     def test_histogram_svg(self, capsys, tmp_path):
         path = tmp_path / "id.map"
         svg = tmp_path / "h.svg"
@@ -206,6 +225,31 @@ class TestPlNormCommand:
         )
 
 
+    @pytest.mark.parametrize("edit", [
+        ("dim,2", "dim,x"),                # bad header value
+        ("resolution,3", "resolution,0"),  # header the triangulation rejects
+        ("\n0,", "\nx,"),                  # row index that is not an integer
+        ("\n0,", "\n99,"),                 # row index out of range
+        ("\n0,", "\n-1,"),                 # negative row index
+        ("\n0,-1,", "\n0,"),               # short row
+        ("\n0,-1,-1", "\n0,-1,nan"),       # non-finite coordinate
+        ("\n0,-1,-1\n", "\n"),             # missing vertex row
+    ])
+    def test_malformed_csv_is_usage_error(self, capsys, tmp_path, edit):
+        path = tmp_path / "twist.csv"
+        pl.save_plmap_csv(pl.pl_twist_example(2, 3, 0.2), path)
+        text = path.read_text()
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1], 1))
+        assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
+
+
+    def test_non_utf8_csv_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"dim,2\n\xff\xfe\n")
+        assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
+
+
 class TestGeodesicCommand:
     def test_circle_cloud(self, capsys, tmp_path):
         path = tmp_path / "circle.csv"
@@ -218,6 +262,14 @@ class TestGeodesicCommand:
         rec = records[0]
         assert rec["pair"]["graph_length"] == pytest.approx(np.pi, rel=0.01)
         assert rec["pair"]["chord"] == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("pair", [("0", "999"), ("-1", "3")])
+    def test_pair_out_of_range_is_usage_error(self, capsys, tmp_path, pair):
+        path = tmp_path / "circle.csv"
+        est.save_cloud_csv(est.circle_cloud(50), path)
+        err = assert_usage_error(capsys, "geodesic", "--cloud", str(path),
+                                 "--pairs", "10", "--pair", *pair)
+        assert "50 points" in err
 
     def test_auto_eps(self, capsys, tmp_path):
         path = tmp_path / "circle.csv"

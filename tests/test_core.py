@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bilip import core
 from bilip.errors import (
@@ -28,8 +31,7 @@ class TestOperatorNorm:
         )
 
     def test_start_vector_on_null_direction(self):
-        # the all-ones start is annihilated by this matrix exactly;
-        # the fallback starts must still find sigma = 2
+        # the matrix annihilates the all-ones vector; sigma is still 2
         assert core.operator_norm([[1.0, -1.0], [-1.0, 1.0]]) == pytest.approx(
             2.0, rel=1e-10
         )
@@ -53,6 +55,79 @@ class TestOperatorNorm:
             core.operator_norm([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidMatrixError):
             core.operator_norm([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def _oracle(mats):
+    return np.array([np.linalg.norm(m, 2) for m in mats])
+
+
+_unit_entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _stacks(draw, max_scale_exp=300):
+    """(S, n, n) stacks with n in 1..8, all scaled by one power of ten."""
+    n = draw(st.integers(1, 8))
+    s = draw(st.integers(1, 4))
+    base = draw(arrays(float, (s, n, n), elements=_unit_entries))
+    return base * 10.0 ** draw(st.integers(-max_scale_exp, max_scale_exp))
+
+
+class TestLargestSingularValues:
+    """The batched kernel against ``np.linalg.norm(m, 2)``, which is
+    the SVD oracle, to 1e-13 relative."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks())
+    def test_matches_oracle_at_every_scale(self, mats):
+        np.testing.assert_allclose(core.largest_singular_values(mats),
+                                   _oracle(mats), rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8), st.data())
+    def test_rank_deficient(self, n, data):
+        r = data.draw(st.integers(0, n - 1))
+        a = data.draw(arrays(float, (n, r), elements=_unit_entries))
+        b = data.draw(arrays(float, (r, n), elements=_unit_entries))
+        m = (a @ b)[None]
+        np.testing.assert_allclose(core.largest_singular_values(m), _oracle(m),
+                                   rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_near_isometries(self, n, data):
+        # I + 1e-8 E: the regime of the paper's PL maps
+        e = data.draw(arrays(float, (3, n, n), elements=_unit_entries))
+        mats = np.eye(n) + 1e-8 * e
+        np.testing.assert_allclose(core.largest_singular_values(mats),
+                                   _oracle(mats), rtol=1e-13, atol=0.0)
+
+    def test_extreme_diagonals(self):
+        mats = np.array([np.diag([1e307, 1.0]), np.diag([1e-307, 1e-300]),
+                         np.zeros((2, 2))])
+        # the Gram matrix would give inf and 0 for the first two
+        np.testing.assert_allclose(core.largest_singular_values(mats),
+                                   [1e307, 1e-300, 0.0], rtol=1e-15, atol=0.0)
+
+    def test_affine_claim_keeps_full_range(self):
+        from bilip.maps import AffineMap
+
+        assert AffineMap(np.diag([1e307, 1.0])).lambda_claimed == 1e307
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(InvalidMatrixError):
+            core.largest_singular_values(np.ones((2, 2, 3)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 3), st.floats(0.0, 0.3), st.data())
+    def test_pl_constant_never_below_oracle(self, dim, displacement, data):
+        from bilip import pl
+
+        res = data.draw(st.integers(2, 8 if dim == 2 else 3))
+        f = pl.pl_twist_example(dim, res, displacement)
+        diffs = f.differentials()
+        exact = max(_oracle(diffs).max(), _oracle(np.linalg.inv(diffs)).max())
+        assert pl.pl_bilip_constant(f) >= exact
 
 
 class TestFrobeniusNorm:

@@ -1,5 +1,6 @@
 """Tests for Kuhn triangulations and piecewise-linear homeomorphisms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -276,6 +277,146 @@ class TestTwistExample:
         pts = rng.uniform(-1, 1, size=(3000, 2))
         back = pl.pl_eval_inverse(f, pl.pl_eval(f, pts))
         assert np.abs(back - pts).max() <= 1e-9
+
+
+def brute_force_inverse(f, y):
+    """Oracle: pull y back through the first image simplex, in index
+    order, that contains it."""
+    tri = f.triangulation
+    for s in range(tri.n_simplices):
+        q = f.vertex_images[tri.simplices[s]]
+        w_rest = np.linalg.solve((q[1:] - q[0]).T, y - q[0])
+        w = np.concatenate([[1.0 - w_rest.sum()], w_rest])
+        if np.all(w >= -1e-9):
+            return w @ tri.vertices[tri.simplices[s]]
+    return None
+
+
+def perturbed_linear_map(dim, res, seed):
+    """A PL map that is not boundary-fixed and is non-trivial at every
+    resolution: a contracting rotation plus a small jitter per vertex."""
+    from bilip.core import rotation_matrix
+
+    tri = pl.kuhn_triangulation(dim, (-1.0, 1.0), res)
+    rng = np.random.default_rng(seed)
+    a = 0.8 * rotation_matrix((0, 1), 0.2, dim)
+    jitter = rng.uniform(-0.05, 0.05, size=tri.vertices.shape) * tri.cell
+    f = pl.PLMap(tri, tri.vertices @ a.T + jitter, boundary_fixed=False)
+    assert pl.pl_validate(f).ok
+    return f
+
+
+_TWISTS = {2: (4, 0.3), 3: (3, 0.25)}
+
+
+class TestInverse:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_lattice_vertices(self, dim):
+        f = pl.pl_twist_example(dim, *_TWISTS[dim])
+        back = pl.pl_eval_inverse(f, f.vertex_images)
+        np.testing.assert_allclose(back, f.triangulation.vertices, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_shared_simplex_faces(self, dim):
+        # convex combinations of all but one vertex of a simplex lie on
+        # a face that two simplices share (or on the box boundary)
+        f = pl.pl_twist_example(dim, *_TWISTS[dim])
+        tri = f.triangulation
+        rng = np.random.default_rng(6)
+        simplices = tri.simplices[rng.integers(0, tri.n_simplices, size=500)]
+        drop = rng.integers(0, dim + 1, size=500)
+        w = rng.dirichlet(np.ones(dim + 1), size=500)
+        w[np.arange(500), drop] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        x = np.einsum("pk,pkd->pd", w, tri.vertices[simplices])
+        back = pl.pl_eval_inverse(f, pl.pl_eval(f, x))
+        np.testing.assert_allclose(back, x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cube_edges(self, dim):
+        f = pl.pl_twist_example(dim, *_TWISTS[dim])
+        tri = f.triangulation
+        rng = np.random.default_rng(7)
+        x = tri.vertices[rng.integers(0, tri.n_vertices, size=500)].copy()
+        axis = rng.integers(0, dim, size=500)
+        x[np.arange(500), axis] += rng.uniform(-1, 1, size=500) * tri.cell
+        x = np.clip(x, -1.0, 1.0)
+        back = pl.pl_eval_inverse(f, pl.pl_eval(f, x))
+        np.testing.assert_allclose(back, x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_brute_force_oracle(self, dim):
+        f = pl.pl_twist_example(dim, *_TWISTS[dim])
+        y = np.random.default_rng(8).uniform(-1, 1, size=(150, dim))
+        got = pl.pl_eval_inverse(f, y)
+        for yi, g in zip(y, got):
+            np.testing.assert_allclose(g, brute_force_inverse(f, yi), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_buckets_list_touching_boxes_in_simplex_order(self, dim):
+        f = pl.pl_twist_example(dim, *_TWISTS[dim])
+        tri = f.triangulation
+        indptr, simplices = pl._build_buckets(f)
+        img = f.vertex_images[tri.simplices]
+        pad = 1e-9 * tri.cell
+        lo = np.clip(np.floor((img.min(axis=1) - tri.lo - pad) / tri.cell),
+                     0, tri.resolution - 1)
+        hi = np.clip(np.floor((img.max(axis=1) - tri.lo + pad) / tri.cell),
+                     0, tri.resolution - 1)
+        cubes = itertools.product(range(tri.resolution), repeat=dim)  # C order
+        for c, cube in enumerate(cubes):
+            touching = np.flatnonzero(np.all((lo <= cube) & (cube <= hi), axis=1))
+            assert simplices[indptr[c]:indptr[c + 1]].tolist() == touching.tolist()
+        assert indptr[-1] == simplices.size
+
+    def test_neighbour_cube_pass(self):
+        # on [0, 3] with three cells the image of the last cell is
+        # [0.002, 2 - 1.5e-9]; its padded bounding box ends in cube 1,
+        # so y = 2 finds no candidate in its own cube 2, and only the
+        # neighbour pass accepts it (barycentric weight -7.5e-10)
+        tri = pl.kuhn_triangulation(1, (0.0, 3.0), 3)
+        f = pl.PLMap(tri, [[0.0], [0.001], [0.002], [2.0 - 1.5e-9]],
+                     boundary_fixed=False)
+        indptr, _ = pl._build_buckets(f)
+        assert indptr[3] == indptr[2]  # cube 2 has no candidates
+        back = pl.pl_eval_inverse(f, [[2.0]])
+        assert back[0, 0] == pytest.approx(3.0, abs=1e-8)
+        assert brute_force_inverse(f, np.array([2.0])) == pytest.approx(back[0])
+        with pytest.raises(OutOfDomainError):
+            pl.pl_eval_inverse(f, [[2.5]])
+
+    def test_outside_box_passes_through_when_boundary_fixed(self):
+        f = pl.pl_twist_example(3, 3, 0.25)
+        y = np.array([[1.5, 0.0, 0.0], [-2.0, 3.0, 0.5], [0.1, 0.2, 0.3]])
+        back = pl.pl_eval_inverse(f, y)
+        assert np.array_equal(back[:2], y[:2])
+        np.testing.assert_allclose(pl.pl_eval(f, back[2:]), y[2:], rtol=0, atol=1e-12)
+
+    def test_outside_box_raises_otherwise(self):
+        f = perturbed_linear_map(2, 4, seed=0)
+        with pytest.raises(OutOfDomainError):
+            pl.pl_eval_inverse(f, [[0.0, 0.0], [1.5, 0.0]])
+
+    def test_inside_box_outside_image_raises(self):
+        f = perturbed_linear_map(2, 4, seed=0)  # the image misses the corners
+        with pytest.raises(OutOfDomainError):
+            pl.pl_eval_inverse(f, [[0.99, 0.99]])
+
+    @pytest.mark.parametrize("res", [1, 2, 16])
+    @pytest.mark.parametrize("boundary_fixed", [True, False])
+    def test_forward_of_inverse_is_identity(self, res, boundary_fixed):
+        if boundary_fixed:
+            f = pl.pl_twist_example(2, res, 0.1)
+            if res == 16:
+                assert not np.array_equal(f.vertex_images, f.triangulation.vertices)
+        else:
+            f = perturbed_linear_map(2, res, seed=res)
+        x = np.random.default_rng(res).uniform(-1, 1, size=(4000, 2))
+        y = pl.pl_eval(f, x)
+        y = y[np.all(np.abs(y) <= 1.0, axis=1)]
+        assert y.shape[0] > 1000
+        np.testing.assert_allclose(pl.pl_eval(f, pl.pl_eval_inverse(f, y)), y,
+                                   rtol=0, atol=1e-12)
 
 
 class TestCsvRoundTrip:
