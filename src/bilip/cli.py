@@ -10,13 +10,26 @@ Subcommands::
 
 Every command prints one JSON object per result (newline-delimited when
 batched) and optionally writes it to --out; --svg emits a plot (drift
-vs k on a log scale, or a histogram of sampled two-point ratios). Exit
-status: 0 pass, 1 fail, 2 usage error. The environment variable
-BILIP_SEED overrides the default seed.
+vs k on a log scale, or a histogram of sampled two-point ratios). The
+environment variable BILIP_SEED overrides the default seed.
+
+Exit status:
+
+* 0: every report passed, every claim survived.
+* 1: a scenario failed or ``estimate --claim`` found a violating pair.
+* 2: usage error, before any sampling: a bad flag or config value (a
+  count below 1, a negative seed, a value a constructor refuses), a
+  config key no scenario knows, ``--svg`` on a scenario without a plot,
+  a map or PL file that cannot be read or parsed, an ``estimate``
+  region whose dimension is not the map's, ``--pairs`` below 1 or
+  ``--claim`` below 1. Apart from argparse's own messages, a usage
+  error prints one ``error:`` line on stderr and nothing on stdout.
 
 Config files are flat key-value text: one ``key = value`` per line,
 ``#`` comments; keys match the long flag names with dashes or
-underscores. Flags given on the command line win over the file.
+underscores. Flags given on the command line win over the file. The
+scenarios, their parameters and their plots are the registry
+``verify.SCENARIOS``; a flag a scenario does not read is ignored.
 """
 
 import argparse
@@ -32,21 +45,8 @@ from . import estimators as E
 from . import maps as M
 from . import pl as plmod
 from . import verify as V
-from .errors import BilipError, ConfigError, MapFormatError
+from .errors import BilipError, ConfigError, InvalidPointError, MapFormatError
 from .mapformat import load_map, map_to_text
-from .profiles import bump_profile
-
-SCENARIOS = (
-    "radial-bound",
-    "replication-constant",
-    "replication-drift",
-    "homomorphism",
-    "product-qi",
-    "spiral-bound",
-    "matrix-norms",
-    "metric-equivalence",
-    "all",
-)
 
 
 def _default_seed():
@@ -100,181 +100,26 @@ def _emit(obj, out_path):
             fh.write(text + "\n")
 
 
-def _ratio_histogram(m, region, seed, path, title):
-    cfg = E.SamplerConfig(seed=seed, region=region, n_pairs=20_000)
-    ratios = []
-    for x, y in E._pair_chunks(m, cfg, "cli_ratio_histogram"):
-        d = np.linalg.norm(x - y, axis=1)
-        keep = d >= 1e-12
-        df = np.linalg.norm(m._eval(x[keep]) - m._eval(y[keep]), axis=1)
-        ratios.append(df / d[keep])
-    values = np.concatenate(ratios)
-    _svg.save_svg(_svg.histogram(values, title=title, xlabel="two-point ratio"), path)
-
-
 # =====================================================================
 # verify
 # =====================================================================
 
-def _merge_params(args, config_path, keys):
-    """Config-file values, overridden by explicit command-line flags."""
-    merged = {}
-    if config_path:
-        merged.update(parse_config_file(config_path))
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _get(params, key, cast, default):
-    if key in params and params[key] is not None:
-        return cast(params[key])
-    return default
-
-
-def _run_scenario(name, params):
-    seed = _get(params, "seed", int, _default_seed())
-    pairs = _get(params, "pairs", int, 100_000)
-    n = _get(params, "n", int, 2)
-
-    if name == "radial-bound":
-        beta = _get(params, "beta", float, 0.5)
-        radius = _get(params, "radius", float, 100.0)
-        phi = M.make_latitude_sphere_map(beta, dim=n)
-        cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * n, radius),
-                              n_pairs=pairs)
-        return [V.verify_radial_bound(phi, cfg)]
-    if name == "replication-constant":
-        kind = _get(params, "kind", str, "twist")
-        radius = _get(params, "radius", float, 300.0)
-        if kind == "twist":
-            g = M.make_twist_disk_map(dim=n,
-                                      amplitude=_get(params, "amplitude", float, 0.8))
-        elif kind == "pl":
-            g = M.pl_disk_map(plmod.pl_twist_example(
-                n, _get(params, "resolution", int, 8),
-                _get(params, "displacement", float, 0.3)))
-        else:
-            raise ConfigError(f"unknown disk map kind {kind!r}")
-        cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * n, radius),
-                              n_pairs=pairs)
-        return [V.verify_replication_constant(g, cfg)]
-    if name == "replication-drift":
-        g = M.make_twist_disk_map(dim=n,
-                                  amplitude=_get(params, "amplitude", float, 0.8))
-        x0 = np.zeros(n)
-        x0[0] = 0.3125
-        x0[1] = -0.25
-        count = _get(params, "count", int, 40)
-        threshold = _get(params, "threshold", float, 1e6)
-        return [V.verify_replication_drift(g, x0, count, threshold)]
-    if name == "homomorphism":
-        kind = _get(params, "kind", str, "disk_replication")
-        radius = _get(params, "radius", float, 70.0)
-        if kind == "radial":
-            g = M.make_latitude_sphere_map(_get(params, "beta", float, 0.5), dim=n)
-            h = M.make_latitude_sphere_map(-0.3, dim=n)
-        else:
-            g = M.make_twist_disk_map(dim=n, amplitude=0.8)
-            h = M.make_twist_disk_map(dim=n, amplitude=-0.5)
-        cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * n, radius),
-                              n_pairs=pairs)
-        return [V.verify_homomorphism(kind, g, h, cfg,
-                                      n_points=min(pairs, 10_000))]
-    if name == "product-qi":
-        beta = _get(params, "beta", float, 0.5)
-        c = _get(params, "c", float, 1.0)
-        phi = M.make_latitude_sphere_map(beta, dim=n)
-        f = M.radial_extension(phi)
-        g = M.spiral_map(M.LogSpiralProfile(c, (0, 1), n))
-        cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * (2 * n), 50.0),
-                              n_pairs=pairs)
-        return [V.verify_product_qi(f, (1.0 + phi.lambda_claimed, 0.0),
-                                    g, (n * abs(c) + 1.0, 0.0), cfg)]
-    if name == "spiral-bound":
-        profile_kind = _get(params, "profile", str, "log")
-        if profile_kind == "log":
-            p = M.LogSpiralProfile(_get(params, "c", float, 1.0), (0, 1), n)
-        elif profile_kind == "cutoff":
-            p = M.CutoffRotationProfile(
-                bump_profile(_get(params, "angle", float, 1.0), 1.0, 3.0), (0, 1), n)
-        elif profile_kind == "constant":
-            from .core import rotation_matrix
-
-            p = M.ConstantRotationProfile(
-                rotation_matrix((0, 1), _get(params, "angle", float, 1.0), n))
-        else:
-            raise ConfigError(f"unknown profile kind {profile_kind!r}")
-        cfg = E.SamplerConfig(seed=seed,
-                              region=E.annulus((0.0,) * n, 1e-3, 1e4),
-                              n_pairs=pairs)
-        return [V.verify_spiral_bound(p, cfg)]
-    if name == "matrix-norms":
-        return [V.verify_matrix_norms(seed, _get(params, "count", int, 1000),
-                                      _get(params, "max_dim", int, 8))]
-    if name == "metric-equivalence":
-        kind = _get(params, "cloud", str, "circle")
-        n_points = _get(params, "points", int, 10_000)
-        eps = _get(params, "eps", float, 0.01 if kind == "circle" else 0.09)
-        expected = {"circle": float(np.pi / 2), "sphere": float(np.pi / 2)}.get(kind)
-        tol = 0.02 if kind == "circle" else 0.08
-        return [V.verify_metric_equivalence(kind, n_points, eps, pairs, seed,
-                                            expected_ratio=expected, rel_tol=tol)]
-    if name == "all":
-        return V.default_suite(seed=seed, n_pairs=pairs)
-    raise ConfigError(f"unknown scenario {name!r}")
-
-
-_SCENARIO_KEYS = ("seed", "pairs", "n", "beta", "c", "radius", "kind",
-                  "amplitude", "resolution", "displacement", "count",
-                  "threshold", "profile", "angle", "cloud", "points",
-                  "eps", "max_dim")
-
-
 def _cmd_verify(args):
-    params = _merge_params(args, args.config, _SCENARIO_KEYS)
-    reports = _run_scenario(args.scenario, params)
-    all_passed = True
+    scenario = V.SCENARIOS[args.scenario]
+    if args.svg and scenario.plot is None:
+        raise ConfigError(f"scenario {scenario.name} has no plot for --svg")
+    params = {"seed": _default_seed()}
+    if args.config:
+        params.update(parse_config_file(args.config))
+    params.update((key, getattr(args, key)) for key in V.KEYS
+                  if getattr(args, key) is not None)
+    run, subject = scenario.build(params)
+    reports = run()
     for rep in reports:
         _emit(rep.to_dict(), args.out)
-        all_passed &= rep.passed
-    if args.svg and args.scenario not in ("matrix-norms", "all"):
-        _scenario_svg(args.scenario, params, reports, args.svg)
-    return 0 if all_passed else 1
-
-
-def _scenario_svg(name, params, reports, path):
-    seed = _get(params, "seed", int, _default_seed())
-    n = _get(params, "n", int, 2)
-    if name == "replication-drift":
-        count = _get(params, "count", int, 40)
-        g = M.make_twist_disk_map(dim=n, amplitude=_get(params, "amplitude", float, 0.8))
-        x0 = np.zeros(n)
-        x0[0], x0[1] = 0.3125, -0.25
-        wit = E.replication_drift_witnesses(g, x0, count)
-        rep = E.drift_profile(M.disk_replication(g), wit,
-                              _get(params, "threshold", float, 1e6))
-        svg = _svg.line_plot(np.arange(1, count + 1), rep.drifts,
-                             title="replication drift vs k", xlabel="k",
-                             ylabel="||f(x_k) - x_k||", log_y=True)
-        _svg.save_svg(svg, path)
-        return
-    builders = {
-        "radial-bound": lambda: (M.radial_extension(
-            M.make_latitude_sphere_map(_get(params, "beta", float, 0.5), dim=n)),
-            E.ball((0.0,) * n, _get(params, "radius", float, 100.0))),
-        "replication-constant": lambda: (M.disk_replication(
-            M.make_twist_disk_map(dim=n)),
-            E.ball((0.0,) * n, _get(params, "radius", float, 300.0))),
-        "spiral-bound": lambda: (M.spiral_map(
-            M.LogSpiralProfile(_get(params, "c", float, 1.0), (0, 1), n)),
-            E.annulus((0.0,) * n, 1e-3, 1e4)),
-    }
-    if name in builders:
-        m, region = builders[name]()
-        _ratio_histogram(m, region, seed, path, f"{name}: sampled ratios")
+    if args.svg:
+        scenario.plot(subject, args.svg)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 # =====================================================================
@@ -284,7 +129,14 @@ def _scenario_svg(name, params, reports, path):
 def _cmd_estimate(args):
     m = load_map(args.map)
     region = parse_region(args.region, m.dim)
-    cfg = E.SamplerConfig(seed=args.seed, region=region, n_pairs=args.pairs)
+    if region.dim != m.dim:
+        raise ConfigError(f"region dimension {region.dim} != map dimension {m.dim}")
+    if args.claim is not None and not args.claim >= 1.0:
+        raise ConfigError(f"a bi-Lipschitz constant is >= 1, got --claim {args.claim}")
+    try:
+        cfg = E.SamplerConfig(seed=args.seed, region=region, n_pairs=args.pairs)
+    except InvalidPointError as exc:
+        raise ConfigError(str(exc)) from exc
     t0 = time.perf_counter()
     est = E.bilip_lower_bound(m, cfg)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -311,7 +163,7 @@ def _cmd_estimate(args):
             code = 1
     _emit(record, args.out)
     if args.svg:
-        _ratio_histogram(m, region, args.seed, args.svg, "sampled two-point ratios")
+        V._ratio_histogram((m, cfg, "sampled two-point ratios"), args.svg)
     return code
 
 
@@ -408,15 +260,10 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a verification scenario")
-    p.add_argument("scenario", choices=SCENARIOS)
+    p.add_argument("scenario", choices=V.SCENARIOS)
     p.add_argument("--config", help="flat key=value config file")
-    for key in ("seed", "pairs", "n", "resolution", "count", "points", "max_dim"):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in ("beta", "c", "radius", "amplitude", "displacement",
-                "threshold", "angle", "eps"):
-        p.add_argument(f"--{key}", dest=key, type=float)
-    for key in ("kind", "profile", "cloud"):
-        p.add_argument(f"--{key}", dest=key)
+    for key, cast in V.KEYS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast)
     p.add_argument("--out", help="append the JSON report to this file")
     p.add_argument("--svg", help="write a plot for the scenario")
     p.set_defaults(func=_cmd_verify)

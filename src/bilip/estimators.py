@@ -210,6 +210,62 @@ class SamplerConfig:
             raise InvalidPointError("local_scale must be positive")
 
 
+def _tangential_pairs(u, v, radii, h):
+    """Same-sphere pairs (r u, r unit(u + h w)) from unit rows u, v, with
+    w the unit part of v perpendicular to u: the tangential offset keeps
+    the separation near h r, never collapsed into rounding noise."""
+    perp = _unit_rows(v - np.sum(v * u, axis=1)[:, None] * u)
+    r = np.asarray(radii, dtype=float)[..., None]
+    return r * u, r * _unit_rows(u + h[:, None] * perp)
+
+
+def _direction_pairs(rng, n, count):
+    """Two unit directions in R^n and two free uniforms per row, from
+    one row of 2 * n_even + 2 uniforms (the same-sphere pair layout)."""
+    n_even = n + (n % 2)
+    u = rng.random((count, 2 * n_even + 2))
+    du = _unit_rows(_normals(u[:, :n_even])[:, :n])
+    dv = _unit_rows(_normals(u[:, n_even : 2 * n_even])[:, :n])
+    return du, dv, u[:, -2], u[:, -1]
+
+
+def _region_points(rng, region, count):
+    """``count`` points of ``region``, each from one row of n_even + 1
+    uniforms (a Box-Muller direction, then the radial uniform)."""
+    n_even = region.dim + (region.dim % 2)
+    u = rng.random((count, n_even + 1))
+    return region.sample(_normals(u[:, :n_even]), u[:, -1])
+
+
+def _disk_count(scale):
+    """Number of replication disks D(0, 1), D(4^j e1, 2^j) inside the
+    ball of radius ``scale`` about the origin."""
+    count = 1
+    while 4.0 ** count + 2.0 ** count <= scale:
+        count += 1
+    return count
+
+
+def _disk_points(j, p):
+    """The image 4^j e1 + 2^j p (centre 0 for j = 0) of the unit-ball
+    rows ``p`` in replication disk ``j`` (an integer array)."""
+    return (4.0 ** j * (j > 0))[:, None] * _e1(p.shape[1]) + (2.0 ** j)[:, None] * p
+
+
+def _cross_disk_pairs(rng, n, n_disks, count):
+    """Pairs with one point uniform in disk i and the other uniform in
+    disk j != i, both among the first ``n_disks`` replication disks."""
+    n_even = n + (n % 2)
+    u = rng.random((count, 2 * n_even + 4))
+    unit_ball = BallRegion((0.0,) * n, 1.0)
+    p = unit_ball.sample(_normals(u[:, :n_even]), u[:, -4])
+    q = unit_ball.sample(_normals(u[:, n_even : 2 * n_even]), u[:, -3])
+    i_disk = np.floor(u[:, -2] * n_disks).astype(int)
+    j_disk = np.floor(u[:, -1] * (n_disks - 1)).astype(int)
+    j_disk = np.where(j_disk >= i_disk, j_disk + 1, j_disk)  # force i != j
+    return _disk_points(i_disk, p), _disk_points(j_disk, q)
+
+
 def _witness_pairs(m, region, dirs_a, dirs_b, aux_a, aux_b, w1, w2, w3):
     """Construction-aware pairs for the root node of ``m``.
 
@@ -225,40 +281,24 @@ def _witness_pairs(m, region, dirs_a, dirs_b, aux_a, aux_b, w1, w2, w3):
         lo = max(1e-3 * scale, 1e-6)
         r = np.exp(np.log(lo) + w1 * (np.log(scale) - np.log(lo)))
         u = _unit_rows(dirs_a[:, :n])
-        v = _unit_rows(dirs_b[:, :n])
-        ray = w3 < 0.5
-        x = r[:, None] * u
-        y_ray = (r * (1.3 + 0.7 * w2))[:, None] * u    # same ray, other radius
-        # same sphere, tangential offset: perpendicular so the pair
-        # separation is ~ h*r and never collapses into rounding noise
-        perp = _unit_rows(v - np.sum(v * u, axis=1)[:, None] * u)
-        h = 1e-3 * (0.5 + w2)
-        y_sph = r[:, None] * _unit_rows(u + h[:, None] * perp)
-        y = np.where(ray[:, None], y_ray, y_sph)
+        x, y = _tangential_pairs(u, _unit_rows(dirs_b[:, :n]), r, 1e-3 * (0.5 + w2))
+        ray = w3 < 0.5  # the same ray at another radius instead
+        y[ray] = (r * (1.3 + 0.7 * w2))[ray, None] * u[ray]
         return x, y
     if isinstance(m, M.DiskReplicationMap):
-        jmax = 0
-        while 4.0 ** (jmax + 1) + 2.0 ** (jmax + 1) <= scale:
-            jmax += 1
-        j1 = np.floor(w1 * (jmax + 1)).astype(np.int64)
-        j2 = np.floor(w2 * (jmax + 1)).astype(np.int64)
+        n_disks = _disk_count(scale)
+        j1 = np.floor(w1 * n_disks).astype(np.int64)
+        j2 = np.floor(w2 * n_disks).astype(np.int64)
         u = _unit_rows(dirs_a[:, :n])
         v = _unit_rows(dirs_b[:, :n])
-        r1 = aux_a ** (1.0 / n)
-        r2 = aux_b ** (1.0 / n)
-        straddle = w3 < (1.0 / 3.0)
-        # interior points of two (possibly different) disks
-        x = (4.0 ** j1 * (j1 > 0))[:, None] * _e1(n) + (2.0 ** j1 * r1)[:, None] * u
-        y = (4.0 ** j2 * (j2 > 0))[:, None] * _e1(n) + (2.0 ** j2 * r2)[:, None] * v
-        # straddling pairs hug the boundary of disk j1 from both sides
-        delta = 1e-4 + 0.01 * w2
-        x_in = (4.0 ** j1 * (j1 > 0))[:, None] * _e1(n) \
-            + (2.0 ** j1 * (1.0 - delta))[:, None] * u
-        y_out = (4.0 ** j1 * (j1 > 0))[:, None] * _e1(n) \
-            + (2.0 ** j1 * (1.0 + delta))[:, None] * _unit_rows(u + 0.02 * v)
-        x = np.where(straddle[:, None], x_in, x)
-        y = np.where(straddle[:, None], y_out, y)
-        return x, y
+        # interior points of two (possibly different) disks; straddling
+        # pairs hug the boundary of disk j1 from both sides
+        straddle = (w3 < (1.0 / 3.0))[:, None]
+        delta = (1e-4 + 0.01 * w2)[:, None]
+        p = np.where(straddle, (1.0 - delta) * u, (aux_a ** (1.0 / n))[:, None] * u)
+        q = np.where(straddle, (1.0 + delta) * _unit_rows(u + 0.02 * v),
+                     (aux_b ** (1.0 / n))[:, None] * v)
+        return _disk_points(j1, p), _disk_points(np.where(straddle[:, 0], j1, j2), q)
     if isinstance(m, M.TranslatedReplicationMap):
         count = 1 + int(min(scale / 2.0, 64.0))
         if m.disk_maps is not None:
@@ -362,64 +402,69 @@ class BilipEstimate:
         }
 
 
-def _two_point_stats(m, x, y):
-    """Distance ratios for one chunk; pairs closer than 1e-12 are
-    dropped. Returns (keep_count, stats, ratios, x, y) filtered."""
+def _two_point_stats(f, x, y):
+    """Distance ratios of the point map ``f`` on one chunk of pairs;
+    pairs closer than 1e-12 are dropped. Returns (keep_count, stats,
+    ratios, x, y) filtered, with stat = max(r, 1/r)."""
     d = np.linalg.norm(x - y, axis=1)
     keep = d >= _DEGENERATE_PAIR
     if not keep.any():
         return 0, None, None, None, None
     x, y, d = x[keep], y[keep], d[keep]
-    fx = m._eval(x)
-    fy = m._eval(y)
-    df = np.linalg.norm(fx - fy, axis=1)
-    with np.errstate(divide="ignore"):
+    df = np.linalg.norm(f(x) - f(y), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = df / d
         stat = np.maximum(ratio, np.where(ratio > 0, 1.0 / ratio, np.inf))
     return int(keep.sum()), stat, ratio, x, y
+
+
+def _running_max(chunks, floor=-np.inf):
+    """Ordered running maximum over (keep_count, stats, ratios, x, y)
+    chunks, as _two_point_stats returns them.
+
+    A NaN stat counts as +inf, so a pair whose images are not finite is
+    a violation and is never skipped. Returns (best, pair, kept): the
+    largest stat above ``floor`` (else ``floor``), its first pair
+    (x, y, ratio) or None, and the number of pairs kept.
+    """
+    best, pair, kept = floor, None, 0
+    for count, stat, ratio, x, y in chunks:
+        if count == 0:
+            continue
+        kept += count
+        stat = np.where(np.isnan(stat), np.inf, stat)
+        k = int(np.argmax(stat))
+        if stat[k] > best:
+            best = float(stat[k])
+            pair = (x[k].copy(), y[k].copy(), float(ratio[k]))
+    return best, pair, kept
 
 
 def bilip_lower_bound(m, cfg, op_name="bilip_lower_bound"):
     """Largest sampled two-point distortion max(r, 1/r) of ``m``.
 
     Deterministic given the config; monotone nondecreasing in n_pairs
-    for a fixed seed (prefix property of the sample stream).
+    for a fixed seed (prefix property of the sample stream). A pair
+    with non-finite images gives an infinite bound.
     """
-    best = 1.0
-    best_pair = None
-    used = 0
-    for x, y in _pair_chunks(m, cfg, op_name):
-        count, stat, ratio, x, y = _two_point_stats(m, x, y)
-        if count == 0:
-            continue
-        used += count
-        k = int(np.argmax(stat))
-        if stat[k] > best or best_pair is None:
-            best = float(max(stat[k], 1.0))
-            best_pair = (x[k].copy(), y[k].copy(), float(ratio[k]))
+    best, pair, used = _running_max(_two_point_stats(m._eval, x, y)
+                                    for x, y in _pair_chunks(m, cfg, op_name))
     if used == 0:
         raise InsufficientSamplesError("all sampled pairs were degenerate")
-    return BilipEstimate(best, best_pair, used, cfg.seed)
+    return BilipEstimate(max(best, 1.0), pair, used, cfg.seed)
 
 
 def falsify_bilip_bound(m, lambda_claim, cfg, op_name="falsify_bilip_bound"):
     """Search for a pair violating the claimed constant by more than
     1e-6 relative. Returns the worst violating pair (x, y, ratio) or
-    None; None is absence of refutation, not a proof.
+    None; None is absence of refutation, not a proof. A pair with
+    non-finite images violates every claim.
     """
     if lambda_claim < 1.0:
         raise InvalidPointError("a bi-Lipschitz constant is >= 1")
-    threshold = lambda_claim * (1.0 + 1e-6)
-    worst = threshold
-    witness = None
-    for x, y in _pair_chunks(m, cfg, op_name):
-        count, stat, ratio, x, y = _two_point_stats(m, x, y)
-        if count == 0:
-            continue
-        k = int(np.argmax(stat))
-        if stat[k] > worst:
-            worst = float(stat[k])
-            witness = (x[k].copy(), y[k].copy(), float(ratio[k]))
+    _, witness, _ = _running_max((_two_point_stats(m._eval, x, y)
+                                  for x, y in _pair_chunks(m, cfg, op_name)),
+                                 floor=lambda_claim * (1.0 + 1e-6))
     return witness
 
 
@@ -429,45 +474,21 @@ def sphere_bilip_lower_bound(phi, seed, n_pairs):
     Mixes independent sphere pairs with tight same-sphere pairs, whose
     chordal ratios approach the differential stretch.
     """
-    n = phi.dim
-    n_even = n + (n % 2)
     rng = _op_rng(seed, "sphere_bilip_lower_bound")
-    best = 1.0
-    best_pair = None
-    used = 0
-    remaining = n_pairs
-    while remaining > 0:
-        count = min(_CHUNK, remaining)
-        remaining -= count
-        u = rng.random((count, 2 * n_even + 2))
-        xu = _unit_rows(_normals(u[:, :n_even])[:, :n])
-        dv = _unit_rows(_normals(u[:, n_even : 2 * n_even])[:, :n])
-        sel, hraw = u[:, -2], u[:, -1]
-        local = sel < 0.5
-        h = 10.0 ** (-1.0 - 3.0 * hraw[local])  # offsets from 1e-1 to 1e-4
-        yu = dv.copy()
-        # tangential offsets; a near-parallel dv would collapse the pair
-        # separation into rounding noise and inflate the lower bound
-        perp = _unit_rows(dv[local] - np.sum(dv[local] * xu[local], axis=1)[:, None]
-                          * xu[local])
-        yu[local] = _unit_rows(xu[local] + h[:, None] * perp)
-        d = np.linalg.norm(xu - yu, axis=1)
-        keep = d >= _DEGENERATE_PAIR
-        if not keep.any():
-            continue
-        xk, yk, dk = xu[keep], yu[keep], d[keep]
-        df = np.linalg.norm(phi.apply(xk) - phi.apply(yk), axis=1)
-        with np.errstate(divide="ignore"):
-            ratio = df / dk
-            stat = np.maximum(ratio, np.where(ratio > 0, 1.0 / ratio, np.inf))
-        used += int(keep.sum())
-        k = int(np.argmax(stat))
-        if stat[k] > best or best_pair is None:
-            best = float(max(stat[k], 1.0))
-            best_pair = (xk[k].copy(), yk[k].copy(), float(ratio[k]))
+
+    def chunks():
+        for start in range(0, n_pairs, _CHUNK):
+            xu, yu, sel, hraw = _direction_pairs(rng, phi.dim, min(_CHUNK, n_pairs - start))
+            local = sel < 0.5
+            # tangential offsets from 1e-1 to 1e-4 on half the pairs
+            _, yu[local] = _tangential_pairs(xu[local], yu[local], 1.0,
+                                             10.0 ** (-1.0 - 3.0 * hraw[local]))
+            yield _two_point_stats(phi.apply, xu, yu)
+
+    best, pair, used = _running_max(chunks())
     if used == 0:
         raise InsufficientSamplesError("all sampled sphere pairs were degenerate")
-    return BilipEstimate(best, best_pair, used, seed)
+    return BilipEstimate(max(best, 1.0), pair, used, seed)
 
 
 # =====================================================================
@@ -535,7 +556,8 @@ class QiCheckResult:
 
 def qi_embedding_check(m, lam, eps, metric, cfg, op_name="qi_embedding_check"):
     """Check (1/lam) d(x,y) - eps <= d(f x, f y) <= lam d(x,y) + eps on
-    every sampled pair; fails on any violation beyond float slack.
+    every sampled pair; fails on any violation beyond float slack and on
+    any pair with non-finite images.
 
     ``metric`` is 'euclidean' or 'l1'; 'l1' sums Euclidean block norms
     over the map's product structure.
@@ -543,28 +565,27 @@ def qi_embedding_check(m, lam, eps, metric, cfg, op_name="qi_embedding_check"):
     if lam < 1.0 or eps < 0.0:
         raise InvalidPointError("need lambda >= 1 and eps >= 0")
     dist = _metric(_product_blocks(m), metric)
-    worst = np.inf
-    worst_pair = None
-    used = 0
-    for x, y in _pair_chunks(m, cfg, op_name):
-        d = dist(x, y)
-        keep = d >= _DEGENERATE_PAIR
-        if not keep.any():
-            continue
-        x, y, d = x[keep], y[keep], d[keep]
-        df = dist(m._eval(x), m._eval(y))
-        up = (lam * d + eps) - df
-        low = df - (d / lam - eps)
-        margin = np.minimum(up, low)
-        slack = _RELATIVE_SLACK * (d + df + eps)
-        rel = margin / np.maximum(slack / _RELATIVE_SLACK, 1e-300)
-        used += int(keep.sum())
-        k = int(np.argmin(rel))
-        if rel[k] < worst:
-            worst = float(rel[k])
-            worst_pair = (x[k].copy(), y[k].copy(), float(df[k] / d[k]))
+
+    def chunks():
+        # stat = -(relative margin), so the worst pair is the largest stat
+        for x, y in _pair_chunks(m, cfg, op_name):
+            d = dist(x, y)
+            keep = d >= _DEGENERATE_PAIR
+            if not keep.any():
+                continue
+            x, y, d = x[keep], y[keep], d[keep]
+            df = dist(m._eval(x), m._eval(y))
+            up = (lam * d + eps) - df
+            low = df - (d / lam - eps)
+            margin = np.minimum(up, low)
+            slack = _RELATIVE_SLACK * (d + df + eps)
+            rel = margin / np.maximum(slack / _RELATIVE_SLACK, 1e-300)
+            yield int(keep.sum()), -rel, df / d, x, y
+
+    neg_worst, worst_pair, used = _running_max(chunks())
     if used == 0:
         raise InsufficientSamplesError("all sampled pairs were degenerate")
+    worst = -neg_worst
     return QiCheckResult(worst >= -_RELATIVE_SLACK, worst, worst_pair, used, cfg.seed)
 
 
@@ -664,10 +685,7 @@ def replication_drift_witnesses(g, x0, count):
     moved = np.linalg.norm(M.disk_apply(g, x0) - x0)
     if moved == 0.0:
         raise TrivialWitnessError("g fixes x0; drift witnesses need g(x0) != x0")
-    ks = np.arange(1, count + 1)
-    pts = (2.0 ** ks)[:, None] * x0[None, :]
-    pts[:, 0] += 4.0 ** ks
-    return pts
+    return _disk_points(np.arange(1, count + 1), x0[None, :])
 
 
 def rotation_angle_and_plane(a):

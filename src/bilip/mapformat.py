@@ -22,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import BilipError, MapFormatError
+from .errors import MapFormatError
 from . import maps as M
 from . import pl as plmod
 from .profiles import CubicProfile
@@ -86,7 +86,8 @@ _CONSTRUCTORS = _constructors((M.MapExpr, M.SphereMap, M.DiskMap, M.SpiralProfil
 def _build(name, kw):
     """Call the constructor tagged ``name`` with its declared fields in
     order; a missing keyword takes the constructor's default. A value
-    the constructor cannot take is a format error that names the node."""
+    the constructor refuses (a TypeError or ValueError, the library's own
+    value errors included) is a format error that names the node."""
     if name not in _CONSTRUCTORS:
         raise MapFormatError(f"unknown constructor {name!r}")
     fields, make, params = _CONSTRUCTORS[name]
@@ -100,8 +101,6 @@ def _build(name, kw):
             raise MapFormatError(f"{name} needs argument {key!r}")
     try:
         return make(*args)
-    except BilipError:
-        raise
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"{name}: {exc}") from exc
 
@@ -208,9 +207,12 @@ def parse_map(text):
 
 def load_map(path):
     """Read a canonical map text file (comments with # allowed)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh
-                 if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh
+                     if ln.strip() and not ln.lstrip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"map file is not UTF-8 text: {exc}") from exc
     if not lines:
         raise MapFormatError(f"no map expression found in {path}")
     return parse_map(" ".join(lines))

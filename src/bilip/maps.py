@@ -613,8 +613,8 @@ class IdentityMap(MapExpr):
     fields = (("dim", "dim"),)
 
     def __init__(self, dim):
-        if dim < 1:
-            raise InvalidPointError("dimension must be >= 1")
+        if not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise InvalidPointError(f"dimension must be an integer >= 1, got {dim!r}")
         self.dim = int(dim)
         self.lambda_claimed = 1.0
 

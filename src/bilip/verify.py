@@ -7,12 +7,14 @@ wall_time_ms field. A scenario passes only if zero sampled violations
 occurred; any violation is recorded with its witness pair.
 """
 
+import inspect
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _svg
 from . import estimators as E
 from . import maps as M
 from . import pl as plmod
@@ -103,21 +105,11 @@ def verify_radial_bound(phi, cfg, sphere_pairs=200_000):
     # restriction to spheres of any radius: the two-point ratio at radius
     # r equals the chordal ratio of the same directions on the unit
     # sphere, so it can never beat the sphere constant
-    rng = E._op_rng(cfg.seed, "verify_radial_equal_radius")
-    n = phi.dim
-    n_even = n + (n % 2)
-    u = rng.random((20_000, 2 * n_even + 2))
-    du = E._unit_rows(E._normals(u[:, :n_even])[:, :n])
-    dv = E._unit_rows(E._normals(u[:, n_even : 2 * n_even])[:, :n])
-    radii = np.exp(np.log(0.1) + u[:, -2] * np.log(10.0 * cfg.region.scale))
-    h = 10.0 ** (-3.0 * u[:, -1])
-    xu = du
-    # tangential offsets: a near-parallel second direction would let the
-    # pair separation collapse into rounding noise
-    perp = E._unit_rows(dv - np.sum(dv * du, axis=1)[:, None] * du)
-    yu = E._unit_rows(du + h[:, None] * perp)
-    x = radii[:, None] * xu
-    y = radii[:, None] * yu
+    du, dv, w_radius, w_h = E._direction_pairs(
+        E._op_rng(cfg.seed, "verify_radial_equal_radius"), phi.dim, 20_000)
+    radii = np.exp(np.log(0.1) + w_radius * np.log(10.0 * cfg.region.scale))
+    xu, yu = E._tangential_pairs(du, dv, 1.0, 10.0 ** (-3.0 * w_h))
+    x, y = radii[:, None] * xu, radii[:, None] * yu
     d = np.linalg.norm(x - y, axis=1)
     keep = d >= 1e-9 * radii
     df = np.linalg.norm(fmap._eval(x[keep]) - fmap._eval(y[keep]), axis=1)
@@ -162,20 +154,9 @@ def verify_replication_constant(g, cfg, claimed=None):
     est = E.bilip_lower_bound(fmap, cfg, op_name="verify_replication_constant")
 
     # dedicated cross-disk pairs: one point in disk i, the other in disk j != i
-    rng = E._op_rng(cfg.seed, "verify_replication_cross_disk")
-    n = g.dim
-    jmax = 0
-    while 4.0 ** (jmax + 1) + 2.0 ** (jmax + 1) <= cfg.region.scale:
-        jmax += 1
-    n_even = n + (n % 2)
-    u = rng.random((20_000, 2 * n_even + 4))
-    p = E._unit_rows(E._normals(u[:, :n_even])[:, :n]) * u[:, [-4]] ** (1.0 / n)
-    q = E._unit_rows(E._normals(u[:, n_even : 2 * n_even])[:, :n]) * u[:, [-3]] ** (1.0 / n)
-    i_disk = np.floor(u[:, -2] * (jmax + 1)).astype(int)
-    j_disk = np.floor(u[:, -1] * jmax).astype(int)
-    j_disk = np.where(j_disk >= i_disk, j_disk + 1, j_disk)  # force i != j
-    x = (4.0 ** i_disk * (i_disk > 0))[:, None] * E._e1(n) + (2.0 ** i_disk)[:, None] * p
-    y = (4.0 ** j_disk * (j_disk > 0))[:, None] * E._e1(n) + (2.0 ** j_disk)[:, None] * q
+    n_disks = E._disk_count(cfg.region.scale)
+    x, y = E._cross_disk_pairs(E._op_rng(cfg.seed, "verify_replication_cross_disk"),
+                               g.dim, n_disks, 20_000)
     d = np.linalg.norm(x - y, axis=1)
     df = np.linalg.norm(fmap._eval(x) - fmap._eval(y), axis=1)
     ratios = np.maximum(df / d, d / df)
@@ -191,7 +172,7 @@ def verify_replication_constant(g, cfg, claimed=None):
         n_samples=est.n_pairs_used,
         seed=cfg.seed,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        details={"cross_disk_max_ratio": cross_max, "disks_in_region": jmax + 1},
+        details={"cross_disk_max_ratio": cross_max, "disks_in_region": n_disks},
     )
 
 
@@ -261,21 +242,16 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
 
     rng = E._op_rng(cfg.seed, "verify_homomorphism")
     n = g.dim
-    n_even = n + (n % 2)
-    u = rng.random((n_points, n_even + 1))
-    pts = cfg.region.sample(E._normals(u[:, :n_even]), u[:, -1])
+    pts = E._region_points(rng, cfg.region, n_points)
     lhs = f_gh._eval(pts)
     rhs = f_g._eval(f_h._eval(pts))
     residual = float(np.linalg.norm(lhs - rhs, axis=1).max())
 
     # restriction: the construction agrees with the input on its core set
-    u2 = rng.random((1000, n_even + 1))
-    core = E.BallRegion((0.0,) * n, 1.0).sample(E._normals(u2[:, :n_even]), u2[:, -1])
+    core = E._region_points(rng, E.ball((0.0,) * n, 1.0), 1000)
     if kind == "radial":
         core = E._unit_rows(core)
-        restr = float(np.abs(f_g._eval(core) - g.apply(core)).max())
-    else:
-        restr = float(np.abs(f_g._eval(core) - g.apply(core)).max())
+    restr = float(np.abs(f_g._eval(core) - g.apply(core)).max())
 
     # monomorphism evidence: if g moves some mesh point, the built map
     # has a drift witness with strictly positive displacement
@@ -287,7 +263,7 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
             probe = 2.0 ** 20 * x0
         elif kind == "disk_replication":
             x0 = 0.9 * x0 / max(np.linalg.norm(x0), 1e-12)
-            probe = 4.0 ** 20 * E._e1(n) + 2.0 ** 20 * x0
+            probe = E._disk_points(np.array([20]), x0[None, :])[0]
         else:
             x0 = 0.9 * x0 / max(np.linalg.norm(x0), 1e-12)
             probe = 40.0 * E._e1(n) + x0  # the disk centered at 2*20*e1
@@ -343,11 +319,9 @@ def verify_product_qi(f, f_params, g, g_params, cfg, grid_step=1.0,
                               op_name="verify_product_qi")
 
     # pointwise drift identity in the product-sum metric
-    rng = E._op_rng(cfg.seed, "verify_product_drift_identity")
     n = h.dim
-    n_even = n + (n % 2)
-    u = rng.random((10_000, n_even + 1))
-    pts = cfg.region.sample(E._normals(u[:, :n_even]), u[:, -1])
+    pts = E._region_points(E._op_rng(cfg.seed, "verify_product_drift_identity"),
+                           cfg.region, 10_000)
     k = f.dim
     disp = h._displacement(pts)
     lhs = np.linalg.norm(disp[:, :k], axis=1) + np.linalg.norm(disp[:, k:], axis=1)
@@ -399,19 +373,11 @@ def verify_spiral_bound(p, cfg, kernel_count=30, kernel_threshold=1e6):
     est = E.bilip_lower_bound(fmap, cfg, op_name="verify_spiral_bound")
 
     # same-radius pairs are isometric up to rounding
-    rng = E._op_rng(cfg.seed, "verify_spiral_equal_radius")
-    n_even = n + (n % 2)
-    u = rng.random((20_000, 2 * n_even + 2))
-    du = E._unit_rows(E._normals(u[:, :n_even])[:, :n])
-    dv = E._unit_rows(E._normals(u[:, n_even : 2 * n_even])[:, :n])
-    lo = getattr(cfg.region, "inner", 1e-3 * cfg.region.scale)
-    lo = max(lo, 1e-9)
-    radii = np.exp(np.log(lo) + u[:, -2] * (np.log(cfg.region.scale) - np.log(lo)))
-    hstep = 10.0 ** (-3.0 * u[:, -1])
-    x = radii[:, None] * du
-    # perpendicular offsets keep the separation ~ h * r, away from noise
-    perp = E._unit_rows(dv - np.sum(dv * du, axis=1)[:, None] * du)
-    y = radii[:, None] * E._unit_rows(du + hstep[:, None] * perp)
+    du, dv, w_radius, w_h = E._direction_pairs(
+        E._op_rng(cfg.seed, "verify_spiral_equal_radius"), n, 20_000)
+    lo = max(getattr(cfg.region, "inner", 1e-3 * cfg.region.scale), 1e-9)
+    radii = np.exp(np.log(lo) + w_radius * (np.log(cfg.region.scale) - np.log(lo)))
+    x, y = E._tangential_pairs(du, dv, radii, 10.0 ** (-3.0 * w_h))
     d = np.linalg.norm(x - y, axis=1)
     keep = d >= 1e-9 * radii
     df = np.linalg.norm(fmap._eval(x[keep]) - fmap._eval(y[keep]), axis=1)
@@ -565,8 +531,196 @@ def verify_metric_equivalence(kind, n_points, eps, n_pairs, seed,
 
 
 # =====================================================================
-# Default suite: one scenario per proven bound
+# Scenario registry: `bilip verify`, its plots and the default suite
 # =====================================================================
+
+# every scenario parameter that a flag or a config file may set, and its type
+KEYS = {"seed": int, "pairs": int, "n": int, "beta": float, "c": float,
+        "radius": float, "kind": str, "amplitude": float, "resolution": int,
+        "displacement": float, "count": int, "threshold": float,
+        "profile": str, "angle": float, "cloud": str, "points": int,
+        "eps": float, "max_dim": int}
+
+
+def _typed(key, value):
+    """A flag value or config-file text as the type KEYS gives ``key``;
+    integers are counts (>= 1), except the seed (>= 0)."""
+    if key not in KEYS:
+        raise ConfigError(f"unknown scenario parameter {key!r}")
+    cast = KEYS[key]
+    try:
+        typed = cast(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be {cast.__name__}, got {value!r}") from exc
+    least = 0 if key == "seed" else 1
+    if cast is int and typed < least:
+        raise ConfigError(f"{key} must be >= {least}, got {typed}")
+    return typed
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One `bilip verify` scenario.
+
+    ``make``'s keyword parameters are the scenario's parameters and
+    their defaults. ``make`` builds the map, the region and the
+    SamplerConfig and returns (run, subject): ``run()`` calls the
+    verifier and returns its reports, and ``plot(subject, path)``, for a
+    scenario that has a plot, draws the objects ``make`` built. ``run``
+    looks the verifier up by its module-level name when it is called, so
+    a wrapper set on this module (the benchmark's tracer, a test's
+    monkeypatch) sees every call.
+    """
+
+    name: str
+    make: object
+    plot: object = None
+
+    def build(self, params=None, **fixed):
+        """Cast ``params`` (flag or config values) by KEYS, keep those the
+        scenario reads, apply the already typed ``fixed`` values and
+        build. An unknown parameter, a value of the wrong type or one a
+        constructor refuses raises ConfigError."""
+        p = {**{k: _typed(k, v) for k, v in (params or {}).items()}, **fixed}
+        reads = inspect.signature(self.make).parameters
+        try:
+            return self.make(**{k: v for k, v in p.items() if k in reads})
+        except ValueError as exc:  # a constructor refused a parameter value
+            raise ConfigError(str(exc)) from exc
+
+
+def _ratio_histogram(subject, path):
+    """Histogram of 2e4 sampled two-point ratios of the map ``m`` on the
+    region and with the seed of ``cfg``, for ``subject`` = (m, cfg, title)."""
+    m, cfg, title = subject
+    chunks = E._pair_chunks(m, replace(cfg, n_pairs=20_000), "cli_ratio_histogram")
+    ratios = [E._two_point_stats(m._eval, x, y)[2] for x, y in chunks]
+    values = np.concatenate([r for r in ratios if r is not None])
+    _svg.save_svg(_svg.histogram(values, title=title, xlabel="two-point ratio"), path)
+
+
+def _drift_plot(subject, path):
+    g, x0, count, threshold = subject
+    rep = E.drift_profile(M.disk_replication(g),
+                          E.replication_drift_witnesses(g, x0, count), threshold)
+    _svg.save_svg(_svg.line_plot(np.arange(1, count + 1), rep.drifts,
+                                 title="replication drift vs k", xlabel="k",
+                                 ylabel="||f(x_k) - x_k||", log_y=True), path)
+
+
+# sphere_pairs (radial-bound) and n_points (homomorphism) are not in KEYS:
+# only the default suite sets them
+
+def _radial_bound(seed=7, pairs=100_000, n=2, beta=0.5, radius=100.0,
+                  sphere_pairs=200_000):
+    phi = M.make_latitude_sphere_map(beta, dim=n)
+    cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * n, radius), n_pairs=pairs)
+    return ((lambda: [verify_radial_bound(phi, cfg, sphere_pairs=sphere_pairs)]),
+            (M.radial_extension(phi), cfg, "radial-bound: sampled ratios"))
+
+
+def _replication_constant(seed=7, pairs=100_000, n=2, kind="twist", radius=300.0,
+                          amplitude=0.8, resolution=8, displacement=0.3):
+    if kind == "twist":
+        g = M.make_twist_disk_map(dim=n, amplitude=amplitude)
+    elif kind == "pl":
+        g = M.pl_disk_map(plmod.pl_twist_example(n, resolution, displacement))
+    else:
+        raise ConfigError(f"unknown disk map kind {kind!r}")
+    cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * n, radius), n_pairs=pairs)
+    return ((lambda: [verify_replication_constant(g, cfg)]),
+            (M.disk_replication(g), cfg, "replication-constant: sampled ratios"))
+
+
+def _replication_drift(n=2, amplitude=0.8, count=40, threshold=1e6):
+    g = M.make_twist_disk_map(dim=n, amplitude=amplitude)
+    x0 = np.zeros(n)
+    x0[:2] = 0.3125, -0.25
+    subject = (g, x0, count, threshold)
+    return (lambda: [verify_replication_drift(*subject)]), subject
+
+
+def _homomorphism(seed=7, pairs=100_000, n=2, kind="disk_replication", radius=70.0,
+                  beta=0.5, n_points=None):
+    if kind == "radial":
+        g = M.make_latitude_sphere_map(beta, dim=n)
+        h = M.make_latitude_sphere_map(-0.3, dim=n)
+    else:
+        g = M.make_twist_disk_map(dim=n, amplitude=0.8)
+        h = M.make_twist_disk_map(dim=n, amplitude=-0.5)
+    cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * n, radius), n_pairs=pairs)
+    n_points = min(pairs, 10_000) if n_points is None else n_points
+    return (lambda: [verify_homomorphism(kind, g, h, cfg, n_points=n_points)]), None
+
+
+def _product_qi(seed=7, pairs=100_000, n=2, beta=0.5, c=1.0):
+    f = M.radial_extension(M.make_latitude_sphere_map(beta, dim=n))
+    g = M.spiral_map(M.LogSpiralProfile(c, (0, 1), n))
+    cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * (2 * n), 50.0), n_pairs=pairs)
+    return (lambda: [verify_product_qi(f, (f.lambda_claimed, 0.0),
+                                       g, (g.lambda_claimed, 0.0), cfg)]), None
+
+
+def _spiral_bound(seed=7, pairs=100_000, n=2, profile="log", c=1.0, angle=1.0):
+    if profile == "log":
+        p = M.LogSpiralProfile(c, (0, 1), n)
+    elif profile == "cutoff":
+        p = M.CutoffRotationProfile(bump_profile(angle, 1.0, 3.0), (0, 1), n)
+    elif profile == "constant":
+        p = M.ConstantRotationProfile(rotation_matrix((0, 1), angle, n))
+    else:
+        raise ConfigError(f"unknown profile kind {profile!r}")
+    cfg = E.SamplerConfig(seed=seed, region=E.annulus((0.0,) * n, 1e-3, 1e4), n_pairs=pairs)
+    return ((lambda: [verify_spiral_bound(p, cfg)]),
+            (M.spiral_map(p), cfg, "spiral-bound: sampled ratios"))
+
+
+def _matrix_norms(seed=7, count=1000, max_dim=8):
+    return (lambda: [verify_matrix_norms(seed, count, max_dim)]), None
+
+
+def _metric_equivalence(seed=7, pairs=100_000, cloud="circle", points=10_000, eps=None):
+    circle = cloud == "circle"
+    eps = (0.01 if circle else 0.09) if eps is None else eps
+    expected = float(np.pi / 2) if cloud in ("circle", "sphere") else None
+    return (lambda: [verify_metric_equivalence(cloud, points, eps, pairs, seed,
+                                               expected_ratio=expected,
+                                               rel_tol=0.02 if circle else 0.08)]), None
+
+
+def _all(seed=7, pairs=100_000):
+    return (lambda: default_suite(seed, pairs)), None
+
+
+SCENARIOS = {s.name: s for s in (
+    Scenario("radial-bound", _radial_bound, _ratio_histogram),
+    Scenario("replication-constant", _replication_constant, _ratio_histogram),
+    Scenario("replication-drift", _replication_drift, _drift_plot),
+    Scenario("homomorphism", _homomorphism),
+    Scenario("product-qi", _product_qi),
+    Scenario("spiral-bound", _spiral_bound, _ratio_histogram),
+    Scenario("matrix-norms", _matrix_norms),
+    Scenario("metric-equivalence", _metric_equivalence),
+    Scenario("all", _all),
+)}
+
+# the default suite: one entry per proven bound, at reduced sizes
+SUITE = (
+    ("radial-bound", {"sphere_pairs": 50_000}),
+    ("replication-constant", {}),
+    ("replication-constant", {"kind": "pl"}),
+    ("replication-drift", {}),
+    ("homomorphism", {"n_points": 10_000}),
+    ("product-qi", {}),
+    ("spiral-bound", {}),
+    ("spiral-bound", {"profile": "cutoff"}),
+    ("spiral-bound", {"profile": "constant", "angle": 2.0}),
+    ("matrix-norms", {}),
+    # pairs within 2% of the antipodal ratio occur with probability
+    # ~0.02 each, so 1500 samples miss them only with probability e^-30
+    ("metric-equivalence", {"points": 4000, "pairs": 1500}),
+)
+
 
 def default_suite(seed=7, n_pairs=100_000):
     """Run every bound through at least one scenario at reduced sizes.
@@ -574,53 +728,7 @@ def default_suite(seed=7, n_pairs=100_000):
     Returns the list of reports in a fixed order.
     """
     reports = []
-
-    phi = M.make_latitude_sphere_map(0.5, dim=2)
-    cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0, 0.0), 100.0),
-                          n_pairs=n_pairs)
-    reports.append(verify_radial_bound(phi, cfg, sphere_pairs=50_000))
-
-    twist = M.make_twist_disk_map(dim=2)
-    cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0, 0.0), 300.0),
-                          n_pairs=n_pairs)
-    reports.append(verify_replication_constant(twist, cfg))
-
-    pl_twist = M.pl_disk_map(plmod.pl_twist_example(2, 8, 0.3))
-    reports.append(verify_replication_constant(pl_twist, cfg))
-
-    reports.append(verify_replication_drift(twist, np.array([0.3125, -0.25])))
-
-    cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0, 0.0), 70.0),
-                          n_pairs=n_pairs)
-    reports.append(verify_homomorphism(
-        "disk_replication", twist, M.make_twist_disk_map(dim=2, amplitude=-0.5),
-        cfg))
-
-    spiral = M.LogSpiralProfile(1.0, (0, 1), 2)
-    rad = M.radial_extension(phi)
-    lam_f = 1.0 + phi.lambda_claimed
-    lam_g = 2 * spiral.c_bound + 1.0
-    cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * 4, 50.0),
-                          n_pairs=n_pairs)
-    reports.append(verify_product_qi(rad, (lam_f, 0.0),
-                                     M.spiral_map(spiral), (lam_g, 0.0), cfg))
-
-    cfg = E.SamplerConfig(seed=seed,
-                          region=E.annulus((0.0, 0.0), 1e-3, 1e4),
-                          n_pairs=n_pairs)
-    reports.append(verify_spiral_bound(spiral, cfg))
-
-    cutoff = M.CutoffRotationProfile(bump_profile(1.0, 1.0, 3.0), (0, 1), 2)
-    reports.append(verify_spiral_bound(cutoff, cfg))
-
-    const = M.ConstantRotationProfile(rotation_matrix((0, 1), 2.0, 2))
-    reports.append(verify_spiral_bound(const, cfg))
-
-    reports.append(verify_matrix_norms(seed))
-
-    # pairs within 2% of the antipodal ratio occur with probability
-    # ~0.02 each, so 1500 samples miss them only with probability e^-30
-    reports.append(verify_metric_equivalence(
-        "circle", 4000, 0.01, 1500, seed, expected_ratio=float(np.pi / 2)))
-
+    for name, fixed in SUITE:
+        run, _ = SCENARIOS[name].build({"seed": seed, "pairs": n_pairs}, **fixed)
+        reports += run()
     return reports

@@ -43,6 +43,29 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert run_cli(["estimate", "--region", "ball:0,0:1"]) == 2
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--pairs", "0"], None),
+        (["--seed", "-1"], None),
+        ([], "pairs = abc\n"),
+        ([], "bta = 0.3\n"),  # a key no scenario knows
+    ])
+    def test_bad_scenario_parameter_is_usage_error(self, capsys, tmp_path, flags,
+                                                   config):
+        args = ["verify", "radial-bound", *flags]
+        if config is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config)
+            args += ["--config", str(path)]
+        assert_usage_error(capsys, *args)
+
+    @pytest.mark.parametrize("scenario", ["homomorphism", "product-qi",
+                                          "matrix-norms", "metric-equivalence",
+                                          "all"])
+    def test_svg_without_plot_is_usage_error(self, capsys, tmp_path, scenario):
+        svg = tmp_path / "plot.svg"
+        assert_usage_error(capsys, "verify", scenario, "--svg", str(svg))
+        assert not svg.exists()
+
 
 class TestVerifyCommand:
     def test_spiral_scenario_passes(self, capsys, tmp_path):
@@ -88,6 +111,21 @@ class TestVerifyCommand:
         # an octagon's corner-to-corner path is 2.5 percent short of pi
         assert code == 1
         assert records[0]["passed"] is False
+
+    @pytest.mark.parametrize("scenario, flag, first, second", [
+        ("replication-constant", "--kind", "twist", "pl"),
+        ("replication-constant", "--amplitude", "0.8", "0.3"),
+        ("spiral-bound", "--profile", "log", "constant"),
+    ])
+    def test_svg_follows_the_parameters(self, capsys, tmp_path, scenario, flag,
+                                        first, second):
+        plots = []
+        for value in (first, second):
+            svg = tmp_path / f"{value}.svg"
+            assert run_cli(["verify", scenario, flag, value, "--pairs", "2000",
+                            "--svg", str(svg)]) == 0
+            plots.append(svg.read_bytes())
+        assert plots[0].startswith(b"<svg") and plots[0] != plots[1]
 
     def test_drift_scenario_with_svg(self, capsys, tmp_path):
         svg = tmp_path / "drift.svg"
@@ -139,7 +177,8 @@ class TestEstimateCommand:
                         "--region", "ball:0,0:1"]) == 2
 
     @pytest.mark.parametrize("text", ["identity(dim=2", "identity(dim=[2])",
-                                      "identity()", "nosuch(dim=2)"])
+                                      "identity()", "nosuch(dim=2)",
+                                      "identity(dim=2.5)"])
     def test_malformed_map_text_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.map"
         path.write_text(text + "\n")
@@ -147,6 +186,28 @@ class TestEstimateCommand:
                                  "--region", "ball:0,0:1", "--pairs", "100")
         if "[2]" in text:
             assert "identity" in err  # the node that refused the value
+
+    def test_non_utf8_map_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.map"
+        path.write_bytes(b"identity(dim=2)\n\xff\n")
+        assert_usage_error(capsys, "estimate", "--map", str(path),
+                           "--region", "ball:0,0:1", "--pairs", "100")
+
+    @pytest.mark.parametrize("region, flags", [
+        ("ball:0,0,0:1", []),  # a 3-d region for a 2-d map
+        ("ball:0,0:1", ["--pairs", "0"]),
+        ("ball:0,0:1", ["--claim", "0.5"]),
+    ])
+    def test_bad_set_up_is_usage_error_before_sampling(self, capsys, tmp_path,
+                                                       monkeypatch, region, flags):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the set-up was checked")
+
+        monkeypatch.setattr(est, "_pair_chunks", no_sampling)
+        path = tmp_path / "aff.map"
+        save_map(M.affine([[3.0, 0.0], [0.0, 1.0]]), path)
+        assert_usage_error(capsys, "estimate", "--map", str(path),
+                           "--region", region, *flags)
 
     def test_histogram_svg(self, capsys, tmp_path):
         path = tmp_path / "id.map"

@@ -167,6 +167,45 @@ class TestQiEmbeddingCheck:
             est.QiParams(1.0, 0.0, metric="manhattan")
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteRatios:
+    """A pair whose images are not finite is a violation, never skipped:
+    diag(1e307, 1) overflows to inf on most of a ball of radius 100."""
+
+    huge = M.affine([[1e307, 0.0], [0.0, 1.0]])
+
+    def test_lower_bound_is_infinite_with_witness(self):
+        e = est.bilip_lower_bound(self.huge, cfg(seed=1, radius=100.0))
+        assert e.lambda_lower == np.inf
+        x, y, _ = e.worst_pair
+        assert not np.isfinite(self.huge(np.stack([x, y]))).all()
+
+    def test_falsify_returns_a_witness(self):
+        witness = est.falsify_bilip_bound(self.huge, 2.0, cfg(seed=1, radius=100.0))
+        assert witness is not None
+        assert not np.isfinite(self.huge(np.stack(witness[:2]))).all()
+
+    def test_qi_check_fails(self):
+        r = est.qi_embedding_check(self.huge, 2.0, 0.0, "euclidean",
+                                   cfg(seed=1, radius=100.0))
+        assert not r.passed
+        assert r.worst_margin == -np.inf
+
+    def test_sphere_lower_bound_is_infinite(self):
+        class NanOnCap(M.SphereMap):
+            dim = 2
+
+            def apply(self, units):
+                out = units.copy()
+                out[units[:, 0] > 0.99] = np.nan
+                return out
+
+        e = est.sphere_bilip_lower_bound(NanOnCap(), 1, 10_000)
+        assert e.lambda_lower == np.inf
+        assert max(e.worst_pair[0][0], e.worst_pair[1][0]) > 0.99
+
+
 class TestCDensity:
     def test_identity_covering_radius(self):
         c = est.c_density(M.identity(2), est.ball((0.0, 0.0), 5.0), 0.5)

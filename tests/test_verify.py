@@ -1,7 +1,9 @@
 """Tests for the verification scenarios and report plumbing."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from bilip import estimators as E
 from bilip import maps as M
 from bilip import verify as V
+from bilip.cli import run_cli
 from bilip.core import rotation_matrix
 from bilip.errors import ConfigError
 from bilip.profiles import bump_profile
@@ -222,3 +225,52 @@ class TestDefaultSuite:
         for r in reports:
             data = json.loads(r.to_json())
             assert isinstance(data["passed"], bool)
+
+
+def _bench_tracer():
+    """bench/tracer.py, loaded from its file: it is no package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerContract:
+    """The benchmark's tracer times each scenario by replacing the
+    ``verify_*`` and ``default_suite`` attributes of ``bilip.verify``;
+    the registry must look them up when it runs, not hold the function
+    objects it saw at import."""
+
+    VERIFIERS = {name: scenario
+                 for name, scenario in _bench_tracer()._SCENARIOS.items()
+                 if name != "default_suite"}
+
+    def patch_verifiers(self, monkeypatch):
+        calls = []
+        for name, scenario in self.VERIFIERS.items():
+            def fake(*args, scenario=scenario, **kwargs):
+                calls.append(scenario)
+                return V.Report(scenario, True, None, None, None, 0, 0, 0.0)
+
+            monkeypatch.setattr(V, name, fake)
+        return calls
+
+    def test_default_suite_calls_the_patched_verifiers(self, monkeypatch):
+        calls = self.patch_verifiers(monkeypatch)
+        reports = V.default_suite(seed=1, n_pairs=100)
+        assert calls == [name for name, _ in V.SUITE]
+        assert [r.scenario for r in reports] == calls
+
+    @pytest.mark.parametrize("scenario", sorted(VERIFIERS.values()))
+    def test_cli_calls_the_patched_verifier(self, monkeypatch, capsys, scenario):
+        calls = self.patch_verifiers(monkeypatch)
+        assert run_cli(["verify", scenario, "--pairs", "100"]) == 0
+        assert calls == [scenario]
+
+    def test_cli_all_calls_the_patched_suite(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(V, "default_suite",
+                            lambda seed, n_pairs: seen.append((seed, n_pairs)) or [])
+        assert run_cli(["verify", "all", "--seed", "3", "--pairs", "100"]) == 0
+        assert seen == [(3, 100)]
