@@ -22,8 +22,15 @@ Exit status:
   config key no scenario knows, ``--svg`` on a scenario without a plot,
   a map or PL file that cannot be read or parsed, an ``estimate``
   region whose dimension is not the map's, ``--pairs`` below 1 or
-  ``--claim`` below 1. Apart from argparse's own messages, a usage
-  error prints one ``error:`` line on stderr and nothing on stdout.
+  ``--claim`` below 1, a ``drift`` count ``-K`` below 1, a ``drift
+  --x0`` that is not the map's dimension in finite numbers, or one
+  outside the open unit ball for replication witnesses. Apart from
+  argparse's own messages, a usage error prints one ``error:`` line on
+  stderr and nothing on stdout.
+
+Non-finite numbers in a record (an infinite bound, a NaN ratio) are
+written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``, so every
+record is strict JSON.
 
 Config files are flat key-value text: one ``key = value`` per line,
 ``#`` comments; keys match the long flag names with dashes or
@@ -45,6 +52,7 @@ from . import estimators as E
 from . import maps as M
 from . import pl as plmod
 from . import verify as V
+from .core import as_vector
 from .errors import BilipError, ConfigError, InvalidPointError, MapFormatError
 from .mapformat import load_map, map_to_text
 
@@ -93,7 +101,7 @@ def parse_region(spec, dim):
 
 
 def _emit(obj, out_path):
-    text = json.dumps(V._jsonable(obj), sort_keys=True)
+    text = json.dumps(V._jsonable(obj), sort_keys=True, allow_nan=False)
     sys.stdout.write(text + "\n")
     if out_path:
         with open(out_path, "a", encoding="utf-8") as fh:
@@ -167,20 +175,33 @@ def _cmd_estimate(args):
     return code
 
 
+def _parse_x0(text, dim):
+    """The ``--x0`` base point: ``dim`` finite comma-separated numbers."""
+    try:
+        return as_vector([float(v) for v in text.split(",")], dim=dim)
+    except ValueError as exc:  # not a number, not finite or the wrong dimension
+        raise ConfigError(f"bad --x0 {text!r} for a {dim}-d map: {exc}") from exc
+
+
 def _cmd_drift(args):
+    if args.count < 1:
+        raise ConfigError(f"-K must be at least 1, got {args.count}")
     m = load_map(args.map)
     threshold = args.threshold
     if args.witnesses == "replication":
         if not isinstance(m, M.DiskReplicationMap):
             raise ConfigError("replication witnesses need a disk_replication map")
-        x0 = np.array([float(v) for v in args.x0.split(",")])
-        wit = E.replication_drift_witnesses(m.disk_map, x0, args.count)
+        try:
+            wit = E.replication_drift_witnesses(m.disk_map, _parse_x0(args.x0, m.dim),
+                                                args.count)
+        except InvalidPointError as exc:  # x0 outside the open unit ball
+            raise ConfigError(f"bad --x0 {args.x0!r}: {exc}") from exc
     elif args.witnesses == "spiral":
         if not isinstance(m, M.SpiralMap):
             raise ConfigError("spiral witnesses need a spiral map")
         wit = E.spiral_drift_witnesses(m.profile, args.count)
     else:  # ray
-        x0 = np.array([float(v) for v in args.x0.split(",")])
+        x0 = _parse_x0(args.x0, m.dim)
         ks = np.arange(1, args.count + 1)
         wit = (2.0 ** ks)[:, None] * x0[None, :]
     rep = E.drift_profile(m, wit, threshold)

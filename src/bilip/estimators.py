@@ -10,6 +10,14 @@ fixed block of uniforms, generated in row order, so the first N pairs
 of a longer run coincide with a shorter run bit for bit (estimates are
 monotone in n_pairs), and chunked evaluation reduces with a
 deterministic ordered max, so results are reproducible bit for bit.
+
+Unit directions are exact functions of uniforms (``_directions``): a
+sign on S^0, one angle on S^1, Archimedes' height and angle on S^2;
+Box-Muller normals, normalised, only from R^4 on. A region turns a
+block of ``_direction_width(n) + 1`` uniforms into a point: a ball or
+an annulus takes a direction and a radial uniform, a box reads the
+uniforms as coordinates. The pair stream computes each pair family
+(global, local, witness) on its own rows only.
 """
 
 import hashlib
@@ -33,6 +41,7 @@ from .errors import (
 )
 
 _CHUNK = 131072
+_DRAW_ROWS = 4096  # rows of uniforms per draw (see _uniform_block)
 _DEGENERATE_PAIR = 1e-12
 _RELATIVE_SLACK = 1e-9  # float headroom on proven inequalities
 
@@ -45,15 +54,13 @@ def _op_rng(seed, op_name):
 
 
 def _normals(u):
-    """Standard normals from uniform columns via Box-Muller (fixed
-    consumption: 2 uniforms -> 2 normals), keeping streams prefix-stable."""
-    n_cols = u.shape[1]
-    assert n_cols % 2 == 0
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    ang = 2.0 * np.pi * u[:, 1::2]
+    """Standard normals from an even number of uniform columns (rows of
+    ``u``) via Box-Muller: columns 2i, 2i+1 give normals 2i, 2i+1."""
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    ang = 2.0 * np.pi * u[1::2]
     out = np.empty_like(u)
-    out[:, 0::2] = r * np.cos(ang)
-    out[:, 1::2] = r * np.sin(ang)
+    out[0::2] = r * np.cos(ang)
+    out[1::2] = r * np.sin(ang)
     return out
 
 
@@ -63,12 +70,55 @@ def _unit_rows(v):
     return v / nrm[:, None]
 
 
+def _direction_width(n):
+    """Uniform columns per unit direction in R^n (see _directions)."""
+    return 1 if n <= 2 else 2 if n == 3 else n + n % 2
+
+
+def _directions(u, n):
+    """Unit directions in R^n, uniform on the sphere, one per column of
+    the uniform block ``u`` (shape (k, count), k >= _direction_width(n);
+    only the first _direction_width(n) rows are read).
+
+    n = 1: the sign of u0 - 1/2. n = 2: the angle pi (2 u0 - 1). n = 3:
+    Archimedes' projection, z = 2 u0 - 1 and the angle pi (2 u1 - 1).
+    n >= 4: Box-Muller normals from n rounded up to even columns,
+    normalised.
+    """
+    if n == 1:
+        return np.where(u[0] < 0.5, -1.0, 1.0)[:, None]
+    if n > 3:
+        return _unit_rows(_normals(u[: n + n % 2])[:n].T)
+    out = np.empty((n, u.shape[1]))  # filled by coordinate, returned transposed
+    t = np.pi * (2.0 * u[n - 2] - 1.0)  # in [-pi, pi): faster trig than [0, 2 pi)
+    np.cos(t, out=out[0])
+    np.sin(t, out=out[1])
+    if n == 3:
+        out[2] = 2.0 * u[0] - 1.0
+        out[:2] *= np.sqrt((1.0 - out[2]) * (1.0 + out[2]))
+    return out.T
+
+
+def _uniform_block(rng, count, width):
+    """``count`` rows of ``width`` uniforms, drawn in row order (so a
+    shorter draw is a prefix of a longer one) and returned transposed:
+    one contiguous array of ``count`` values per column. The rows are
+    drawn _DRAW_ROWS at a time, so each transposing copy stays in cache."""
+    u = np.empty((width, count))
+    for start in range(0, count, _DRAW_ROWS):
+        stop = min(start + _DRAW_ROWS, count)
+        u[:, start:stop] = rng.random((stop - start, width)).T
+    return u
+
+
 # =====================================================================
 # Sampling regions
 # =====================================================================
 
 @dataclass(frozen=True)
 class BallRegion:
+    """Closed ball; ``sample`` is uniform in volume."""
+
     center: tuple
     radius: float
 
@@ -84,9 +134,11 @@ class BallRegion:
     def scale(self):
         return float(self.radius)
 
-    def sample(self, dirs, aux):
-        r = self.radius * aux ** (1.0 / self.dim)
-        return np.asarray(self.center) + r[:, None] * _unit_rows(dirs[:, : self.dim])
+    def sample(self, u):
+        """Points from a block of uniform columns (one point per column):
+        a unit direction from the leading rows, the radius from the last."""
+        r = self.radius * u[-1] ** (1.0 / self.dim)
+        return np.asarray(self.center) + r[:, None] * _directions(u, self.dim)
 
     def contains(self, pts):
         return np.linalg.norm(pts - np.asarray(self.center), axis=1) <= self.radius
@@ -98,6 +150,8 @@ class BallRegion:
 
 @dataclass(frozen=True)
 class BoxRegion:
+    """Axis-parallel box [lo, hi]; ``sample`` is uniform in volume."""
+
     lo: tuple
     hi: tuple
 
@@ -114,14 +168,11 @@ class BoxRegion:
     def scale(self):
         return float((np.asarray(self.hi) - np.asarray(self.lo)).max() / 2.0)
 
-    def sample(self, dirs, aux):
-        # the direction columns are standard normals; the normal CDF
-        # turns them back into exact uniforms for box sampling
-        from scipy.special import ndtr
-
+    def sample(self, u):
+        """Points from a block of uniform columns (one point per column):
+        coordinate i is uniform on [lo_i, hi_i] from row i."""
         lo, hi = np.asarray(self.lo), np.asarray(self.hi)
-        u = ndtr(dirs[:, : self.dim])
-        return lo + u * (hi - lo)
+        return lo + u[: self.dim].T * (hi - lo)
 
     def contains(self, pts):
         lo, hi = np.asarray(self.lo), np.asarray(self.hi)
@@ -152,11 +203,14 @@ class AnnulusRegion:
     def scale(self):
         return float(self.outer)
 
-    def sample(self, dirs, aux):
+    def sample(self, u):
+        """Points from a block of uniform columns (one point per column):
+        a unit direction from the leading rows, the radius (uniform in
+        volume between the radii) from the last."""
         n = self.dim
-        rn = self.inner ** n + aux * (self.outer ** n - self.inner ** n)
+        rn = self.inner ** n + u[-1] * (self.outer ** n - self.inner ** n)
         r = rn ** (1.0 / n)
-        return np.asarray(self.center) + r[:, None] * _unit_rows(dirs[:, :n])
+        return np.asarray(self.center) + r[:, None] * _directions(u, n)
 
     def contains(self, pts):
         r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
@@ -221,20 +275,20 @@ def _tangential_pairs(u, v, radii, h):
 
 def _direction_pairs(rng, n, count):
     """Two unit directions in R^n and two free uniforms per row, from
-    one row of 2 * n_even + 2 uniforms (the same-sphere pair layout)."""
-    n_even = n + (n % 2)
-    u = rng.random((count, 2 * n_even + 2))
-    du = _unit_rows(_normals(u[:, :n_even])[:, :n])
-    dv = _unit_rows(_normals(u[:, n_even : 2 * n_even])[:, :n])
-    return du, dv, u[:, -2], u[:, -1]
+    one row of 2 k + 2 uniforms, k = _direction_width(n): the first
+    direction, the second, then the two free uniforms (the same-sphere
+    pair layout)."""
+    k = _direction_width(n)
+    u = _uniform_block(rng, count, 2 * k + 2)
+    return _directions(u[:k], n), _directions(u[k : 2 * k], n), u[-2], u[-1]
 
 
 def _region_points(rng, region, count):
-    """``count`` points of ``region``, each from one row of n_even + 1
-    uniforms (a Box-Muller direction, then the radial uniform)."""
-    n_even = region.dim + (region.dim % 2)
-    u = rng.random((count, n_even + 1))
-    return region.sample(_normals(u[:, :n_even]), u[:, -1])
+    """``count`` points of ``region``, each from one row of
+    _direction_width(n) + 1 uniforms, the block ``region.sample`` reads
+    (direction columns, then the radial uniform)."""
+    u = _uniform_block(rng, count, _direction_width(region.dim) + 1)
+    return region.sample(u)
 
 
 def _disk_count(scale):
@@ -255,19 +309,22 @@ def _disk_points(j, p):
 def _cross_disk_pairs(rng, n, n_disks, count):
     """Pairs with one point uniform in disk i and the other uniform in
     disk j != i, both among the first ``n_disks`` replication disks."""
-    n_even = n + (n % 2)
-    u = rng.random((count, 2 * n_even + 4))
+    k = _direction_width(n) + 1
+    u = _uniform_block(rng, count, 2 * k + 2)
     unit_ball = BallRegion((0.0,) * n, 1.0)
-    p = unit_ball.sample(_normals(u[:, :n_even]), u[:, -4])
-    q = unit_ball.sample(_normals(u[:, n_even : 2 * n_even]), u[:, -3])
-    i_disk = np.floor(u[:, -2] * n_disks).astype(int)
-    j_disk = np.floor(u[:, -1] * (n_disks - 1)).astype(int)
+    p = unit_ball.sample(u[:k])
+    q = unit_ball.sample(u[k : 2 * k])
+    i_disk = np.floor(u[-2] * n_disks).astype(int)
+    j_disk = np.floor(u[-1] * (n_disks - 1)).astype(int)
     j_disk = np.where(j_disk >= i_disk, j_disk + 1, j_disk)  # force i != j
     return _disk_points(i_disk, p), _disk_points(j_disk, q)
 
 
-def _witness_pairs(m, region, dirs_a, dirs_b, aux_a, aux_b, w1, w2, w3):
-    """Construction-aware pairs for the root node of ``m``.
+def _witness_pairs(m, region, a, b, w1, w2, w3):
+    """Construction-aware pairs for the root node of ``m``, one per
+    column of the point blocks ``a`` and ``b`` (direction rows, then a
+    radial uniform, as ``region.sample`` reads them) and of the free
+    uniforms ``w1``, ``w2``, ``w3``.
 
     Heuristics per constructor: rays and tight same-sphere pairs for
     norm-preserving maps, disk-boundary and cross-disk pairs for the
@@ -280,24 +337,28 @@ def _witness_pairs(m, region, dirs_a, dirs_b, aux_a, aux_b, w1, w2, w3):
     if isinstance(m, (M.RadialExtensionMap, M.SpiralMap)):
         lo = max(1e-3 * scale, 1e-6)
         r = np.exp(np.log(lo) + w1 * (np.log(scale) - np.log(lo)))
-        u = _unit_rows(dirs_a[:, :n])
-        x, y = _tangential_pairs(u, _unit_rows(dirs_b[:, :n]), r, 1e-3 * (0.5 + w2))
-        ray = w3 < 0.5  # the same ray at another radius instead
-        y[ray] = (r * (1.3 + 0.7 * w2))[ray, None] * u[ray]
+        u = _directions(a, n)
+        x = r[:, None] * u
+        y = np.empty_like(x)
+        ray = np.flatnonzero(w3 < 0.5)  # the same ray at another radius
+        y[ray] = (r[ray] * (1.3 + 0.7 * w2[ray]))[:, None] * u[ray]
+        tan = np.flatnonzero(w3 >= 0.5)  # a tight pair on the same sphere
+        _, y[tan] = _tangential_pairs(u[tan], _directions(b[:, tan], n), r[tan],
+                                      1e-3 * (0.5 + w2[tan]))
         return x, y
     if isinstance(m, M.DiskReplicationMap):
         n_disks = _disk_count(scale)
         j1 = np.floor(w1 * n_disks).astype(np.int64)
         j2 = np.floor(w2 * n_disks).astype(np.int64)
-        u = _unit_rows(dirs_a[:, :n])
-        v = _unit_rows(dirs_b[:, :n])
+        u = _directions(a, n)
+        v = _directions(b, n)
         # interior points of two (possibly different) disks; straddling
         # pairs hug the boundary of disk j1 from both sides
         straddle = (w3 < (1.0 / 3.0))[:, None]
         delta = (1e-4 + 0.01 * w2)[:, None]
-        p = np.where(straddle, (1.0 - delta) * u, (aux_a ** (1.0 / n))[:, None] * u)
+        p = np.where(straddle, (1.0 - delta) * u, (a[-1] ** (1.0 / n))[:, None] * u)
         q = np.where(straddle, (1.0 + delta) * _unit_rows(u + 0.02 * v),
-                     (aux_b ** (1.0 / n))[:, None] * v)
+                     (b[-1] ** (1.0 / n))[:, None] * v)
         return _disk_points(j1, p), _disk_points(np.where(straddle[:, 0], j1, j2), q)
     if isinstance(m, M.TranslatedReplicationMap):
         count = 1 + int(min(scale / 2.0, 64.0))
@@ -305,27 +366,24 @@ def _witness_pairs(m, region, dirs_a, dirs_b, aux_a, aux_b, w1, w2, w3):
             count = min(count, len(m.disk_maps))
         j1 = np.floor(w1 * count).astype(np.int64)
         j2 = np.floor(w2 * count).astype(np.int64)
-        u = _unit_rows(dirs_a[:, :n])
-        v = _unit_rows(dirs_b[:, :n])
-        x = (2.0 * j1)[:, None] * _e1(n) + (aux_a ** (1.0 / n))[:, None] * u
-        y = (2.0 * j2)[:, None] * _e1(n) + (aux_b ** (1.0 / n))[:, None] * v
+        unit_ball = BallRegion((0.0,) * n, 1.0)  # placed at 2 j e1 below
+        x = (2.0 * j1)[:, None] * _e1(n) + unit_ball.sample(a)
+        y = (2.0 * j2)[:, None] * _e1(n) + unit_ball.sample(b)
         return x, y
     if isinstance(m, M.ProductMap):
-        x = region.sample(dirs_a, aux_a)
+        x = region.sample(a)
         k = m.left.dim
         h = scale * np.exp(w2 * np.log(1e-3))  # log-uniform in [1e-3, 1] * scale
         offset = np.zeros_like(x)
-        left_block = w1 < 0.5
-        d_left = _unit_rows(dirs_b[:, :k])
-        d_right = _unit_rows(dirs_b[:, : n - k])
-        offset[left_block, :k] = d_left[left_block]
-        offset[~left_block, k:] = d_right[~left_block]
+        left = np.flatnonzero(w1 < 0.5)
+        right = np.flatnonzero(w1 >= 0.5)
+        offset[left, :k] = _directions(b[:, left], k)
+        offset[right, k:] = _directions(b[:, right], n - k)
         return x, x + h[:, None] * offset
     # default: multi-scale local pairs
-    x = region.sample(dirs_a, aux_a)
+    x = region.sample(a)
     h = scale * np.exp(w1 * np.log(1e-6))
-    y = x + h[:, None] * _unit_rows(dirs_b[:, :n])
-    return x, y
+    return x, x + h[:, None] * _directions(b, n)
 
 
 def _e1(n):
@@ -335,46 +393,47 @@ def _e1(n):
 
 
 def _pair_chunks(m, cfg, op_name):
-    """Yield (x, y) chunks of the deterministic pair stream."""
+    """Yield (x, y) chunks of the deterministic pair stream.
+
+    Pair i reads row i of a fixed-width block of uniforms: the family
+    selector, the blocks of its two points (k = _direction_width(n) + 1
+    uniforms each, which ``region.sample`` reads), then three free
+    uniforms. Global, local and witness pairs are each computed on
+    their own rows only.
+    """
     n = m.dim
-    if cfg.region.dim != n:
+    region = cfg.region
+    if region.dim != n:
         raise DimensionMismatchError(
-            f"region dimension {cfg.region.dim} != map dimension {n}"
+            f"region dimension {region.dim} != map dimension {n}"
         )
-    n_even = n + (n % 2)
-    per_point = n_even + 1
-    width = 1 + 2 * per_point + 3
+    k = _direction_width(n) + 1
+    a, b = slice(1, 1 + k), slice(1 + k, 1 + 2 * k)  # the two point blocks
     rng = _op_rng(cfg.seed, op_name)
     g_frac, l_frac, _ = cfg.mix
     remaining = cfg.n_pairs
     while remaining > 0:
         count = min(_CHUNK, remaining)
         remaining -= count
-        u = rng.random((count, width))
-        cat = u[:, 0]
-        a = u[:, 1 : 1 + per_point]
-        b = u[:, 1 + per_point : 1 + 2 * per_point]
-        w1, w2, w3 = u[:, -3], u[:, -2], u[:, -1]
-        dirs_a, aux_a = _normals(a[:, :n_even]), a[:, n_even]
-        dirs_b, aux_b = _normals(b[:, :n_even]), b[:, n_even]
+        u = _uniform_block(rng, count, 1 + 2 * k + 3)
+        cat = u[0]
+        x = np.empty((count, n))
+        y = np.empty((count, n))
 
-        x = cfg.region.sample(dirs_a, aux_a)
-        y = cfg.region.sample(dirs_b, aux_b)
+        rows = np.flatnonzero(cat < g_frac)
+        v = np.take(u, rows, axis=1)
+        x[rows] = region.sample(v[a])
+        y[rows] = region.sample(v[b])
 
-        local = (cat >= g_frac) & (cat < g_frac + l_frac)
-        if local.any():
-            h = cfg.local_scale * cfg.region.scale * (0.5 + w1[local])
-            y[local] = x[local] + h[:, None] * _unit_rows(dirs_b[local, :n])
+        rows = np.flatnonzero((cat >= g_frac) & (cat < g_frac + l_frac))
+        v = np.take(u, rows, axis=1)
+        x[rows] = xl = region.sample(v[a])
+        h = cfg.local_scale * region.scale * (0.5 + v[-3])
+        y[rows] = xl + h[:, None] * _directions(v[b], n)
 
-        witness = cat >= g_frac + l_frac
-        if witness.any():
-            wx, wy = _witness_pairs(
-                m, cfg.region, dirs_a[witness], dirs_b[witness],
-                aux_a[witness], aux_b[witness],
-                w1[witness], w2[witness], w3[witness],
-            )
-            x[witness] = wx
-            y[witness] = wy
+        rows = np.flatnonzero(cat >= g_frac + l_frac)
+        v = np.take(u, rows, axis=1)
+        x[rows], y[rows] = _witness_pairs(m, region, v[a], v[b], v[-3], v[-2], v[-1])
         yield x, y
 
 
@@ -408,14 +467,16 @@ def _two_point_stats(f, x, y):
     ratios, x, y) filtered, with stat = max(r, 1/r)."""
     d = np.linalg.norm(x - y, axis=1)
     keep = d >= _DEGENERATE_PAIR
-    if not keep.any():
+    kept = int(np.count_nonzero(keep))
+    if kept == 0:
         return 0, None, None, None, None
-    x, y, d = x[keep], y[keep], d[keep]
+    if kept < d.shape[0]:  # usually every pair is kept: no copies then
+        x, y, d = x[keep], y[keep], d[keep]
     df = np.linalg.norm(f(x) - f(y), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = df / d
         stat = np.maximum(ratio, np.where(ratio > 0, 1.0 / ratio, np.inf))
-    return int(keep.sum()), stat, ratio, x, y
+    return kept, stat, ratio, x, y
 
 
 def _running_max(chunks, floor=-np.inf):

@@ -56,11 +56,12 @@ class Report:
         })
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def _jsonable(x):
-    """Recursively strip numpy scalar and array types for JSON output."""
+    """Recursively strip numpy scalar and array types for JSON output;
+    a non-finite float becomes the string "inf", "-inf" or "nan"."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -70,7 +71,8 @@ def _jsonable(x):
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
     if isinstance(x, (np.floating, float)):
-        return float(x)
+        x = float(x)
+        return x if np.isfinite(x) else str(x)
     if isinstance(x, (np.integer, int)):
         return int(x)
     return x

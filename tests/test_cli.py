@@ -209,6 +209,26 @@ class TestEstimateCommand:
         assert_usage_error(capsys, "estimate", "--map", str(path),
                            "--region", region, *flags)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_values_are_strict_json(self, capsys, tmp_path):
+        # diag(1e307, 1) overflows on most of the ball: an infinite bound
+        # and a NaN ratio, written as strings, not as NaN or Infinity
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        path = tmp_path / "huge.map"
+        path.write_text("affine(matrix=[[1e307,0],[0,1]])\n")
+        out = tmp_path / "out.json"
+        assert run_cli(["estimate", "--map", str(path), "--region", "ball:0,0:100",
+                        "--claim", "2", "--pairs", "10000", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert stdout == out.read_text()
+        rec = json.loads(stdout, parse_constant=refuse)
+        assert rec["lambda_lower"] == "inf"
+        assert rec["violated"] is True
+        assert "nan" in (rec["violation"]["ratio"], rec["worst_pair"]["ratio"])
+
     def test_histogram_svg(self, capsys, tmp_path):
         path = tmp_path / "id.map"
         svg = tmp_path / "h.svg"
@@ -259,6 +279,22 @@ class TestDriftCommand:
         )
         assert code == 0
         assert records[0]["verdict"] == "bounded-below-threshold"
+
+    @pytest.mark.parametrize("witnesses, flags", [
+        ("replication", ["--x0", "a,b"]),
+        ("replication", ["--x0", "1,0,0"]),  # a 3-d point for a 2-d map
+        ("replication", ["--x0", "nan,0"]),
+        ("replication", ["--x0", "0.9,0.9"]),  # outside the open unit ball
+        ("replication", ["-K", "0"]),
+        ("replication", ["-K", "-3"]),
+        ("ray", ["--x0", "1,0,0"]),
+        ("ray", ["-K", "-1"]),
+    ])
+    def test_bad_drift_input_is_usage_error(self, capsys, tmp_path, witnesses, flags):
+        path = tmp_path / "rep.map"
+        save_map(M.disk_replication(M.make_twist_disk_map(dim=2)), path)
+        assert_usage_error(capsys, "drift", "--map", str(path),
+                           "--witnesses", witnesses, *flags)
 
     def test_expect_mismatch_exits_one(self, capsys, tmp_path):
         path = tmp_path / "id.map"

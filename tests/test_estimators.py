@@ -3,6 +3,8 @@ drift witnesses and graph length metrics."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bilip import estimators as est
 from bilip import maps as M
@@ -50,10 +52,113 @@ class TestSamplerConfig:
             est.box((-1.0, 0.0), (2.0, 5.0)),
             est.annulus((0.0, 0.0), 1.0, 4.0),
         ):
-            dirs = rng.normal(size=(5000, 2))
-            aux = rng.random(5000)
-            pts = region.sample(dirs, aux)
+            pts = region.sample(rng.random((est._direction_width(2) + 1, 5000)))
             assert region.contains(pts).all()
+
+
+def _stream_map(family, n):
+    """A map of dimension n whose witness family is ``family`` where one
+    exists in that dimension, else the identity (multi-scale pairs)."""
+    if n >= 2 and family == "radial":
+        return M.radial_extension(M.make_latitude_sphere_map(0.5, dim=n))
+    if n >= 2 and family == "spiral":
+        return M.spiral_map(M.LogSpiralProfile(1.0, (0, 1), n))
+    if n >= 2 and family == "replication":
+        return M.disk_replication(M.make_twist_disk_map(dim=n))
+    if n >= 2 and family == "translated":
+        return M.translated_replication(uniform=M.make_twist_disk_map(dim=n))
+    if n == 4 and family == "product":
+        return M.product_map(M.identity(1), M.identity(3))
+    return M.identity(n)
+
+
+@st.composite
+def _regions(draw, n):
+    center = tuple(float(draw(st.integers(-3, 3))) for _ in range(n))
+    kind = draw(st.sampled_from(["ball", "box", "annulus"]))
+    size = draw(st.floats(0.5, 50.0))
+    if kind == "ball":
+        return est.ball(center, size)
+    if kind == "box":
+        widths = [draw(st.floats(0.5, 20.0)) for _ in range(n)]
+        return est.box(center, [c + w for c, w in zip(center, widths)])
+    return est.annulus(center, draw(st.floats(0.0, 0.9)) * size, size)
+
+
+class TestPairStreamContract:
+    """The pair stream's fixed-block layout: prefixes are bit-identical,
+    global and local points lie in the region, directions are unit."""
+
+    @given(data=st.data(), n=st.integers(1, 4),
+           family=st.sampled_from(["identity", "radial", "spiral", "replication",
+                                   "translated", "product"]),
+           mix=st.sampled_from([(0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                (0.0, 0.0, 1.0), (0.1, 0.2, 0.7)]),
+           seed=st.integers(0, 2 ** 32), short=st.integers(1, 3000),
+           extra=st.integers(1, 2000))
+    @settings(max_examples=25)
+    def test_prefix_and_region(self, data, n, family, mix, seed, short, extra):
+        m = _stream_map(family, n)
+        region = data.draw(_regions(n))
+        n_long = est._CHUNK + extra
+
+        def stream(n_pairs):
+            c = est.SamplerConfig(seed=seed, region=region, n_pairs=n_pairs, mix=mix)
+            chunks = list(est._pair_chunks(m, c, "stream_contract"))
+            return len(chunks), *(np.concatenate(z) for z in zip(*chunks))
+
+        n_chunks, x, y = stream(n_long)
+        _, xs, ys = stream(short)
+        assert n_chunks == 2 and x.shape == y.shape == (n_long, n)
+        assert np.array_equal(x[:short], xs) and np.array_equal(y[:short], ys)
+
+        # the family selector is the first uniform of each pair's row
+        width = 1 + 2 * (est._direction_width(n) + 1) + 3
+        cat = est._op_rng(seed, "stream_contract").random((n_long, width))[:, 0]
+        glob = cat < mix[0]
+        local = (cat >= mix[0]) & (cat < mix[0] + mix[1])
+        assert region.contains(x[glob]).all() and region.contains(y[glob]).all()
+        assert region.contains(x[local]).all()
+        h = np.linalg.norm(y[local] - x[local], axis=1) / (1e-3 * region.scale)
+        assert np.all((h >= 0.5 * (1 - 1e-9)) & (h <= 1.5 * (1 + 1e-9)))
+
+    @given(n=st.integers(1, 6), count=st.integers(1, 50), data=st.data())
+    def test_directions_are_unit(self, n, count, data):
+        # Generator.random returns multiples of 2^-53 in [0, 1)
+        k = est._direction_width(n)
+        ints = data.draw(st.lists(st.integers(0, 2 ** 53 - 1), min_size=k * count,
+                                  max_size=k * count))
+        u = np.array(ints, dtype=float).reshape(k, count) / 2.0 ** 53
+        # Box-Muller gives the zero vector when every radius uniform is 0
+        assume(n < 4 or np.all(u[0::2].any(axis=0)))
+        d = est._directions(u, n)
+        assert d.shape == (count, n)
+        assert np.abs(np.linalg.norm(d, axis=1) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_directions_are_uniform_on_the_sphere(self, n):
+        rng = np.random.default_rng(20)
+        d = est._directions(rng.random((est._direction_width(n), 100_000)), n)
+        assert np.abs(d.mean(axis=0)).max() <= 0.02
+        assert np.abs(d.T @ d / d.shape[0] - np.eye(n) / n).max() <= 0.02
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_region_points_are_uniform(self, n):
+        # Kolmogorov-Smirnov distances to the uniform law: each box
+        # coordinate, and the volume fraction (r / R)^n of ball points
+        def ks(v):
+            v = np.sort(v)
+            grid = np.arange(1, v.size + 1) / v.size
+            return max(np.abs(grid - v).max(), np.abs(grid - 1.0 / v.size - v).max())
+
+        rng = np.random.default_rng(21)
+        lo, hi = np.arange(n) - 1.0, 2.0 * np.arange(n) + 1.0
+        pts = est._region_points(rng, est.box(lo, hi), 100_000)
+        for axis in range(n):
+            assert ks((pts[:, axis] - lo[axis]) / (hi[axis] - lo[axis])) <= 0.01
+        center = np.ones(n)
+        pts = est._region_points(rng, est.ball(center, 3.0), 100_000)
+        assert ks((np.linalg.norm(pts - center, axis=1) / 3.0) ** n) <= 0.01
 
 
 class TestBilipLowerBound:
