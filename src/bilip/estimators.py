@@ -303,7 +303,7 @@ def _disk_count(scale):
 def _disk_points(j, p):
     """The image 4^j e1 + 2^j p (centre 0 for j = 0) of the unit-ball
     rows ``p`` in replication disk ``j`` (an integer array)."""
-    return (4.0 ** j * (j > 0))[:, None] * _e1(p.shape[1]) + (2.0 ** j)[:, None] * p
+    return (4.0 ** j * (j > 0))[:, None] * M.unit_axis(p.shape[1]) + (2.0 ** j)[:, None] * p
 
 
 def _cross_disk_pairs(rng, n, n_disks, count):
@@ -352,14 +352,18 @@ def _witness_pairs(m, region, a, b, w1, w2, w3):
         j2 = np.floor(w2 * n_disks).astype(np.int64)
         u = _directions(a, n)
         v = _directions(b, n)
-        # interior points of two (possibly different) disks; straddling
-        # pairs hug the boundary of disk j1 from both sides
-        straddle = (w3 < (1.0 / 3.0))[:, None]
-        delta = (1e-4 + 0.01 * w2)[:, None]
-        p = np.where(straddle, (1.0 - delta) * u, (a[-1] ** (1.0 / n))[:, None] * u)
-        q = np.where(straddle, (1.0 + delta) * _unit_rows(u + 0.02 * v),
-                     (b[-1] ** (1.0 / n))[:, None] * v)
-        return _disk_points(j1, p), _disk_points(np.where(straddle[:, 0], j1, j2), q)
+        p, q = np.empty_like(u), np.empty_like(v)
+        # straddling pairs hug the boundary of disk j1 from both sides
+        rows = np.flatnonzero(w3 < 1.0 / 3.0)
+        delta = (1e-4 + 0.01 * w2[rows])[:, None]
+        p[rows] = (1.0 - delta) * u[rows]
+        q[rows] = (1.0 + delta) * _unit_rows(u[rows] + 0.02 * v[rows])
+        j2[rows] = j1[rows]
+        # interior points of two (possibly different) disks
+        rows = np.flatnonzero(w3 >= 1.0 / 3.0)
+        p[rows] = (a[-1, rows] ** (1.0 / n))[:, None] * u[rows]
+        q[rows] = (b[-1, rows] ** (1.0 / n))[:, None] * v[rows]
+        return _disk_points(j1, p), _disk_points(j2, q)
     if isinstance(m, M.TranslatedReplicationMap):
         count = 1 + int(min(scale / 2.0, 64.0))
         if m.disk_maps is not None:
@@ -367,8 +371,8 @@ def _witness_pairs(m, region, a, b, w1, w2, w3):
         j1 = np.floor(w1 * count).astype(np.int64)
         j2 = np.floor(w2 * count).astype(np.int64)
         unit_ball = BallRegion((0.0,) * n, 1.0)  # placed at 2 j e1 below
-        x = (2.0 * j1)[:, None] * _e1(n) + unit_ball.sample(a)
-        y = (2.0 * j2)[:, None] * _e1(n) + unit_ball.sample(b)
+        x = (2.0 * j1)[:, None] * M.unit_axis(n) + unit_ball.sample(a)
+        y = (2.0 * j2)[:, None] * M.unit_axis(n) + unit_ball.sample(b)
         return x, y
     if isinstance(m, M.ProductMap):
         x = region.sample(a)
@@ -384,12 +388,6 @@ def _witness_pairs(m, region, a, b, w1, w2, w3):
     x = region.sample(a)
     h = scale * np.exp(w1 * np.log(1e-6))
     return x, x + h[:, None] * _directions(b, n)
-
-
-def _e1(n):
-    e = np.zeros(n)
-    e[0] = 1.0
-    return e
 
 
 def _pair_chunks(m, cfg, op_name):

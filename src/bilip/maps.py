@@ -17,10 +17,12 @@ and drift measurements rely on it.
 Node protocol. Nodes come in four families, each rooted in a base
 class: sphere maps (``SphereMap``) and disk maps (``DiskMap``) map rows
 with ``apply``; rotation profiles (``SpiralProfile``) turn rows with
-``rotate``; map expressions (``MapExpr``) evaluate through ``_eval``,
-``_eval_inverse`` and ``_displacement``, and also answer ``apply``.
-Every node's ``inverse()`` returns a node of its own family. The three
-compositions share one constructor and one right-to-left ``apply``
+``rotate``; map expressions (``MapExpr``) evaluate through ``_eval`` and
+``_displacement``, and also answer ``apply``. In all four families an
+inverse is a node: ``inverse()`` builds one of the node's own family
+from the inverses of its parts, and ``_eval_inverse`` exists only in
+the ``MapExpr`` base class. The three compositions share one
+constructor, one right-to-left ``apply`` and one ``inverse``
 (``_Composition``); the two replication nodes share one per-disk
 transport (``_Replication``).
 
@@ -69,6 +71,15 @@ def unit_axis(dim, axis=0):
     return e
 
 
+def _row_products(pts, matrix):
+    """``pts @ matrix.T``, a single row as the first of two: numpy hands
+    one row to another BLAS kernel than a batch, which rounds otherwise,
+    and a row's bits must not depend on its batch."""
+    if pts.shape[0] == 1:
+        return (np.repeat(pts, 2, axis=0) @ matrix.T)[:1]
+    return pts @ matrix.T
+
+
 def _rotate_columns(out, i, j, cos_a, sin_a):
     """Rotate coordinate columns (i, j) in place by per-row angles."""
     xi = out[:, i].copy()
@@ -104,7 +115,9 @@ class _Composition:
         return pts
 
     def inverse(self):
-        return type(self)([m.inverse() for m in reversed(self.maps)])
+        inv = type(self)([m.inverse() for m in reversed(self.maps)])
+        inv.lambda_claimed = self.lambda_claimed  # not the product in reverse order
+        return inv
 
 
 # =====================================================================
@@ -154,7 +167,7 @@ class OrthogonalSphereMap(SphereMap):
         self.lambda_claimed = 1.0
 
     def apply(self, units):
-        return self._renormalize(units @ self.matrix.T)
+        return self._renormalize(_row_products(units, self.matrix))
 
     def inverse(self):
         return OrthogonalSphereMap(self.matrix.T)
@@ -194,17 +207,23 @@ class LatitudeSphereMap(SphereMap):
         return alpha + self.beta * np.sin(alpha)
 
     def _angle_map_inverse(self, target):
-        # Newton on a + beta*sin(a) - t; derivative >= 1 - 0.9 = 0.1.
+        # Newton on a + beta*sin(a) - t; derivative >= 1 - 0.9 = 0.1. A
+        # row stops after the step at which its own |f| < 1e-15, so its
+        # bits do not depend on the other rows of its batch.
         a = target.copy()
+        rows = np.arange(a.size)
         for _ in range(80):
-            fval = a + self.beta * np.sin(a) - target
-            a = a - fval / (1.0 + self.beta * np.cos(a))
-            if np.max(np.abs(fval)) < 1e-15:
+            ar = a[rows]
+            fval = ar + self.beta * np.sin(ar) - target[rows]
+            a[rows] = ar - fval / (1.0 + self.beta * np.cos(ar))
+            rows = rows[np.abs(fval) >= 1e-15]
+            if rows.size == 0:
                 break
         return np.clip(a, 0.0, np.pi)
 
     def _remap(self, units, angle_fn):
-        c = np.clip(units @ self._unit, -1.0, 1.0)
+        # summed per row, so a row's bits do not depend on its batch
+        c = np.clip(np.sum(units * self._unit, axis=1), -1.0, 1.0)
         tang = units - c[:, None] * self._unit[None, :]
         s = np.linalg.norm(tang, axis=1)
         # arctan2 keeps the polar angle well conditioned near the poles,
@@ -254,8 +273,8 @@ class ConjugatedSphereMap(SphereMap):
         self.lambda_claimed = inner.lambda_claimed
 
     def apply(self, units):
-        pulled = self._renormalize(units @ self.rotation)  # R^T x as rows
-        return self._renormalize(self.inner.apply(pulled) @ self.rotation.T)
+        pulled = self._renormalize(_row_products(units, self.rotation.T))  # R^T x
+        return self._renormalize(_row_products(self.inner.apply(pulled), self.rotation))
 
     def inverse(self):
         return ConjugatedSphereMap(self.rotation, self.inner.inverse())
@@ -347,9 +366,7 @@ class TwistDiskMap(DiskMap):
         return out
 
     def inverse(self):
-        neg = CubicProfile(self.profile.knots, -self.profile.coeffs,
-                           -self.profile.values)
-        return TwistDiskMap(neg, self.plane, self.dim)
+        return TwistDiskMap(-self.profile, self.plane, self.dim)
 
 
 class PLDiskMap(DiskMap):
@@ -471,7 +488,7 @@ class ConstantRotationProfile(SpiralProfile):
         self.c_bound = 0.0
 
     def rotate(self, radii, pts):
-        return pts @ self.matrix_value.T
+        return _row_products(pts, self.matrix_value)
 
     def matrix(self, t):
         return self.matrix_value
@@ -552,8 +569,7 @@ class CutoffRotationProfile(_PlaneAngleProfile):
         return ("identity", float(self.theta.support_end))
 
     def inverse(self):
-        neg = CubicProfile(self.theta.knots, -self.theta.coeffs, -self.theta.values)
-        return CutoffRotationProfile(neg, self.plane, self.dim)
+        return CutoffRotationProfile(-self.theta, self.plane, self.dim)
 
 
 def profile_derivative_check(profile, n_grid=60, fd_step=1e-6):
@@ -579,9 +595,9 @@ def profile_derivative_check(profile, n_grid=60, fd_step=1e-6):
 class MapExpr:
     """Node of an exactly evaluable self-map of R^n.
 
-    Subclasses implement ``_eval``, ``_eval_inverse`` and
-    ``_displacement`` on (N, n) arrays; the public functions below
-    validate inputs once and dispatch.
+    Subclasses implement ``_eval`` and ``_displacement`` on (N, n)
+    arrays and ``inverse()``; the public functions below validate inputs
+    once and dispatch.
     """
 
     dim = None
@@ -591,7 +607,7 @@ class MapExpr:
         raise NotImplementedError
 
     def _eval_inverse(self, pts):
-        raise NotImplementedError(f"{type(self).__name__} has no inverse")
+        return self.inverse()._eval(pts)
 
     def _displacement(self, pts):
         return self._eval(pts) - pts
@@ -602,7 +618,7 @@ class MapExpr:
         return self._eval(pts)
 
     def inverse(self):
-        return InverseMap(self)
+        raise NotImplementedError
 
     def __call__(self, pts):
         return evaluate_points(self, pts)
@@ -621,11 +637,11 @@ class IdentityMap(MapExpr):
     def _eval(self, pts):
         return pts.copy()
 
-    def _eval_inverse(self, pts):
-        return pts.copy()
-
     def _displacement(self, pts):
         return np.zeros_like(pts)
+
+    def inverse(self):
+        return self
 
 
 class AffineMap(MapExpr):
@@ -642,26 +658,24 @@ class AffineMap(MapExpr):
             np.zeros(self.dim) if offset is None else as_vector(offset, dim=self.dim)
         )
         self.lambda_claimed = None
-        if abs(np.linalg.det(m)) > 0.0:
-            try:
-                inv = np.linalg.inv(m)
-                self.lambda_claimed = float(
-                    max(largest_singular_values(np.stack([m, inv])))
-                )
-            except np.linalg.LinAlgError:
-                pass
+        if abs(np.linalg.det(m)) > 0.0:  # then the LU of inv has no zero pivot
+            inv = np.linalg.inv(m)
+            self.lambda_claimed = float(max(largest_singular_values(np.stack([m, inv]))))
 
     def _eval(self, pts):
-        return pts @ self.matrix.T + self.offset
-
-    def _eval_inverse(self, pts):
-        try:
-            return np.linalg.solve(self.matrix, (pts - self.offset).T).T
-        except np.linalg.LinAlgError as exc:
-            raise NotInvertibleError("affine map is singular") from exc
+        return _row_products(pts, self.matrix) + self.offset
 
     def _displacement(self, pts):
-        return pts @ (self.matrix - np.eye(self.dim)).T + self.offset
+        return _row_products(pts, self.matrix - np.eye(self.dim)) + self.offset
+
+    def inverse(self):
+        try:
+            inv_matrix = np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NotInvertibleError("affine map is singular") from exc
+        inv = copy.copy(self)  # the claim is symmetric in M and M^-1
+        inv.matrix, inv.offset = inv_matrix, -(inv_matrix @ self.offset)
+        return inv
 
 
 class RadialExtensionMap(MapExpr):
@@ -680,7 +694,7 @@ class RadialExtensionMap(MapExpr):
         lam = sphere_map.lambda_claimed
         self.lambda_claimed = (1.0 + lam) if lam is not None else None
 
-    def _radial(self, pts, phi, displacement=False):
+    def _radial(self, pts, displacement=False):
         """||v|| phi(v / ||v||) for nonzero rows v; with ``displacement``
         that minus v, computed at unit scale as ||v|| (phi(u) - u)."""
         r = np.linalg.norm(pts, axis=1)
@@ -688,18 +702,18 @@ class RadialExtensionMap(MapExpr):
         out = np.zeros_like(pts) if displacement else pts.copy()
         if nz.any():
             u = pts[nz] / r[nz, None]
-            image = phi.apply(u)
+            image = self.sphere_map.apply(u)
             out[nz] = r[nz, None] * (image - u if displacement else image)
         return out
 
     def _eval(self, pts):
-        return self._radial(pts, self.sphere_map)
-
-    def _eval_inverse(self, pts):
-        return self._radial(pts, self.sphere_map.inverse())
+        return self._radial(pts)
 
     def _displacement(self, pts):
-        return self._radial(pts, self.sphere_map, displacement=True)
+        return self._radial(pts, displacement=True)
+
+    def inverse(self):
+        return RadialExtensionMap(self.sphere_map.inverse())
 
 
 class _Replication(MapExpr):
@@ -708,9 +722,9 @@ class _Replication(MapExpr):
     similarity onto disk j (``_disk``: center and scale) and the disk
     map acting there (``_map_for``: None for the identity)."""
 
-    def _per_disk(self, pts, inverse=False, displacement=False):
-        """Rows of each disk through its disk map (or its inverse) in
-        the disk's unit coordinates; other rows pass through. With
+    def _per_disk(self, pts, displacement=False):
+        """Rows of each disk through its disk map in the disk's unit
+        coordinates; other rows pass through. With
         ``displacement`` the image minus the input, computed at the
         disk's own scale."""
         j = self._locate(pts)
@@ -719,8 +733,6 @@ class _Replication(MapExpr):
             g = self._map_for(int(jj))
             if g is None:
                 continue
-            if inverse:
-                g = g.inverse()
             rows = j == jj
             center, scale = self._disk(int(jj))
             local = (pts[rows] - center) / scale
@@ -731,9 +743,6 @@ class _Replication(MapExpr):
 
     def _eval(self, pts):
         return self._per_disk(pts)
-
-    def _eval_inverse(self, pts):
-        return self._per_disk(pts, inverse=True)
 
     def _displacement(self, pts):
         return self._per_disk(pts, displacement=True)
@@ -765,6 +774,9 @@ class DiskReplicationMap(_Replication):
 
     def _map_for(self, j):
         return self.disk_map
+
+    def inverse(self):
+        return DiskReplicationMap(self.disk_map.inverse())
 
 
 class TranslatedReplicationMap(_Replication):
@@ -811,6 +823,12 @@ class TranslatedReplicationMap(_Replication):
             return self.disk_maps[j]
         return None
 
+    def inverse(self):
+        if self.uniform is not None:
+            return TranslatedReplicationMap(uniform=self.uniform.inverse())
+        return TranslatedReplicationMap(
+            [None if g is None else g.inverse() for g in self.disk_maps])
+
     def _disk(self, j):
         return 2.0 * j * unit_axis(self.dim), 1.0
 
@@ -855,13 +873,12 @@ class ProductMap(MapExpr):
         x, y = self._split(pts)
         return np.hstack([self.left._eval(x), self.right._eval(y)])
 
-    def _eval_inverse(self, pts):
-        x, y = self._split(pts)
-        return np.hstack([self.left._eval_inverse(x), self.right._eval_inverse(y)])
-
     def _displacement(self, pts):
         x, y = self._split(pts)
         return np.hstack([self.left._displacement(x), self.right._displacement(y)])
+
+    def inverse(self):
+        return ProductMap(self.left.inverse(), self.right.inverse())
 
 
 class SpiralMap(MapExpr):
@@ -879,43 +896,46 @@ class SpiralMap(MapExpr):
         self.dim = profile.dim
         self.lambda_claimed = profile.dim * profile.c_bound + 1.0
 
-    def _spun(self, pts, profile):
+    def _eval(self, pts):
         r = np.linalg.norm(pts, axis=1)
         nz = r > 0.0
         out = pts.copy()
         if nz.any():
-            out[nz] = profile.rotate(r[nz], pts[nz])
+            out[nz] = self.profile.rotate(r[nz], pts[nz])
         return out
 
-    def _eval(self, pts):
-        return self._spun(pts, self.profile)
-
-    def _eval_inverse(self, pts):
+    def inverse(self):
         # (phi_f)^{-1} = phi_g with g(t) = f(t)^{-1}; negating an angle
         # or transposing a matrix is exact
-        return self._spun(pts, self.profile.inverse())
+        return SpiralMap(self.profile.inverse())
 
 
 class PLHomeomorphismMap(MapExpr):
-    """A boundary-fixed PLMap as a self-map of R^n (identity outside)."""
+    """A boundary-fixed PLMap as a self-map of R^n (identity outside);
+    with ``inverted`` its inverse, which has the same constant."""
 
     tag = "pl"
-    fields = (("map", "plmap"),)
+    fields = (("map", "plmap"), ("inverted", "inverted"))
 
-    def __init__(self, plmap):
+    def __init__(self, plmap, inverted=False):
         if not plmap.boundary_fixed:
             raise SupportViolationError(
                 "a PL node must be boundary-fixed to act on all of R^n"
             )
         self.plmap = plmap
         self.dim = plmap.dim
+        self.inverted = True if inverted else None  # None: the text omits it
         self.lambda_claimed = plmod.pl_bilip_constant(plmap)
 
     def _eval(self, pts):
-        return plmod.pl_eval(self.plmap, pts)
+        fn = plmod.pl_eval_inverse if self.inverted else plmod.pl_eval
+        return fn(self.plmap, pts)
 
-    def _eval_inverse(self, pts):
-        return plmod.pl_eval_inverse(self.plmap, pts)
+    def inverse(self):
+        # a copy keeps the claim, as PLDiskMap.inverse does
+        inv = copy.copy(self)
+        inv.inverted = None if self.inverted else True
+        return inv
 
 
 class CompositionMap(_Composition, MapExpr):
@@ -925,9 +945,6 @@ class CompositionMap(_Composition, MapExpr):
 
     def _eval(self, pts):
         return self.apply(pts)
-
-    def _eval_inverse(self, pts):
-        return self.inverse().apply(pts)
 
     def _displacement(self, pts):
         # (f o g)(x) - x = disp_f(g(x)) + disp_g(x), folded right to left
@@ -940,19 +957,22 @@ class CompositionMap(_Composition, MapExpr):
 
 
 class InverseMap(MapExpr):
+    """The text node ``inverse(map=...)``; it acts as ``inner.inverse()``."""
+
     tag = "inverse"
     fields = (("map", "inner"),)
 
     def __init__(self, inner):
         self.inner = inner
+        self._inv = inner.inverse()
         self.dim = inner.dim
         self.lambda_claimed = inner.lambda_claimed  # symmetric in the definition
 
     def _eval(self, pts):
-        return self.inner._eval_inverse(pts)
+        return self._inv._eval(pts)
 
-    def _eval_inverse(self, pts):
-        return self.inner._eval(pts)
+    def _displacement(self, pts):
+        return self._inv._displacement(pts)
 
     def inverse(self):
         return self.inner
@@ -965,11 +985,7 @@ class InverseMap(MapExpr):
 def replication_disk(j, dim):
     """Center and radius of the j-th replication disk: D(4^j e1, 2^j)
     for j >= 1 and the unit disk for j = 0."""
-    center = np.zeros(dim)
-    if j > 0:
-        center[0] = 4.0 ** j
-    scale = 2.0 ** j if j > 0 else 1.0
-    return center, scale
+    return (4.0 ** j if j > 0 else 0.0) * unit_axis(dim), 2.0 ** j
 
 
 def locate_replication_disks(pts):

@@ -55,10 +55,6 @@ class Triangulation:
     def n_simplices(self):
         return self.simplices.shape[0]
 
-    @property
-    def grid_shape(self):
-        return (self.resolution + 1,) * self.dim
-
     def boundary_vertex_mask(self):
         """Boolean mask of lattice vertices on the box boundary."""
         if self._boundary_mask is None:
@@ -216,15 +212,11 @@ def _locate(tri, pts):
 
 
 def _path_vertex_indices(tri, cube, order):
-    """Flat lattice indices of the simplex path v0..vn for each row."""
-    npts, n = cube.shape
-    lat = np.empty((npts, n + 1, n), dtype=np.int64)
-    lat[:, 0, :] = cube
-    eye = np.eye(n, dtype=np.int64)
-    steps = eye[order]  # (N, n, n): one-hot of order[k]
-    lat[:, 1:, :] = cube[:, None, :] + np.cumsum(steps, axis=1)
-    shape = tri.grid_shape
-    return np.ravel_multi_index(tuple(lat[..., a] for a in range(n)), shape)
+    """Flat lattice indices of the simplex path v0..vn for each row: the
+    cube's corner, then one unit step along axis order[k] at a time, so
+    a running sum of the corner and the C-order strides of the steps."""
+    stride = (tri.resolution + 1) ** np.arange(tri.dim - 1, -1, -1)
+    return np.cumsum(np.column_stack([cube @ stride, stride[order]]), axis=1)
 
 
 def _outside_mask(tri, pts):

@@ -52,6 +52,10 @@ class CubicProfile:
         d = (2.0 * (p[:-1] - p[1:]) / h + m[:-1] + m[1:]) / (h * h)
         return cls(t, np.stack([a, b, c, d], axis=1), p)
 
+    def __neg__(self):
+        """The profile -f; negating every coefficient and value is exact."""
+        return CubicProfile(self.knots, -self.coeffs, -self.values)
+
     @property
     def support_end(self):
         return float(self.knots[-1])

@@ -10,7 +10,7 @@ occurred; any violation is recorded with its witness pair.
 import inspect
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,18 +42,7 @@ class Report:
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return _jsonable({
-            "scenario": self.scenario,
-            "passed": bool(self.passed),
-            "claimed": self.claimed,
-            "observed": self.observed,
-            "worst": self.worst,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "wall_time_ms": self.wall_time_ms,
-            "tool_version": self.tool_version,
-            "details": self.details,
-        })
+        return _jsonable(asdict(self))
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
@@ -268,7 +257,7 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
             probe = E._disk_points(np.array([20]), x0[None, :])[0]
         else:
             x0 = 0.9 * x0 / max(np.linalg.norm(x0), 1e-12)
-            probe = 40.0 * E._e1(n) + x0  # the disk centered at 2*20*e1
+            probe = 40.0 * M.unit_axis(n) + x0  # the disk centered at 2*20*e1
         drift_witness = float(np.linalg.norm(M.displacement(f_g, probe)))
 
     passed = residual <= 1e-9 and restr <= 1e-12 and (
@@ -393,7 +382,7 @@ def verify_spiral_bound(p, cfg, kernel_count=30, kernel_threshold=1e6):
     kernel_ok = True
     if kind == "identity":
         ks = np.arange(1, kernel_count + 1)
-        ray = (2.0 ** ks)[:, None] * E._e1(n)[None, :]
+        ray = (2.0 ** ks)[:, None] * M.unit_axis(n)[None, :]
         rep = E.drift_profile(fmap, ray, kernel_threshold)
         kernel_ok = rep.verdict == E.VERDICT_BOUNDED
         kernel_detail["verdict"] = rep.verdict
