@@ -44,6 +44,7 @@ _CHUNK = 131072
 _DRAW_ROWS = 4096  # rows of uniforms per draw (see _uniform_block)
 _DEGENERATE_PAIR = 1e-12
 _RELATIVE_SLACK = 1e-9  # float headroom on proven inequalities
+REFUTATION_SLACK = 1e-6  # a sampled ratio refutes a claim only beyond this, relative
 
 
 def _op_rng(seed, op_name):
@@ -513,17 +514,28 @@ def bilip_lower_bound(m, cfg, op_name="bilip_lower_bound"):
     return BilipEstimate(max(best, 1.0), pair, used, cfg.seed)
 
 
+def refutation_floor(lambda_claim):
+    """The distortion a sampled pair must exceed to refute
+    ``lambda_claim``: the claim plus REFUTATION_SLACK relative."""
+    return lambda_claim * (1.0 + REFUTATION_SLACK)
+
+
 def falsify_bilip_bound(m, lambda_claim, cfg, op_name="falsify_bilip_bound"):
     """Search for a pair violating the claimed constant by more than
-    1e-6 relative. Returns the worst violating pair (x, y, ratio) or
-    None; None is absence of refutation, not a proof. A pair with
-    non-finite images violates every claim.
+    REFUTATION_SLACK relative. Returns the worst violating pair (x, y,
+    ratio) or None; None is absence of refutation, not a proof. A pair
+    with non-finite images violates every claim.
+
+    On the stream of ``bilip_lower_bound`` the witness is that
+    estimate's ``worst_pair`` exactly when its ``lambda_lower`` exceeds
+    ``refutation_floor(lambda_claim)``, so a caller holding the estimate
+    needs no second pass.
     """
     if lambda_claim < 1.0:
         raise InvalidPointError("a bi-Lipschitz constant is >= 1")
     _, witness, _ = _running_max((_two_point_stats(m._eval, x, y)
                                   for x, y in _pair_chunks(m, cfg, op_name)),
-                                 floor=lambda_claim * (1.0 + 1e-6))
+                                 floor=refutation_floor(lambda_claim))
     return witness
 
 

@@ -607,7 +607,20 @@ class MapExpr:
         raise NotImplementedError
 
     def _eval_inverse(self, pts):
-        return self.inverse()._eval(pts)
+        # the inverse node is built once per node, as InverseMap does:
+        # inverting a listed translated replication inverts every entry
+        inv = self.__dict__.get("_inverse_node")
+        if inv is None:
+            inv = self._inverse_node = self.inverse()
+        return inv._eval(pts)
+
+    def __copy__(self):
+        # a copy is another node (inverse() copies affine and PL nodes),
+        # so it does not inherit the cached inverse
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.__dict__.pop("_inverse_node", None)
+        return new
 
     def _displacement(self, pts):
         return self._eval(pts) - pts
@@ -992,27 +1005,20 @@ def locate_replication_disks(pts):
     """Disk index for each row of ``pts``: the unique j with
     ||v - 4^j e1|| <= 2^j (j=0 means the unit disk), or -1.
 
-    The radius of any point inside disk j is within a factor 2^-j of
-    4^j, so rounding log4 of the norm and checking the three nearest
-    candidates covers every case; candidates are tried smallest first.
+    A point of disk j >= 1 has 4^j - 2^j <= x1 <= 4^j + 2^j, so the
+    binary exponent e of x1 + 1/2 (``np.frexp``: m 2^e, 1/2 <= |m| < 1)
+    is 2j or 2j + 1; for the unit disk e <= 1. So j = max(e // 2, 0) is
+    the only candidate, and 4^j and 2^j are exact powers of two. The
+    half also covers x1 = 2 - 2^-52, which the rounded distance to 4
+    puts on the boundary of disk 1.
     """
     x1 = pts[:, 0]
     rest_sq = np.sum(pts[:, 1:] ** 2, axis=1)
-    r = np.linalg.norm(pts, axis=1)
-    jest = np.rint(np.log(np.maximum(r, 1.0)) / np.log(4.0)).astype(np.int64)
-    found = np.full(pts.shape[0], -1, dtype=np.int64)
-    for dj in (-1, 0, 1):
-        cand = jest + dj
-        open_rows = (found < 0) & (cand >= 0)
-        if not open_rows.any():
-            continue
-        c = np.where(cand[open_rows] > 0, 4.0 ** cand[open_rows], 0.0)
-        radius = np.where(cand[open_rows] > 0, 2.0 ** cand[open_rows], 1.0)
-        d2 = (x1[open_rows] - c) ** 2 + rest_sq[open_rows]
-        hit = d2 <= radius * radius
-        idx = np.flatnonzero(open_rows)[hit]
-        found[idx] = cand[open_rows][hit]
-    return found
+    j = np.maximum(np.frexp(x1 + 0.5)[1] >> 1, 0).astype(np.int64)
+    four_j = np.ldexp(1.0, 2 * j)  # 4^j, also the squared radius (2^j)^2
+    center = np.where(j > 0, four_j, 0.0)
+    hit = (x1 - center) ** 2 + rest_sq <= four_j
+    return np.where(hit, j, -1)
 
 
 def locate_replication_disk(v):

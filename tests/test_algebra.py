@@ -7,6 +7,9 @@ the inverse laws: its inverse node and the ``inverse(map=...)`` text
 node agree bit for bit, undo the map within a tolerance scaled by the
 claim, write canonical text that reads back byte-exactly with the
 claim of the map itself, and evaluate each row as it does in a batch.
+Every expression's displacement must equal f(x) - x where that
+difference is well conditioned, and a sampled lower bound must never
+beat its claim.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bilip.pl
+from bilip import estimators as E
 from bilip import maps as M
 from bilip.core import rotation_matrix
 from bilip.errors import MapFormatError, NotInvertibleError
@@ -134,6 +138,29 @@ class TestInverseLaws:
                                       disp[i])
 
 
+class TestDisplacementAndClaims:
+    @settings(max_examples=30)
+    @given(cases())
+    def test_displacement_is_image_minus_point(self, case):
+        # near the origin f(x) - x loses no precision to cancellation
+        m, pts = case
+        pts = pts[np.linalg.norm(pts, axis=1) <= 10.0]
+        err = np.linalg.norm(M.displacement_points(m, pts)
+                             - (M.evaluate_points(m, pts) - pts), axis=1)
+        assert np.all(err <= 1e-13 * m.lambda_claimed
+                      * np.maximum(1.0, np.linalg.norm(pts, axis=1)))
+
+    @settings(max_examples=30)
+    @given(cases(), st.integers(0, 2 ** 16))
+    def test_sampled_bound_never_beats_the_claim(self, case, seed):
+        # the relative slack covers rounding in ratios of pairs as close
+        # as 1e-5 at radius 10
+        m, _ = case
+        cfg = E.SamplerConfig(seed=seed, region=E.ball(np.zeros(m.dim), 10.0),
+                              n_pairs=2000)
+        assert E.bilip_lower_bound(m, cfg).lambda_lower <= m.lambda_claimed * (1.0 + 1e-9)
+
+
 class TestInverseNodes:
     def test_inverse_replication_keeps_the_drift_law(self):
         # 2^k ||g^-1(x0) - x0|| along 4^k e1 + 2^k x0, as the forward map does
@@ -182,6 +209,30 @@ class TestInverseNodes:
         assert "inverted" not in map_to_text(m)
         assert map_to_text(inv).endswith(",inverted=true)")
         assert not inv.inverse().inverted
+
+    def test_inverse_node_is_built_once(self, monkeypatch):
+        twist = M.make_twist_disk_map(dim=2, amplitude=0.5)
+        m = M.translated_replication([twist, None] * 50)
+        built = []
+        build = m.inverse
+        monkeypatch.setattr(m, "inverse", lambda: built.append(1) or build())
+        pts = np.random.default_rng(3).uniform(-1.0, 200.0, size=(500, 2))
+        first = M.evaluate_inverse_points(m, pts)
+        assert np.array_equal(M.evaluate_inverse_points(m, pts), first)
+        assert len(built) == 1
+        assert np.array_equal(first, M.evaluate_points(build(), pts))
+
+    @pytest.mark.parametrize("m", [
+        M.affine([[2.0, 1.0], [0.0, 1.0]], [0.5, -0.5]),
+        M.pl_homeomorphism(pl_twist_example(2, 4, 0.3)),
+    ])
+    def test_copied_inverse_does_not_inherit_the_cache(self, m):
+        # inverse() copies these nodes after the parent cached its inverse
+        pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(50, 2))
+        M.evaluate_inverse_points(m, pts)
+        inv = m.inverse()
+        assert np.allclose(M.evaluate_inverse_points(inv, pts), M.evaluate_points(m, pts),
+                           rtol=0.0, atol=1e-12)
 
     def test_latitude_newton_is_batch_independent(self):
         # each row stops Newton on its own residual, not the batch maximum

@@ -227,7 +227,21 @@ class TestEstimateCommand:
         rec = json.loads(stdout, parse_constant=refuse)
         assert rec["lambda_lower"] == "inf"
         assert rec["violated"] is True
-        assert "nan" in (rec["violation"]["ratio"], rec["worst_pair"]["ratio"])
+        assert rec["violation"] == rec["worst_pair"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_ratio_is_written_as_nan(self, capsys, tmp_path):
+        # every image of 1e308 I on this ball overflows to +inf, so every
+        # image distance is inf - inf = NaN
+        path = tmp_path / "huge.map"
+        path.write_text("affine(matrix=[[1e308,0],[0,1e308]])\n")
+        assert run_cli(["estimate", "--map", str(path), "--region", "ball:50,50:1",
+                        "--claim", "2", "--pairs", "1000"]) == 1
+        stdout = capsys.readouterr().out
+        assert '"ratio": "nan"' in stdout
+        rec = json.loads(stdout)
+        assert rec["violation"] == rec["worst_pair"]
 
     def test_histogram_svg(self, capsys, tmp_path):
         path = tmp_path / "id.map"
@@ -239,6 +253,69 @@ class TestEstimateCommand:
         )
         assert code == 0
         assert svg.read_text().startswith("<svg")
+
+
+class TestClaimIsJudgedOnTheEstimateStream:
+    """``estimate --claim`` draws and evaluates one pair stream: the
+    claim is refuted exactly when the bound beats it by more than the
+    refutation slack, and the witness is the bound's worst pair."""
+
+    REGION = "ball:0,0:300"
+
+    @pytest.fixture
+    def twist(self, tmp_path):
+        m = M.disk_replication(M.make_twist_disk_map(dim=2, amplitude=0.7))
+        path = tmp_path / "twist.map"
+        save_map(m, path)
+        return m, str(path)
+
+    def estimate(self, capsys, path, *flags):
+        return run(capsys, "estimate", "--map", path, "--region", self.REGION,
+                   "--pairs", "20000", "--seed", "5", *flags)
+
+    def test_one_stream_per_run(self, capsys, monkeypatch, twist):
+        streams = []
+        draw = est._pair_chunks
+
+        def counting(*args):
+            streams.append(args[-1])
+            return draw(*args)
+
+        monkeypatch.setattr(est, "_pair_chunks", counting)
+        self.estimate(capsys, twist[1], "--claim", "1.2")
+        assert streams == ["bilip_lower_bound"]
+
+    def test_marginal_claim_is_refuted(self, capsys, twist):
+        # the bound beats 1.4158 by 2.8e-5 relative, beyond the slack
+        code, (rec,) = self.estimate(capsys, twist[1], "--claim", "1.4158")
+        assert rec["lambda_lower"] == 1.415839330696192
+        assert code == 1
+        assert rec["violated"] is True
+        assert rec["violation"] == rec["worst_pair"]
+
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 0.5e-6, 1.0 + 2e-6, 1.01, 1.3])
+    def test_violated_exactly_beyond_the_slack(self, capsys, twist, factor):
+        m, path = twist
+        _, (bound,) = self.estimate(capsys, path)
+        lam = bound["lambda_lower"]
+        claim = lam / factor
+        code, (rec,) = self.estimate(capsys, path, "--claim", repr(claim))
+        violated = lam > claim * (1.0 + est.REFUTATION_SLACK)
+        assert violated == (factor > 1.0 + est.REFUTATION_SLACK)
+        assert rec["violated"] is violated
+        assert code == (1 if violated else 0)
+        assert {k: rec[k] for k in bound if k != "elapsed_ms"} == \
+            {k: bound[k] for k in bound if k != "elapsed_ms"}
+        # the falsifier, run on the bound's own stream, finds the same pair
+        cfg = est.SamplerConfig(seed=5, region=parse_region(self.REGION, 2), n_pairs=20000)
+        witness = est.falsify_bilip_bound(m, claim, cfg, op_name="bilip_lower_bound")
+        if violated:
+            assert rec["violation"] == rec["worst_pair"]
+            assert [list(witness[0]), list(witness[1]), witness[2]] == \
+                [rec["violation"][k] for k in ("x", "y", "ratio")]
+        else:
+            assert "violation" not in rec
+            assert witness is None
 
 
 class TestDriftCommand:

@@ -237,6 +237,44 @@ class TestLocateReplicationDisk:
                     break
             assert M.locate_replication_disk(v) == expected
 
+    @staticmethod
+    def brute_force(pts):
+        # the first disk whose rounded squared distance test holds
+        found = np.full(pts.shape[0], -1)
+        for j in range(63, -1, -1):
+            center = 4.0 ** j if j > 0 else 0.0
+            hit = (pts[:, 0] - center) ** 2 + pts[:, 1] ** 2 <= (2.0 ** j) ** 2
+            found[hit] = j
+        return found
+
+    def test_disk_ends_to_one_ulp(self):
+        # 2 - 2^-52 lies on disk 1: its rounded distance to 4 is 2
+        ends = []
+        for j in range(0, 40):
+            center = 4.0 ** j if j > 0 else 0.0
+            for end in (center - 2.0 ** j, center + 2.0 ** j):
+                ends += [np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf)]
+        x1 = np.array(ends)
+        pts = np.column_stack([np.concatenate([x1, -x1, x1]),
+                               np.concatenate([0 * x1, 0 * x1, 1e-9 * x1])])
+        assert np.array_equal(M.locate_replication_disks(pts), self.brute_force(pts))
+        assert M.locate_replication_disk([2.0 - 2.0 ** -52, 0.0]) == 1
+
+    def test_far_points_match_brute_force(self):
+        rng = np.random.default_rng(14)
+        u = rng.normal(size=(20_000, 2))
+        pts = u / np.linalg.norm(u, axis=1)[:, None] * 10.0 ** rng.uniform(-3, 6, (20_000, 1))
+        assert np.array_equal(M.locate_replication_disks(pts), self.brute_force(pts))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_huge_and_non_finite_points_lie_in_no_disk(self):
+        pts = np.array([[1e300, 0.0], [-1e300, 1e300], [np.inf, 0.0], [-np.inf, 0.0],
+                        [np.nan, 0.0]])
+        assert np.array_equal(M.locate_replication_disks(pts), [-1] * 5)
+        f = M.disk_replication(M.make_twist_disk_map(dim=2))
+        assert np.array_equal(M.evaluate_points(f, pts[:2]), pts[:2])
+
 
 class TestDiskReplication:
     def test_identity_disk_map_gives_identity(self):
