@@ -478,16 +478,16 @@ def _two_point_stats(f, x, y):
     return kept, stat, ratio, x, y
 
 
-def _running_max(chunks, floor=-np.inf):
+def _running_max(chunks):
     """Ordered running maximum over (keep_count, stats, ratios, x, y)
     chunks, as _two_point_stats returns them.
 
     A NaN stat counts as +inf, so a pair whose images are not finite is
     a violation and is never skipped. Returns (best, pair, kept): the
-    largest stat above ``floor`` (else ``floor``), its first pair
+    largest stat (-inf when no pair is kept), its first pair
     (x, y, ratio) or None, and the number of pairs kept.
     """
-    best, pair, kept = floor, None, 0
+    best, pair, kept = -np.inf, None, 0
     for count, stat, ratio, x, y in chunks:
         if count == 0:
             continue
@@ -526,17 +526,18 @@ def falsify_bilip_bound(m, lambda_claim, cfg, op_name="falsify_bilip_bound"):
     ratio) or None; None is absence of refutation, not a proof. A pair
     with non-finite images violates every claim.
 
-    On the stream of ``bilip_lower_bound`` the witness is that
-    estimate's ``worst_pair`` exactly when its ``lambda_lower`` exceeds
-    ``refutation_floor(lambda_claim)``, so a caller holding the estimate
-    needs no second pass.
+    The witness is the ``worst_pair`` of ``bilip_lower_bound`` on the
+    stream named ``op_name`` when its ``lambda_lower`` exceeds
+    ``refutation_floor(lambda_claim)``, so a caller holding the
+    estimate needs no second pass.
     """
     if lambda_claim < 1.0:
         raise InvalidPointError("a bi-Lipschitz constant is >= 1")
-    _, witness, _ = _running_max((_two_point_stats(m._eval, x, y)
-                                  for x, y in _pair_chunks(m, cfg, op_name)),
-                                 floor=refutation_floor(lambda_claim))
-    return witness
+    try:
+        est = bilip_lower_bound(m, cfg, op_name)
+    except InsufficientSamplesError:
+        return None
+    return est.worst_pair if est.lambda_lower > refutation_floor(lambda_claim) else None
 
 
 def sphere_bilip_lower_bound(phi, seed, n_pairs):

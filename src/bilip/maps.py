@@ -20,8 +20,9 @@ with ``apply``; rotation profiles (``SpiralProfile``) turn rows with
 ``rotate``; map expressions (``MapExpr``) evaluate through ``_eval`` and
 ``_displacement``, and also answer ``apply``. In all four families an
 inverse is a node: ``inverse()`` builds one of the node's own family
-from the inverses of its parts, and ``_eval_inverse`` exists only in
-the ``MapExpr`` base class. The three compositions share one
+from the inverses of its parts, and ``_eval_inverse`` evaluates that
+node, except in the replication nodes, which invert only the disk maps
+of the disks holding rows. The three compositions share one
 constructor, one right-to-left ``apply`` and one ``inverse``
 (``_Composition``); the two replication nodes share one per-disk
 transport (``_Replication``).
@@ -63,6 +64,7 @@ from .errors import (
 from .profiles import CubicProfile, twist_angle_profile
 
 _MAX_TRANSLATED_MAPS = 10 ** 6
+_MAX_FINITE_DISK = 511  # 4^511 = 2^1022; the centre of disk 512 overflows
 
 
 def unit_axis(dim, axis=0):
@@ -607,20 +609,7 @@ class MapExpr:
         raise NotImplementedError
 
     def _eval_inverse(self, pts):
-        # the inverse node is built once per node, as InverseMap does:
-        # inverting a listed translated replication inverts every entry
-        inv = self.__dict__.get("_inverse_node")
-        if inv is None:
-            inv = self._inverse_node = self.inverse()
-        return inv._eval(pts)
-
-    def __copy__(self):
-        # a copy is another node (inverse() copies affine and PL nodes),
-        # so it does not inherit the cached inverse
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new.__dict__.pop("_inverse_node", None)
-        return new
+        return self.inverse()._eval(pts)
 
     def _displacement(self, pts):
         return self._eval(pts) - pts
@@ -735,9 +724,9 @@ class _Replication(MapExpr):
     similarity onto disk j (``_disk``: center and scale) and the disk
     map acting there (``_map_for``: None for the identity)."""
 
-    def _per_disk(self, pts, displacement=False):
-        """Rows of each disk through its disk map in the disk's unit
-        coordinates; other rows pass through. With
+    def _per_disk(self, pts, inverse=False, displacement=False):
+        """Rows of each disk through its disk map (or its inverse) in
+        the disk's unit coordinates; other rows pass through. With
         ``displacement`` the image minus the input, computed at the
         disk's own scale."""
         j = self._locate(pts)
@@ -746,6 +735,8 @@ class _Replication(MapExpr):
             g = self._map_for(int(jj))
             if g is None:
                 continue
+            if inverse:
+                g = g.inverse()
             rows = j == jj
             center, scale = self._disk(int(jj))
             local = (pts[rows] - center) / scale
@@ -756,6 +747,11 @@ class _Replication(MapExpr):
 
     def _eval(self, pts):
         return self._per_disk(pts)
+
+    def _eval_inverse(self, pts):
+        # the inverse node of a listed translated replication inverts
+        # every entry; here only the maps of disks holding rows are
+        return self._per_disk(pts, inverse=True)
 
     def _displacement(self, pts):
         return self._per_disk(pts, displacement=True)
@@ -1010,11 +1006,13 @@ def locate_replication_disks(pts):
     is 2j or 2j + 1; for the unit disk e <= 1. So j = max(e // 2, 0) is
     the only candidate, and 4^j and 2^j are exact powers of two. The
     half also covers x1 = 2 - 2^-52, which the rounded distance to 4
-    puts on the boundary of disk 1.
+    puts on the boundary of disk 1. The candidate is capped at the last
+    disk whose centre is finite: beyond it, and for non-finite rows,
+    the squared distance is not finite and no disk holds the row.
     """
     x1 = pts[:, 0]
     rest_sq = np.sum(pts[:, 1:] ** 2, axis=1)
-    j = np.maximum(np.frexp(x1 + 0.5)[1] >> 1, 0).astype(np.int64)
+    j = np.clip(np.frexp(x1 + 0.5)[1] >> 1, 0, _MAX_FINITE_DISK).astype(np.int64)
     four_j = np.ldexp(1.0, 2 * j)  # 4^j, also the squared radius (2^j)^2
     center = np.where(j > 0, four_j, 0.0)
     hit = (x1 - center) ** 2 + rest_sq <= four_j

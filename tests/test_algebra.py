@@ -210,29 +210,18 @@ class TestInverseNodes:
         assert map_to_text(inv).endswith(",inverted=true)")
         assert not inv.inverse().inverted
 
-    def test_inverse_node_is_built_once(self, monkeypatch):
-        twist = M.make_twist_disk_map(dim=2, amplitude=0.5)
-        m = M.translated_replication([twist, None] * 50)
-        built = []
-        build = m.inverse
-        monkeypatch.setattr(m, "inverse", lambda: built.append(1) or build())
-        pts = np.random.default_rng(3).uniform(-1.0, 200.0, size=(500, 2))
-        first = M.evaluate_inverse_points(m, pts)
-        assert np.array_equal(M.evaluate_inverse_points(m, pts), first)
-        assert len(built) == 1
-        assert np.array_equal(first, M.evaluate_points(build(), pts))
-
-    @pytest.mark.parametrize("m", [
-        M.affine([[2.0, 1.0], [0.0, 1.0]], [0.5, -0.5]),
-        M.pl_homeomorphism(pl_twist_example(2, 4, 0.3)),
-    ])
-    def test_copied_inverse_does_not_inherit_the_cache(self, m):
-        # inverse() copies these nodes after the parent cached its inverse
-        pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(50, 2))
-        M.evaluate_inverse_points(m, pts)
-        inv = m.inverse()
-        assert np.allclose(M.evaluate_inverse_points(inv, pts), M.evaluate_points(m, pts),
-                           rtol=0.0, atol=1e-12)
+    def test_listed_inverse_inverts_only_the_disks_holding_rows(self, monkeypatch):
+        twists = [M.make_twist_disk_map(dim=2, amplitude=a) for a in (0.3, 0.5, 0.7)]
+        m = M.translated_replication((twists + [None]) * 250)
+        pts = np.random.default_rng(3).uniform([-1.0, -0.5], [11.0, 0.5], size=(500, 2))
+        expected = M.evaluate_points(m.inverse(), pts)
+        inverted = []
+        invert = M.TwistDiskMap.inverse
+        monkeypatch.setattr(M.TwistDiskMap, "inverse",
+                            lambda g: inverted.append(g) or invert(g))
+        assert np.array_equal(M.evaluate_inverse_points(m, pts), expected)
+        # disks 0..5 hold rows; disk 3 is the identity
+        assert inverted == [twists[0], twists[1], twists[2], twists[0], twists[1]]
 
     def test_latitude_newton_is_batch_independent(self):
         # each row stops Newton on its own residual, not the batch maximum

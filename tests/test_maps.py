@@ -269,9 +269,9 @@ class TestLocateReplicationDisk:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_huge_and_non_finite_points_lie_in_no_disk(self):
-        pts = np.array([[1e300, 0.0], [-1e300, 1e300], [np.inf, 0.0], [-np.inf, 0.0],
-                        [np.nan, 0.0]])
-        assert np.array_equal(M.locate_replication_disks(pts), [-1] * 5)
+        pts = np.array([[1e300, 0.0], [-1e300, 1e300], [1.7e308, 0.0], [-1.7e308, 0.0],
+                        [np.inf, 0.0], [-np.inf, 0.0], [np.nan, 0.0]])
+        assert np.array_equal(M.locate_replication_disks(pts), [-1] * 7)
         f = M.disk_replication(M.make_twist_disk_map(dim=2))
         assert np.array_equal(M.evaluate_points(f, pts[:2]), pts[:2])
 

@@ -1,16 +1,16 @@
-"""Record the benchmark of a commit as ``BENCH_<pr>.json``.
+"""Record the benchmark of a commit against its parent as ``BENCH_<pr>.json``.
 
 Usage, from the root of a checkout::
 
-    python3 tools/bench_record.py --pr N --seeds 11 12 13 [--seconds 36] \
-        [--workloads estimate verify-all pl] [--parent DIR]
+    python3 tools/bench_record.py --pr N --parent DIR --seeds 11 12 13
 
-For each workload and seed it runs ``python3 bench/run.py --workload W
---seed S --seconds T --trace 0`` in this checkout and, with
-``--parent``, in the checkout at DIR too (a clone of the parent
-commit). The two checkouts run one after the other on the same seed,
-and the one that goes first alternates from seed to seed, so a drift in
-host speed falls on both sides alike. Runs never overlap.
+For each workload that ``BENCHMARK.json`` declares and each seed it
+runs ``python3 bench/run.py --workload W --seed S --seconds T --trace
+0``, with T the benchmark's ``run_seconds``, in this checkout and in
+the checkout at DIR (a clone of the parent commit). The two checkouts
+run one after the other on the same seed, and the one that goes first
+alternates from seed to seed, so a drift in host speed falls on both
+sides alike. Runs never overlap.
 
 The record, written to ``BENCH_<N>.json`` at the root of this checkout,
 holds for each side the commit and, per workload, the median of every
@@ -21,7 +21,7 @@ script refuses to write a record whose runs disagree on them, and to
 start on a checkout with uncommitted changes under ``src/`` or
 ``bench/``, whose figures would not belong to its commit.
 
-A run takes about ``--seconds`` plus a few seconds of set-up probes.
+A run takes about ``run_seconds`` plus a few seconds of set-up probes.
 This script is not part of the test suite.
 """
 
@@ -33,7 +33,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("estimate", "verify-all", "pl")
 MACHINE = ("nproc", "cpu", "python", "numpy", "scipy", "blas", "blas_threads")
 
 
@@ -69,26 +68,26 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=36.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
     args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
 
-    sides = {"change": ROOT}
-    if args.parent is not None:
-        sides["parent"] = args.parent.resolve()
+    sides = {"change": ROOT, "parent": args.parent.resolve()}
     for side, checkout in sides.items():
         if uncommitted(checkout):  # the record names the commit it measured
             sys.exit(f"bench_record: {side} checkout {checkout} has uncommitted changes "
                      f"under src/ or bench/")
-    results = {side: {w: [] for w in args.workloads} for side in sides}
+    results = {side: {w: [] for w in workloads} for side in sides}
     commits = {}
     machines = set()
-    for workload in args.workloads:
+    for workload in workloads:
         for k, seed in enumerate(args.seeds):
             order = list(sides) if k % 2 == 0 else list(reversed(sides))
             for side in order:
-                prov, result = run_bench(sides[side], workload, seed, args.seconds)
+                prov, result = run_bench(sides[side], workload, seed, seconds)
                 commits[side] = prov["commit"]
                 machines.add(json.dumps({key: prov[key] for key in MACHINE}, sort_keys=True))
                 results[side][workload].append(result)
@@ -101,12 +100,12 @@ def main(argv=None):
     record = {
         "pr": args.pr,
         "machine": json.loads(machines.pop()),
-        "plan": {"seeds": args.seeds, "seconds": args.seconds, "trace": 0,
+        "plan": {"seeds": args.seeds, "seconds": seconds, "trace": 0,
                  "order": "sides alternate which runs first from seed to seed"},
     }
     for side in sides:
         record[side] = {"commit": commits[side],
-                        "workloads": {w: summarise(results[side][w]) for w in args.workloads}}
+                        "workloads": {w: summarise(results[side][w]) for w in workloads}}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
