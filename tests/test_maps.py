@@ -259,6 +259,8 @@ class TestLocateReplicationDisk:
                                np.concatenate([0 * x1, 0 * x1, 1e-9 * x1])])
         assert np.array_equal(M.locate_replication_disks(pts), self.brute_force(pts))
         assert M.locate_replication_disk([2.0 - 2.0 ** -52, 0.0]) == 1
+        # 4^511 is the last finite centre
+        assert M.locate_replication_disk([4.0 ** 511 + 2.0 ** 511, 0.0]) == 511
 
     def test_far_points_match_brute_force(self):
         rng = np.random.default_rng(14)
