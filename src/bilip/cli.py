@@ -343,7 +343,10 @@ def run_cli(argv=None):
         args = _build_parser().parse_args(argv)
         if getattr(args, "witnesses", None) == "psi":
             args.witnesses = "replication"
-        return int(args.func(args))
+        # non-finite values are results (an infinite bound, a NaN ratio),
+        # reported in the record, so numpy's warnings about them are noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return int(args.func(args))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     except BilipError as exc:

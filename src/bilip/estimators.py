@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from . import maps as M
-from .core import as_points, as_vector
+from .core import as_points, as_vector, row_dots, row_norms
 from .errors import (
     DimensionMismatchError,
     DisconnectedCloudError,
@@ -66,7 +66,7 @@ def _normals(u):
 
 
 def _unit_rows(v):
-    nrm = np.linalg.norm(v, axis=1)
+    nrm = row_norms(v)
     nrm = np.where(nrm == 0.0, 1.0, nrm)
     return v / nrm[:, None]
 
@@ -142,7 +142,7 @@ class BallRegion:
         return np.asarray(self.center) + r[:, None] * _directions(u, self.dim)
 
     def contains(self, pts):
-        return np.linalg.norm(pts - np.asarray(self.center), axis=1) <= self.radius
+        return row_norms(pts - np.asarray(self.center)) <= self.radius
 
     def bounds(self):
         c = np.asarray(self.center)
@@ -214,7 +214,7 @@ class AnnulusRegion:
         return np.asarray(self.center) + r[:, None] * _directions(u, n)
 
     def contains(self, pts):
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        r = row_norms(pts - np.asarray(self.center))
         return (r >= self.inner) & (r <= self.outer)
 
     def bounds(self):
@@ -269,7 +269,7 @@ def _tangential_pairs(u, v, radii, h):
     """Same-sphere pairs (r u, r unit(u + h w)) from unit rows u, v, with
     w the unit part of v perpendicular to u: the tangential offset keeps
     the separation near h r, never collapsed into rounding noise."""
-    perp = _unit_rows(v - np.sum(v * u, axis=1)[:, None] * u)
+    perp = _unit_rows(v - row_dots(v, u)[:, None] * u)
     r = np.asarray(radii, dtype=float)[..., None]
     return r * u, r * _unit_rows(u + h[:, None] * perp)
 
@@ -464,14 +464,14 @@ def _two_point_stats(f, x, y):
     """Distance ratios of the point map ``f`` on one chunk of pairs;
     pairs closer than 1e-12 are dropped. Returns (keep_count, stats,
     ratios, x, y) filtered, with stat = max(r, 1/r)."""
-    d = np.linalg.norm(x - y, axis=1)
+    d = row_norms(x - y)
     keep = d >= _DEGENERATE_PAIR
     kept = int(np.count_nonzero(keep))
     if kept == 0:
         return 0, None, None, None, None
     if kept < d.shape[0]:  # usually every pair is kept: no copies then
         x, y, d = x[keep], y[keep], d[keep]
-    df = np.linalg.norm(f(x) - f(y), axis=1)
+    df = row_norms(f(x) - f(y))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = df / d
         stat = np.maximum(ratio, np.where(ratio > 0, 1.0 / ratio, np.inf))
@@ -606,12 +606,12 @@ def _product_blocks(m):
 
 def _metric(blocks, metric):
     if metric == "euclidean":
-        return lambda a, b: np.linalg.norm(a - b, axis=1)
+        return lambda a, b: row_norms(a - b)
 
     def l1(a, b):
         total = np.zeros(a.shape[0])
         for lo, hi in blocks:
-            total += np.linalg.norm(a[:, lo:hi] - b[:, lo:hi], axis=1)
+            total += row_norms(a[:, lo:hi] - b[:, lo:hi])
         return total
 
     return l1
@@ -692,7 +692,7 @@ def c_density(m, region, grid_step):
     domain = _region_grid(region, grid_step, stagger=False)
     if domain.shape[0] == 0:
         raise EmptyRegionError("region contains no grid points")
-    drift = np.linalg.norm(m._displacement(domain), axis=1).max()
+    drift = row_norms(m._displacement(domain)).max()
     pad = float(drift + 2.0 * grid_step)
     lo, hi = region.bounds()
     padded = box(lo - pad, hi + pad)
@@ -744,7 +744,7 @@ def drift_profile(m, witnesses, threshold):
     pts = as_points(witnesses, dim=m.dim)
     if pts.shape[0] == 0:
         raise InvalidPointError("need at least one witness point")
-    drifts = np.linalg.norm(m._displacement(pts), axis=1)
+    drifts = row_norms(m._displacement(pts))
     return DriftReport(pts, drifts, float(threshold))
 
 
@@ -817,7 +817,7 @@ def neighbor_graph(cloud, eps):
     pairs = tree.query_pairs(r=eps, output_type="ndarray")
     if pairs.shape[0] == 0:
         raise DisconnectedCloudError("eps too small: no edges at all")
-    w = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    w = row_norms(pts[pairs[:, 0]] - pts[pairs[:, 1]])
     n = pts.shape[0]
     g = coo_matrix(
         (np.concatenate([w, w]),
@@ -863,7 +863,7 @@ def metric_equivalence_ratio(cloud, eps, n_pairs, seed):
     for row, src in enumerate(sources):
         tgt = targets[row]
         tgt = tgt[tgt != src]
-        chord = np.linalg.norm(pts[tgt] - pts[src], axis=1)
+        chord = row_norms(pts[tgt] - pts[src])
         keep = chord >= _DEGENERATE_PAIR
         if not keep.any():
             continue

@@ -52,6 +52,8 @@ from .core import (
     largest_singular_values,
     orthogonality_defect,
     rotation_matrix,
+    row_dots,
+    row_norms,
 )
 from .errors import (
     DimensionMismatchError,
@@ -82,12 +84,16 @@ def _row_products(pts, matrix):
     return pts @ matrix.T
 
 
+def _rows_where(mask):
+    """A row mask as an index: a slice when it holds every row, so that
+    gathers and scatters through it are views, not copies."""
+    return slice(None) if mask.all() else mask
+
+
 def _rotate_columns(out, i, j, cos_a, sin_a):
     """Rotate coordinate columns (i, j) in place by per-row angles."""
-    xi = out[:, i].copy()
-    xj = out[:, j].copy()
-    out[:, i] = cos_a * xi - sin_a * xj
-    out[:, j] = sin_a * xi + cos_a * xj
+    xi, xj = out[:, i], out[:, j]
+    out[:, i], out[:, j] = cos_a * xi - sin_a * xj, sin_a * xi + cos_a * xj
 
 
 class _Composition:
@@ -147,7 +153,7 @@ class SphereMap:
 
     @staticmethod
     def _renormalize(out):
-        norms = np.linalg.norm(out, axis=1)
+        norms = row_norms(out)
         if np.any(np.abs(norms - 1.0) > SPHERE_TOL):
             worst = float(np.abs(norms - 1.0).max())
             raise OffSphereError(f"sphere map output drifted {worst:.3e} off the sphere")
@@ -205,9 +211,6 @@ class LatitudeSphereMap(SphereMap):
         b = abs(self.beta)
         self.lambda_claimed = max(1.0 + b, 1.0 / (1.0 - b)) if b > 0 else 1.0
 
-    def _angle_map(self, alpha):
-        return alpha + self.beta * np.sin(alpha)
-
     def _angle_map_inverse(self, target):
         # Newton on a + beta*sin(a) - t; derivative >= 1 - 0.9 = 0.1. A
         # row stops after the step at which its own |f| < 1e-15, so its
@@ -223,24 +226,33 @@ class LatitudeSphereMap(SphereMap):
                 break
         return np.clip(a, 0.0, np.pi)
 
-    def _remap(self, units, angle_fn):
+    def _polar(self, units):
+        """(c, s, tang, polar): cos and sin of each row's polar angle
+        alpha, its part tangent to the axis (norm s) and the rows at a
+        pole, where the map is the identity and s reads 1."""
         # summed per row, so a row's bits do not depend on its batch
-        c = np.clip(np.sum(units * self._unit, axis=1), -1.0, 1.0)
+        c = np.clip(row_dots(units, self._unit), -1.0, 1.0)
         tang = units - c[:, None] * self._unit[None, :]
-        s = np.linalg.norm(tang, axis=1)
-        # arctan2 keeps the polar angle well conditioned near the poles,
-        # where arccos would amplify rounding by 1/sin(alpha)
-        alpha = np.arctan2(s, c)
-        polar = s < 1e-12  # at the poles the map is the identity
-        safe = np.where(polar, 1.0, s)
-        u = tang / safe[:, None]
-        h = angle_fn(alpha)
-        out = np.cos(h)[:, None] * self._unit[None, :] + np.sin(h)[:, None] * u
+        s = row_norms(tang)
+        polar = s < 1e-12
+        return c, np.where(polar, 1.0, s), tang, polar
+
+    def _remap(self, units, cos_h, along, polar):
+        """Rows at polar angle h: cos h on the axis plus ``along``, the
+        tangent part sin(h) tang / s."""
+        out = cos_h[:, None] * self._unit[None, :] + along
         out[polar] = units[polar]
         return self._renormalize(out)
 
     def apply(self, units):
-        return self._remap(units, self._angle_map)
+        # h = alpha + beta s by angle addition from c = cos(alpha) and
+        # s = sin(alpha): alpha itself is never formed, so nothing is
+        # lost near the poles, where arccos(c) would amplify rounding by
+        # 1/s, and only beta s, at most 0.9, goes through the trig
+        c, s, tang, polar = self._polar(units)
+        cb, sb = np.cos(self.beta * s), np.sin(self.beta * s)
+        along = (cb + c * sb / s)[:, None] * tang
+        return self._remap(units, c * cb - s * sb, along, polar)
 
     def inverse(self):
         return _InverseLatitudeSphereMap(self.beta, self.axis)
@@ -253,7 +265,12 @@ class _InverseLatitudeSphereMap(LatitudeSphereMap):
     tag = "latitude_inverse"
 
     def apply(self, units):
-        return self._remap(units, self._angle_map_inverse)
+        c, s, tang, polar = self._polar(units)
+        # arctan2 keeps the polar angle well conditioned near the poles,
+        # where arccos would amplify rounding by 1/sin(alpha)
+        h = self._angle_map_inverse(np.arctan2(s, c))
+        along = np.sin(h)[:, None] * (tang / s[:, None])
+        return self._remap(units, np.cos(h), along, polar)
 
     def inverse(self):
         return LatitudeSphereMap(self.beta, self.axis)
@@ -356,11 +373,12 @@ class TwistDiskMap(DiskMap):
         self.lambda_claimed = 2.0 * (1.0 + profile.weighted_derivative_sup())
 
     def apply(self, pts):
-        r = np.linalg.norm(pts, axis=1)
+        r = row_norms(pts)
         ang = self.profile(r)
         out = pts.copy()
         active = ang != 0.0
         if active.any():
+            active = _rows_where(active)
             i, j = self.plane
             sub = out[active]
             _rotate_columns(sub, i, j, np.cos(ang[active]), np.sin(ang[active]))
@@ -699,10 +717,11 @@ class RadialExtensionMap(MapExpr):
     def _radial(self, pts, displacement=False):
         """||v|| phi(v / ||v||) for nonzero rows v; with ``displacement``
         that minus v, computed at unit scale as ||v|| (phi(u) - u)."""
-        r = np.linalg.norm(pts, axis=1)
+        r = row_norms(pts)
         nz = r > 0.0
         out = np.zeros_like(pts) if displacement else pts.copy()
         if nz.any():
+            nz = _rows_where(nz)
             u = pts[nz] / r[nz, None]
             image = self.sphere_map.apply(u)
             out[nz] = r[nz, None] * (image - u if displacement else image)
@@ -737,7 +756,7 @@ class _Replication(MapExpr):
                 continue
             if inverse:
                 g = g.inverse()
-            rows = j == jj
+            rows = np.flatnonzero(j == jj)  # an index gathers and scatters faster than a mask
             center, scale = self._disk(int(jj))
             local = (pts[rows] - center) / scale
             moved = g.apply(local)
@@ -843,7 +862,7 @@ class TranslatedReplicationMap(_Replication):
 
     def _locate(self, pts):
         x1 = pts[:, 0]
-        rest_sq = np.sum(pts[:, 1:] ** 2, axis=1)
+        rest_sq = row_dots(pts[:, 1:], pts[:, 1:])
         jest = np.rint(x1 / 2.0).astype(np.int64)
         found = np.full(pts.shape[0], -1, dtype=np.int64)
         for dj in (-1, 0, 1):
@@ -906,10 +925,11 @@ class SpiralMap(MapExpr):
         self.lambda_claimed = profile.dim * profile.c_bound + 1.0
 
     def _eval(self, pts):
-        r = np.linalg.norm(pts, axis=1)
+        r = row_norms(pts)
         nz = r > 0.0
         out = pts.copy()
         if nz.any():
+            nz = _rows_where(nz)
             out[nz] = self.profile.rotate(r[nz], pts[nz])
         return out
 
@@ -1011,7 +1031,7 @@ def locate_replication_disks(pts):
     the squared distance is not finite and no disk holds the row.
     """
     x1 = pts[:, 0]
-    rest_sq = np.sum(pts[:, 1:] ** 2, axis=1)
+    rest_sq = row_dots(pts[:, 1:], pts[:, 1:])
     j = np.clip(np.frexp(x1 + 0.5)[1] >> 1, 0, _MAX_FINITE_DISK).astype(np.int64)
     four_j = np.ldexp(1.0, 2 * j)  # 4^j, also the squared radius (2^j)^2
     center = np.where(j > 0, four_j, 0.0)

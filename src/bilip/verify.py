@@ -18,7 +18,7 @@ from . import _svg
 from . import estimators as E
 from . import maps as M
 from . import pl as plmod
-from .core import largest_singular_values, rotation_matrix
+from .core import largest_singular_values, rotation_matrix, row_norms
 from .errors import ConfigError, NoWitnessError
 from .profiles import bump_profile
 
@@ -101,13 +101,13 @@ def verify_radial_bound(phi, cfg, sphere_pairs=200_000):
     radii = np.exp(np.log(0.1) + w_radius * np.log(10.0 * cfg.region.scale))
     xu, yu = E._tangential_pairs(du, dv, 1.0, 10.0 ** (-3.0 * w_h))
     x, y = radii[:, None] * xu, radii[:, None] * yu
-    d = np.linalg.norm(x - y, axis=1)
+    d = row_norms(x - y)
     keep = d >= 1e-9 * radii
-    df = np.linalg.norm(fmap._eval(x[keep]) - fmap._eval(y[keep]), axis=1)
+    df = row_norms(fmap._eval(x[keep]) - fmap._eval(y[keep]))
     ratios = df / d[keep]
     eq_max = float(np.maximum(ratios, 1.0 / ratios).max())
-    du_ = np.linalg.norm(xu[keep] - yu[keep], axis=1)
-    dfu = np.linalg.norm(phi.apply(xu[keep]) - phi.apply(yu[keep]), axis=1)
+    du_ = row_norms(xu[keep] - yu[keep])
+    dfu = row_norms(phi.apply(xu[keep]) - phi.apply(yu[keep]))
     unit_ratios = np.maximum(dfu / du_, du_ / dfu)
     lam_sphere = max(lam_hat, float(unit_ratios.max()))
 
@@ -148,8 +148,8 @@ def verify_replication_constant(g, cfg, claimed=None):
     n_disks = E._disk_count(cfg.region.scale)
     x, y = E._cross_disk_pairs(E._op_rng(cfg.seed, "verify_replication_cross_disk"),
                                g.dim, n_disks, 20_000)
-    d = np.linalg.norm(x - y, axis=1)
-    df = np.linalg.norm(fmap._eval(x) - fmap._eval(y), axis=1)
+    d = row_norms(x - y)
+    df = row_norms(fmap._eval(x) - fmap._eval(y))
     ratios = np.maximum(df / d, d / df)
     cross_max = float(ratios.max())
 
@@ -236,7 +236,7 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
     pts = E._region_points(rng, cfg.region, n_points)
     lhs = f_gh._eval(pts)
     rhs = f_g._eval(f_h._eval(pts))
-    residual = float(np.linalg.norm(lhs - rhs, axis=1).max())
+    residual = float(row_norms(lhs - rhs).max())
 
     # restriction: the construction agrees with the input on its core set
     core = E._region_points(rng, E.ball((0.0,) * n, 1.0), 1000)
@@ -246,7 +246,7 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
 
     # monomorphism evidence: if g moves some mesh point, the built map
     # has a drift witness with strictly positive displacement
-    moves = np.linalg.norm(g.apply(core) - core, axis=1)
+    moves = row_norms(g.apply(core) - core)
     drift_witness = 0.0
     if moves.max() > 1e-9:
         x0 = core[int(np.argmax(moves))]
@@ -315,9 +315,9 @@ def verify_product_qi(f, f_params, g, g_params, cfg, grid_step=1.0,
                            cfg.region, 10_000)
     k = f.dim
     disp = h._displacement(pts)
-    lhs = np.linalg.norm(disp[:, :k], axis=1) + np.linalg.norm(disp[:, k:], axis=1)
-    rhs = (np.linalg.norm(f._displacement(pts[:, :k]), axis=1)
-           + np.linalg.norm(g._displacement(pts[:, k:]), axis=1))
+    lhs = row_norms(disp[:, :k]) + row_norms(disp[:, k:])
+    rhs = (row_norms(f._displacement(pts[:, :k]))
+           + row_norms(g._displacement(pts[:, k:])))
     drift_err = float(np.abs(lhs - rhs).max() / max(1.0, float(rhs.max())))
 
     # covering radius of the product vs its components
@@ -369,9 +369,9 @@ def verify_spiral_bound(p, cfg, kernel_count=30, kernel_threshold=1e6):
     lo = max(getattr(cfg.region, "inner", 1e-3 * cfg.region.scale), 1e-9)
     radii = np.exp(np.log(lo) + w_radius * (np.log(cfg.region.scale) - np.log(lo)))
     x, y = E._tangential_pairs(du, dv, radii, 10.0 ** (-3.0 * w_h))
-    d = np.linalg.norm(x - y, axis=1)
+    d = row_norms(x - y)
     keep = d >= 1e-9 * radii
-    df = np.linalg.norm(fmap._eval(x[keep]) - fmap._eval(y[keep]), axis=1)
+    df = row_norms(fmap._eval(x[keep]) - fmap._eval(y[keep]))
     ratios = df / d[keep]
     eq_worst = float(np.abs(ratios - 1.0).max())
 
@@ -392,7 +392,7 @@ def verify_spiral_bound(p, cfg, kernel_count=30, kernel_threshold=1e6):
             wit = E.spiral_drift_witnesses(p, kernel_count)
             rep = E.drift_profile(fmap, wit, kernel_threshold)
             theta, _ = E.rotation_angle_and_plane(p.matrix(1.0))
-            expected = 2.0 * np.sin(theta / 2.0) * np.linalg.norm(wit, axis=1)
+            expected = 2.0 * np.sin(theta / 2.0) * row_norms(wit)
             rel = float(np.abs(rep.drifts - expected).max() / expected.max())
             kernel_ok = rep.verdict == E.VERDICT_EXCEEDS and rel <= 1e-9
             kernel_detail["verdict"] = rep.verdict

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,23 @@ class TestEstimateCommand:
         stdout = capsys.readouterr().out
         assert '"ratio": "nan"' in stdout
         rec = json.loads(stdout)
+        assert rec["violation"] == rec["worst_pair"]
+
+    def test_overflow_warnings_stay_off_stderr(self, capsys, tmp_path):
+        # numpy warns of overflow in det (parse) and matmul (evaluation)
+        # and of inf - inf (distances); the record already says it all
+        path = tmp_path / "huge.map"
+        path.write_text("affine(matrix=[[1e308,0],[0,1e308]])\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would escape run_cli
+            code = run_cli(["estimate", "--map", str(path), "--region", "ball:50,50:1",
+                            "--claim", "2", "--pairs", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        rec = json.loads(captured.out)
+        assert rec["lambda_lower"] == "inf"
+        assert rec["violated"] is True
         assert rec["violation"] == rec["worst_pair"]
 
     def test_histogram_svg(self, capsys, tmp_path):

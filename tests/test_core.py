@@ -57,6 +57,76 @@ class TestOperatorNorm:
             core.operator_norm([[np.inf, 0.0], [0.0, 1.0]])
 
 
+def _bits(values):
+    """The float64 bit patterns, so that NaN payloads and -0.0 count."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _rows(rng, n_rows, n):
+    """Normal rows, each scaled by a factor from 1e-5 to 1e5."""
+    scale = 10.0 ** rng.uniform(-5.0, 5.0, size=(n_rows, 1))
+    return rng.normal(size=(n_rows, n)) * scale
+
+
+class TestRowKernels:
+    """``row_norms`` and ``row_dots`` equal numpy's reductions bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 131072])
+    def test_equal_numpy_bit_for_bit(self, n, n_rows):
+        rng = np.random.default_rng([n, n_rows])
+        a, b = _rows(rng, n_rows, n), _rows(rng, n_rows, n)
+        row = b[0].copy()
+        assert np.array_equal(_bits(core.row_norms(a)),
+                              _bits(np.linalg.norm(a, axis=1)))
+        assert np.array_equal(_bits(core.row_dots(a, b)),
+                              _bits(np.sum(a * b, axis=1)))
+        assert np.array_equal(_bits(core.row_dots(a, row)),
+                              _bits(np.sum(a * row, axis=1)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_strided_column_slices(self, n):
+        rng = np.random.default_rng(n)
+        pts = _rows(rng, 1000, n + 2)
+        for cols in (np.s_[1:], np.s_[:-1], np.s_[::2], np.s_[1:n + 1]):
+            v = pts[:, cols]
+            assert np.array_equal(_bits(core.row_norms(v)),
+                                  _bits(np.linalg.norm(v, axis=1)))
+            assert np.array_equal(_bits(core.row_dots(v, v)),
+                                  _bits(np.sum(v ** 2, axis=1)))
+        columns_first = np.asfortranarray(pts)
+        assert np.array_equal(_bits(core.row_norms(columns_first)),
+                              _bits(np.linalg.norm(columns_first, axis=1)))
+
+    def test_zero_columns_of_a_1d_point(self):
+        # locate_replication_disks sums the squares of pts[:, 1:]
+        pts = np.array([[3.0], [-0.5]])
+        rest = pts[:, 1:]
+        assert np.array_equal(_bits(core.row_dots(rest, rest)), _bits(np.zeros(2)))
+        assert np.array_equal(_bits(core.row_norms(rest)), _bits(np.zeros(2)))
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        a = -np.zeros((3, 2))
+        ones = np.ones(2)
+        assert np.array_equal(_bits(core.row_dots(a, ones)),
+                              _bits(np.sum(a * ones, axis=1)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_huge_and_non_finite_entries(self, n):
+        rng = np.random.default_rng(100 + n)
+        specials = np.array([1e308, -1e308, np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0])
+        a = rng.choice(specials, size=(4096, n))
+        b = rng.choice(specials, size=(4096, n))
+        assert np.array_equal(_bits(core.row_norms(a)),
+                              _bits(np.linalg.norm(a, axis=1)))
+        assert np.array_equal(_bits(core.row_dots(a, b)),
+                              _bits(np.sum(a * b, axis=1)))
+        assert np.array_equal(_bits(core.row_dots(a, b[0])),
+                              _bits(np.sum(a * b[0], axis=1)))
+
+
 def _oracle(mats):
     return np.array([np.linalg.norm(m, 2) for m in mats])
 

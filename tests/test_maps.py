@@ -37,6 +37,60 @@ def roundtrip_residual(m, pts):
 # Sphere maps
 # =====================================================================
 
+def _latitude_inputs(axis, count=60):
+    """Unit rows (to rounding, as a radial extension passes them) at
+    polar angles log-spread from 1e-11 to 1 away from both poles, plus
+    uniform ones, each turned toward its own direction perpendicular
+    to ``axis``."""
+    rng = np.random.default_rng(axis.size)
+    near = np.logspace(-11.0, 0.0, count)
+    alpha = np.concatenate([near, np.pi - near, rng.uniform(0.0, np.pi, count)])
+    unit = axis / np.linalg.norm(axis)
+    w = rng.normal(size=(alpha.size, axis.size))
+    w = unit_rows(w - np.outer(w @ unit, unit))
+    return unit_rows(np.cos(alpha)[:, None] * unit + np.sin(alpha)[:, None] * w)
+
+
+def _latitude_reference(beta, axis, units, mp):
+    """The forward latitude map of each row in 40-digit arithmetic."""
+    mp.mp.dps = 40
+    norm = mp.sqrt(mp.fsum(mp.mpf(a) ** 2 for a in axis))
+    unit = [mp.mpf(a) / norm for a in axis]
+    out = []
+    for row in units:
+        x = [mp.mpf(v) for v in row]
+        c = mp.fsum(xi * ui for xi, ui in zip(x, unit))
+        tang = [xi - c * ui for xi, ui in zip(x, unit)]
+        s = mp.sqrt(mp.fsum(t * t for t in tang))
+        h = mp.atan2(s, c)
+        h += mp.mpf(beta) * mp.sin(h)
+        out.append([float(mp.cos(h) * ui + mp.sin(h) * t / s)
+                    for ui, t in zip(unit, tang)])
+    return np.array(out)
+
+
+class TestLatitudeAccuracy:
+    """The forward map, by angle addition, against a 40-digit reference."""
+
+    @pytest.mark.parametrize("beta", [0.3, -0.75, 0.9])
+    @pytest.mark.parametrize("axis", [[0.6, -1.7], [0.3, -1.1, 2.4]])
+    def test_forward_within_1e15_of_reference(self, beta, axis):
+        mp = pytest.importorskip("mpmath")
+        axis = np.array(axis)
+        units = _latitude_inputs(axis)
+        phi = M.LatitudeSphereMap(beta, axis)
+        ref = _latitude_reference(beta, axis, units, mp)
+        assert np.abs(phi.apply(units) - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("beta", [0.3, -0.75, 0.9])
+    @pytest.mark.parametrize("axis", [[0.6, -1.7], [0.3, -1.1, 2.4]])
+    def test_inverse_undoes_forward(self, beta, axis):
+        axis = np.array(axis)
+        units = _latitude_inputs(axis)
+        phi = M.LatitudeSphereMap(beta, axis)
+        assert np.abs(phi.inverse().apply(phi.apply(units)) - units).max() <= 1e-14
+
+
 class TestSphereMaps:
     def test_latitude_zero_beta_is_identity(self):
         phi = M.make_latitude_sphere_map(0.0, dim=3)

@@ -21,6 +21,12 @@ script refuses to write a record whose runs disagree on them, and to
 start on a checkout with uncommitted changes under ``src/`` or
 ``bench/``, whose figures would not belong to its commit.
 
+After writing the record it prints one line per workload and
+end-to-end metric: the change/parent ratio of the medians, the seeds
+on which the change won, the spread between the quartiles of the
+parent's runs, and a flag where the change is worse than the parent
+by more than the metric's ``bound`` in ``BENCHMARK.json``.
+
 A run takes about ``run_seconds`` plus a few seconds of set-up probes.
 This script is not part of the test suite.
 """
@@ -62,6 +68,31 @@ def summarise(results):
         "attempted": sum(r["attempted"] for r in results),
         "failed": sum(r["failed"] for r in results),
     }
+
+
+def compare(record, end_to_end):
+    """One row per workload and end-to-end metric of a record: the
+    change/parent median ratio, the pairs of runs (one per seed) the
+    change won, the interquartile range of the parent's runs, and
+    ``worse``: the change's median is worse than the parent's by more
+    than the metric's relative ``bound``."""
+    rows = []
+    for workload, parent in record["parent"]["workloads"].items():
+        change = record["change"]["workloads"][workload]
+        for metric in end_to_end:
+            name, lower = metric["name"], metric["better"] == "lower"
+            ratio = change["median"][name] / parent["median"][name]
+            pairs = list(zip(change["runs"][name], parent["runs"][name]))
+            won = sum(c < p if lower else c > p for c, p in pairs)
+            runs = parent["runs"][name]
+            q1, _, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                         if len(runs) > 1 else (runs[0],) * 3)
+            rows.append({"workload": workload, "metric": name, "unit": metric["unit"],
+                         "ratio": ratio, "won": won, "pairs": len(pairs),
+                         "spread": q3 - q1, "bound": metric["bound"],
+                         "worse": (ratio > 1.0 + metric["bound"] if lower
+                                   else ratio < 1.0 - metric["bound"])})
+    return rows
 
 
 def main(argv=None):
@@ -109,6 +140,11 @@ def main(argv=None):
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
+    for row in compare(record, bench["end_to_end"]):
+        flag = f"  WORSE than parent beyond bound {row['bound']}" if row["worse"] else ""
+        print(f"{row['workload']:<10} {row['metric']:<12} change/parent {row['ratio']:.3f}  "
+              f"won {row['won']}/{row['pairs']}  parent IQR {row['spread']:.4g} "
+              f"{row['unit']}{flag}")
     return 0
 
 
