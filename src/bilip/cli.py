@@ -153,15 +153,7 @@ def _cmd_estimate(args):
     t0 = time.perf_counter()
     est = E.bilip_lower_bound(m, cfg)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    record = {
-        "op": "estimate",
-        "map": map_to_text(m),
-        "seed": est.seed,
-        "n_pairs": est.n_pairs_used,
-        "lambda_lower": est.lambda_lower,
-        "worst_pair": est.record()["worst_pair"],
-        "elapsed_ms": elapsed,
-    }
+    record = {"op": "estimate", "map": map_to_text(m), **est.record(), "elapsed_ms": elapsed}
     code = 0
     if args.claim is not None:
         # judged on the pairs that gave the bound: its worst pair is the

@@ -301,15 +301,10 @@ def _disk_count(scale):
     return count
 
 
-def _disk_points(j, p):
-    """The image 4^j e1 + 2^j p (centre 0 for j = 0) of the unit-ball
-    rows ``p`` in replication disk ``j`` (an integer array)."""
-    return (4.0 ** j * (j > 0))[:, None] * M.unit_axis(p.shape[1]) + (2.0 ** j)[:, None] * p
-
-
-def _cross_disk_pairs(rng, n, n_disks, count):
+def _cross_disk_pairs(rng, m, n_disks, count):
     """Pairs with one point uniform in disk i and the other uniform in
-    disk j != i, both among the first ``n_disks`` replication disks."""
+    disk j != i, both among the first ``n_disks`` disks of node ``m``."""
+    n = m.dim
     k = _direction_width(n) + 1
     u = _uniform_block(rng, count, 2 * k + 2)
     unit_ball = BallRegion((0.0,) * n, 1.0)
@@ -318,7 +313,7 @@ def _cross_disk_pairs(rng, n, n_disks, count):
     i_disk = np.floor(u[-2] * n_disks).astype(int)
     j_disk = np.floor(u[-1] * (n_disks - 1)).astype(int)
     j_disk = np.where(j_disk >= i_disk, j_disk + 1, j_disk)  # force i != j
-    return _disk_points(i_disk, p), _disk_points(j_disk, q)
+    return m.disk_points(i_disk, p), m.disk_points(j_disk, q)
 
 
 def _witness_pairs(m, region, a, b, w1, w2, w3):
@@ -364,17 +359,15 @@ def _witness_pairs(m, region, a, b, w1, w2, w3):
         rows = np.flatnonzero(w3 >= 1.0 / 3.0)
         p[rows] = (a[-1, rows] ** (1.0 / n))[:, None] * u[rows]
         q[rows] = (b[-1, rows] ** (1.0 / n))[:, None] * v[rows]
-        return _disk_points(j1, p), _disk_points(j2, q)
+        return m.disk_points(j1, p), m.disk_points(j2, q)
     if isinstance(m, M.TranslatedReplicationMap):
         count = 1 + int(min(scale / 2.0, 64.0))
         if m.disk_maps is not None:
             count = min(count, len(m.disk_maps))
         j1 = np.floor(w1 * count).astype(np.int64)
         j2 = np.floor(w2 * count).astype(np.int64)
-        unit_ball = BallRegion((0.0,) * n, 1.0)  # placed at 2 j e1 below
-        x = (2.0 * j1)[:, None] * M.unit_axis(n) + unit_ball.sample(a)
-        y = (2.0 * j2)[:, None] * M.unit_axis(n) + unit_ball.sample(b)
-        return x, y
+        unit_ball = BallRegion((0.0,) * n, 1.0)
+        return m.disk_points(j1, unit_ball.sample(a)), m.disk_points(j2, unit_ball.sample(b))
     if isinstance(m, M.ProductMap):
         x = region.sample(a)
         k = m.left.dim
@@ -398,7 +391,7 @@ def _pair_chunks(m, cfg, op_name):
     selector, the blocks of its two points (k = _direction_width(n) + 1
     uniforms each, which ``region.sample`` reads), then three free
     uniforms. Global, local and witness pairs are each computed on
-    their own rows only.
+    their own rows only, from a gather of the uniforms they read.
     """
     n = m.dim
     region = cfg.region
@@ -407,7 +400,7 @@ def _pair_chunks(m, cfg, op_name):
             f"region dimension {region.dim} != map dimension {n}"
         )
     k = _direction_width(n) + 1
-    a, b = slice(1, 1 + k), slice(1 + k, 1 + 2 * k)  # the two point blocks
+    a, b = slice(0, k), slice(k, 2 * k)  # the two point blocks of a gather
     rng = _op_rng(cfg.seed, op_name)
     g_frac, l_frac, _ = cfg.mix
     remaining = cfg.n_pairs
@@ -420,18 +413,18 @@ def _pair_chunks(m, cfg, op_name):
         y = np.empty((count, n))
 
         rows = np.flatnonzero(cat < g_frac)
-        v = np.take(u, rows, axis=1)
+        v = np.take(u[1 : 1 + 2 * k], rows, axis=1)
         x[rows] = region.sample(v[a])
         y[rows] = region.sample(v[b])
 
         rows = np.flatnonzero((cat >= g_frac) & (cat < g_frac + l_frac))
-        v = np.take(u, rows, axis=1)
+        v = np.take(u[1 : 2 + 2 * k], rows, axis=1)
         x[rows] = xl = region.sample(v[a])
-        h = cfg.local_scale * region.scale * (0.5 + v[-3])
+        h = cfg.local_scale * region.scale * (0.5 + v[-1])
         y[rows] = xl + h[:, None] * _directions(v[b], n)
 
         rows = np.flatnonzero(cat >= g_frac + l_frac)
-        v = np.take(u, rows, axis=1)
+        v = np.take(u[1:], rows, axis=1)
         x[rows], y[rows] = _witness_pairs(m, region, v[a], v[b], v[-3], v[-2], v[-1])
         yield x, y
 
@@ -757,7 +750,7 @@ def replication_drift_witnesses(g, x0, count):
     moved = np.linalg.norm(M.disk_apply(g, x0) - x0)
     if moved == 0.0:
         raise TrivialWitnessError("g fixes x0; drift witnesses need g(x0) != x0")
-    return _disk_points(np.arange(1, count + 1), x0[None, :])
+    return M.disk_replication(g).disk_points(np.arange(1, count + 1), x0[None, :])
 
 
 def rotation_angle_and_plane(a):

@@ -25,7 +25,10 @@ node, except in the replication nodes, which invert only the disk maps
 of the disks holding rows. The three compositions share one
 constructor, one right-to-left ``apply`` and one ``inverse``
 (``_Composition``); the two replication nodes share one per-disk
-transport (``_Replication``).
+transport (``_Replication``). Each replication family places its disks
+by one vectorised similarity, ``_disk(j)`` (centre offset along e1 and
+scale per row), which the transport, the locators and the samplers all
+read, and the transport applies each distinct disk map once per call.
 
 Every node class also declares how it is written: ``tag``, its
 constructor name in the canonical map text, and ``fields``, ordered
@@ -67,6 +70,7 @@ from .profiles import CubicProfile, twist_angle_profile
 
 _MAX_TRANSLATED_MAPS = 10 ** 6
 _MAX_FINITE_DISK = 511  # 4^511 = 2^1022; the centre of disk 512 overflows
+_MAX_TRANSLATED_DISK = 2.0 ** 62  # the nearest centre index of every |x1| < 2^63
 
 
 def unit_axis(dim, axis=0):
@@ -740,28 +744,37 @@ class RadialExtensionMap(MapExpr):
 class _Replication(MapExpr):
     """Per-disk transport shared by the replication nodes. A subclass
     names the disk holding each row (``_locate``: index or -1), the
-    similarity onto disk j (``_disk``: center and scale) and the disk
-    map acting there (``_map_for``: None for the identity)."""
+    similarity onto disk j (``_disk``: centre along e1 and scale, per
+    row) and each disk map with its rows (``_groups``)."""
+
+    def _similarity(self, j):
+        """Centre rows c e1 and scale column s of the disks ``j``."""
+        c, s = self._disk(j)
+        return c[:, None] * unit_axis(self.dim), s[:, None]
+
+    def disk_points(self, j, p):
+        """The images c e1 + s p of unit-ball rows ``p`` in disks ``j``
+        (an integer array): the similarity onto disk j."""
+        centre, scale = self._similarity(j)
+        return centre + scale * p
 
     def _per_disk(self, pts, inverse=False, displacement=False):
         """Rows of each disk through its disk map (or its inverse) in
-        the disk's unit coordinates; other rows pass through. With
-        ``displacement`` the image minus the input, computed at the
-        disk's own scale."""
+        the disk's unit coordinates (x - c e1) / s, one call per disk
+        map; other rows pass through. With ``displacement`` the image
+        minus the input, computed at the disk's own scale."""
         j = self._locate(pts)
         out = np.zeros_like(pts) if displacement else pts.copy()
-        for jj in np.unique(j[j >= 0]):
-            g = self._map_for(int(jj))
-            if g is None:
+        for g, rows in self._groups(j):
+            if rows.size == 0:
                 continue
             if inverse:
                 g = g.inverse()
-            rows = np.flatnonzero(j == jj)  # an index gathers and scatters faster than a mask
-            center, scale = self._disk(int(jj))
-            local = (pts[rows] - center) / scale
+            centre, scale = self._similarity(j[rows])
+            local = (pts[rows] - centre) / scale
             moved = g.apply(local)
             out[rows] = (scale * (moved - local) if displacement
-                         else center + scale * moved)
+                         else centre + scale * moved)
         return out
 
     def _eval(self, pts):
@@ -794,14 +807,16 @@ class DiskReplicationMap(_Replication):
         self.dim = disk_map.dim
         self.lambda_claimed = disk_map.lambda_claimed
 
+    @staticmethod
+    def _disk(j):
+        s = np.ldexp(1.0, j)  # 2^j; the centre 4^j = s^2 (0 for j = 0) is exact
+        return np.where(j > 0, s * s, 0.0), s
+
     def _locate(self, pts):
         return locate_replication_disks(pts)
 
-    def _disk(self, j):
-        return replication_disk(j, self.dim)
-
-    def _map_for(self, j):
-        return self.disk_map
+    def _groups(self, j):
+        yield self.disk_map, np.flatnonzero(j >= 0)
 
     def inverse(self):
         return DiskReplicationMap(self.disk_map.inverse())
@@ -844,26 +859,30 @@ class TranslatedReplicationMap(_Replication):
                 else None
             )
 
-    def _map_for(self, j):
-        if self.uniform is not None:
-            return self.uniform
-        if 0 <= j < len(self.disk_maps):
-            return self.disk_maps[j]
-        return None
-
     def inverse(self):
         if self.uniform is not None:
             return TranslatedReplicationMap(uniform=self.uniform.inverse())
         return TranslatedReplicationMap(
             [None if g is None else g.inverse() for g in self.disk_maps])
 
-    def _disk(self, j):
-        return 2.0 * j * unit_axis(self.dim), 1.0
+    @staticmethod
+    def _disk(j):
+        return 2.0 * j, np.ones(np.shape(j))
+
+    def _groups(self, j):
+        if self.uniform is not None:
+            yield self.uniform, np.flatnonzero(j >= 0)
+            return
+        for jj in np.unique(j[j >= 0]):
+            g = self.disk_maps[jj]
+            if g is not None:
+                yield g, np.flatnonzero(j == jj)  # an index gathers faster than a mask
 
     def _locate(self, pts):
         x1 = pts[:, 0]
         rest_sq = row_dots(pts[:, 1:], pts[:, 1:])
-        jest = np.rint(x1 / 2.0).astype(np.int64)
+        jest = np.rint(x1 / 2.0)  # past the cap or not finite: -2, no candidate is a disk
+        jest = np.where(np.abs(jest) <= _MAX_TRANSLATED_DISK, jest, -2.0).astype(np.int64)
         found = np.full(pts.shape[0], -1, dtype=np.int64)
         for dj in (-1, 0, 1):
             cand = jest + dj
@@ -872,9 +891,8 @@ class TranslatedReplicationMap(_Replication):
                 open_rows &= cand < len(self.disk_maps)
             if not open_rows.any():
                 continue
-            c = 2.0 * cand[open_rows]
-            d2 = (x1[open_rows] - c) ** 2 + rest_sq[open_rows]
-            hit = d2 <= 1.0
+            c, s = self._disk(cand[open_rows])
+            hit = (x1[open_rows] - c) ** 2 + rest_sq[open_rows] <= s * s
             idx = np.flatnonzero(open_rows)[hit]
             found[idx] = cand[open_rows][hit]
         return found
@@ -927,9 +945,10 @@ class SpiralMap(MapExpr):
     def _eval(self, pts):
         r = row_norms(pts)
         nz = r > 0.0
+        if nz.all():  # the rotated rows are a fresh array already
+            return self.profile.rotate(r, pts)
         out = pts.copy()
         if nz.any():
-            nz = _rows_where(nz)
             out[nz] = self.profile.rotate(r[nz], pts[nz])
         return out
 
@@ -1011,12 +1030,6 @@ class InverseMap(MapExpr):
 # Replication disk geometry
 # =====================================================================
 
-def replication_disk(j, dim):
-    """Center and radius of the j-th replication disk: D(4^j e1, 2^j)
-    for j >= 1 and the unit disk for j = 0."""
-    return (4.0 ** j if j > 0 else 0.0) * unit_axis(dim), 2.0 ** j
-
-
 def locate_replication_disks(pts):
     """Disk index for each row of ``pts``: the unique j with
     ||v - 4^j e1|| <= 2^j (j=0 means the unit disk), or -1.
@@ -1033,9 +1046,8 @@ def locate_replication_disks(pts):
     x1 = pts[:, 0]
     rest_sq = row_dots(pts[:, 1:], pts[:, 1:])
     j = np.clip(np.frexp(x1 + 0.5)[1] >> 1, 0, _MAX_FINITE_DISK).astype(np.int64)
-    four_j = np.ldexp(1.0, 2 * j)  # 4^j, also the squared radius (2^j)^2
-    center = np.where(j > 0, four_j, 0.0)
-    hit = (x1 - center) ** 2 + rest_sq <= four_j
+    center, radius = DiskReplicationMap._disk(j)
+    hit = (x1 - center) ** 2 + rest_sq <= radius * radius
     return np.where(hit, j, -1)
 
 

@@ -147,7 +147,7 @@ def verify_replication_constant(g, cfg, claimed=None):
     # dedicated cross-disk pairs: one point in disk i, the other in disk j != i
     n_disks = E._disk_count(cfg.region.scale)
     x, y = E._cross_disk_pairs(E._op_rng(cfg.seed, "verify_replication_cross_disk"),
-                               g.dim, n_disks, 20_000)
+                               fmap, n_disks, 20_000)
     d = row_norms(x - y)
     df = row_norms(fmap._eval(x) - fmap._eval(y))
     ratios = np.maximum(df / d, d / df)
@@ -252,12 +252,9 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
         x0 = core[int(np.argmax(moves))]
         if kind == "radial":
             probe = 2.0 ** 20 * x0
-        elif kind == "disk_replication":
+        else:  # the point of replication disk 20 over 0.9 x0 / ||x0||
             x0 = 0.9 * x0 / max(np.linalg.norm(x0), 1e-12)
-            probe = E._disk_points(np.array([20]), x0[None, :])[0]
-        else:
-            x0 = 0.9 * x0 / max(np.linalg.norm(x0), 1e-12)
-            probe = 40.0 * M.unit_axis(n) + x0  # the disk centered at 2*20*e1
+            probe = f_g.disk_points(np.array([20]), x0[None, :])[0]
         drift_witness = float(np.linalg.norm(M.displacement(f_g, probe)))
 
     passed = residual <= 1e-9 and restr <= 1e-12 and (
@@ -353,7 +350,10 @@ def verify_product_qi(f, f_params, g, g_params, cfg, grid_step=1.0,
 # Scenario: spiral bound and kernel behaviour
 # =====================================================================
 
-def verify_spiral_bound(p, cfg, kernel_count=30, kernel_threshold=1e6):
+_KERNEL_COUNT, _KERNEL_THRESHOLD = 30, 1e6  # the kernel check's witnesses
+
+
+def verify_spiral_bound(p, cfg):
     """A profile with certified entry bound C yields a map with no
     distortion above n*C + 1; equal-radius pairs are isometric; the
     far-field behaviour matches the kernel classification."""
@@ -381,16 +381,16 @@ def verify_spiral_bound(p, cfg, kernel_count=30, kernel_threshold=1e6):
     kernel_detail = {"far_field": kind}
     kernel_ok = True
     if kind == "identity":
-        ks = np.arange(1, kernel_count + 1)
+        ks = np.arange(1, _KERNEL_COUNT + 1)
         ray = (2.0 ** ks)[:, None] * M.unit_axis(n)[None, :]
-        rep = E.drift_profile(fmap, ray, kernel_threshold)
+        rep = E.drift_profile(fmap, ray, _KERNEL_THRESHOLD)
         kernel_ok = rep.verdict == E.VERDICT_BOUNDED
         kernel_detail["verdict"] = rep.verdict
         kernel_detail["max_drift"] = float(rep.drifts.max())
     elif kind == "rotation":
         try:
-            wit = E.spiral_drift_witnesses(p, kernel_count)
-            rep = E.drift_profile(fmap, wit, kernel_threshold)
+            wit = E.spiral_drift_witnesses(p, _KERNEL_COUNT)
+            rep = E.drift_profile(fmap, wit, _KERNEL_THRESHOLD)
             theta, _ = E.rotation_angle_and_plane(p.matrix(1.0))
             expected = 2.0 * np.sin(theta / 2.0) * row_norms(wit)
             rel = float(np.abs(rep.drifts - expected).max() / expected.max())

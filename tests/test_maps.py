@@ -1,6 +1,8 @@
 """Tests for the map-expression algebra: sphere maps, disk maps,
 spiral profiles and the exactly evaluable constructors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -473,6 +475,122 @@ class TestTranslatedReplication:
         ab = M.evaluate_points(M.compose(a, b), pts)
         ba = M.evaluate_points(M.compose(b, a), pts)
         assert np.array_equal(ab, ba)
+
+    def test_far_rows_lie_in_no_disk_without_a_cast_warning(self):
+        g = M.make_twist_disk_map(dim=2)
+        f = M.translated_replication(uniform=g)
+        far = np.array([[2.0 ** 64, 0.5], [-2.0 ** 64, 0.5], [1e308, 0.0],
+                        [-1e308, 0.25]])
+        near = np.array([2.0 ** 63 - 1024.0, 0.5])  # the centre of a disk
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.array_equal(M.evaluate_points(f, far), far)
+            image = M.evaluate(f, near)
+        assert image[1] == M.disk_apply(g, [0.0, 0.5])[1] != 0.5
+
+
+class _CountingDiskMap(M.DiskMap):
+    """A disk map that counts its ``apply`` and ``inverse`` calls."""
+
+    def __init__(self, inner, counts=None):
+        self.inner = inner
+        self.dim = inner.dim
+        self.counts = {"apply": 0, "inverse": 0} if counts is None else counts
+
+    def apply(self, pts):
+        self.counts["apply"] += 1
+        return self.inner.apply(pts)
+
+    def inverse(self):
+        self.counts["inverse"] += 1
+        return _CountingDiskMap(self.inner.inverse(), self.counts)
+
+
+def _disk_by_disk(m, pts, inverse=False, displacement=False):
+    """A replication node's image (or inverse image, or displacement),
+    one disk at a time, each disk placed by hand: D(4^j e1, 2^j) for a
+    disk replication, D(2j e1, 1) for a translated one."""
+    j = m._locate(pts)
+    out = np.zeros_like(pts) if displacement else pts.copy()
+    for jj in np.unique(j[j >= 0]):
+        jj = int(jj)
+        center = np.zeros(m.dim)
+        if isinstance(m, M.DiskReplicationMap):
+            g = m.disk_map
+            center[0], scale = (4.0 ** jj if jj > 0 else 0.0), 2.0 ** jj
+        else:
+            g = m.uniform if m.uniform is not None else m.disk_maps[jj]
+            center[0], scale = 2.0 * jj, 1.0
+        if g is None:
+            continue
+        if inverse:
+            g = g.inverse()
+        rows = j == jj
+        local = (pts[rows] - center) / scale
+        moved = g.apply(local)
+        out[rows] = scale * (moved - local) if displacement else center + scale * moved
+    return out
+
+
+def _replication_cases():
+    twist = M.make_twist_disk_map(dim=2, amplitude=0.8)
+    pl = M.pl_disk_map(pl_twist_example(2, 6, 0.2))
+    other = M.make_twist_disk_map(dim=2, amplitude=-0.5)
+    return {
+        "twist": M.disk_replication(twist),
+        "twist-pl": M.disk_replication(M.compose_disk_maps(twist, pl)),
+        "uniform": M.translated_replication(uniform=twist),
+        "listed": M.translated_replication([twist, None, other, None, pl, twist]),
+    }
+
+
+def _replication_points(m, rng):
+    """Rows spread over the first disks of ``m`` and the gaps between
+    them, the touching points x1 = 2j + 1 and rows with -0.0 entries."""
+    n = m.dim
+    j = rng.integers(0, 8, 3000)
+    pts = m.disk_points(j, rng.uniform(-1.1, 1.1, size=(j.size, n)))
+    touching = np.zeros((16, n))
+    touching[:, 0] = 2.0 * np.arange(16) + 1.0
+    signed = pts[:600].copy()
+    signed[:200, 1:] = -0.0
+    signed[200:400, 0] = -0.0
+    signed[400:] *= -0.0
+    return np.vstack([pts, touching, -touching, signed])
+
+
+class TestReplicationMatchesDiskByDisk:
+    """Every replication node transports each disk's rows by one
+    similarity and one call per disk map; the result equals the
+    disk-by-disk transport bit for bit."""
+
+    @pytest.mark.parametrize("op", ["eval", "inverse", "displacement"])
+    @pytest.mark.parametrize("case", ["twist", "twist-pl", "uniform", "listed"])
+    def test_bits_match(self, case, op):
+        m = _replication_cases()[case]
+        pts = _replication_points(m, np.random.default_rng(len(case)))
+        node = {"eval": M.evaluate_points, "inverse": M.evaluate_inverse_points,
+                "displacement": M.displacement_points}[op]
+        got = node(m, pts)
+        want = _disk_by_disk(m, pts, inverse=op == "inverse",
+                             displacement=op == "displacement")
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        one = np.array([node(m, row[None, :])[0] for row in pts[::37]])
+        assert np.array_equal(one.view(np.uint64), want[::37].view(np.uint64))
+
+    @pytest.mark.parametrize("build, groups", [
+        (M.disk_replication, 1),
+        (lambda g: M.translated_replication(uniform=g), 1),
+        (lambda g: M.translated_replication([g, None, g]), 2),  # one per listed entry
+    ])
+    def test_one_call_per_disk_map(self, build, groups):
+        g = _CountingDiskMap(M.make_twist_disk_map(dim=2))
+        m = build(g)
+        # rows on several disks of either family, and one in a gap
+        pts = np.array([[0.5, 0.0], [2.0, 0.5], [4.0, 0.5], [4.5, 0.0], [16.0, 1.0]])
+        M.evaluate_points(m, pts)
+        M.evaluate_inverse_points(m, pts)
+        assert g.counts == {"apply": 2 * groups, "inverse": groups}
 
 
 # =====================================================================
