@@ -242,13 +242,7 @@ def _cmd_geodesic(args):
     if args.pair is not None and not all(0 <= k < n_points for k in args.pair):
         raise ConfigError(f"--pair {args.pair[0]} {args.pair[1]} is out of range "
                           f"for a cloud of {n_points} points")
-    eps = args.eps
-    if eps is None:
-        # connect each point to a handful of neighbors by default
-        from scipy.spatial import cKDTree
-
-        d, _ = cKDTree(cloud).query(cloud, k=2)
-        eps = float(4.0 * d[:, 1].max())
+    eps = E.default_eps(cloud) if args.eps is None else args.eps
     record = {
         "op": "geodesic",
         "cloud": args.cloud,

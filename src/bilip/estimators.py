@@ -18,15 +18,15 @@ block of ``_direction_width(n) + 1`` uniforms into a point: a ball or
 an annulus takes a direction and a radial uniform, a box reads the
 uniforms as coordinates. The pair stream computes each pair family
 (global, local, witness) on its own rows only.
+
+scipy is imported on first use, by ``c_density`` and the graph metrics
+only, so the rest of the package loads and runs on numpy alone.
 """
 
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.spatial import cKDTree
 
 from . import maps as M
 from .core import as_points, as_vector, row_dots, row_norms
@@ -680,6 +680,8 @@ def c_density(m, region, grid_step):
     resolution. The domain grid is padded by the largest sampled
     displacement so images from outside the region can cover its edge.
     """
+    from scipy.spatial import cKDTree
+
     if grid_step <= 0.0:
         raise InvalidPointError("grid_step must be positive")
     domain = _region_grid(region, grid_step, stagger=False)
@@ -800,11 +802,31 @@ def spiral_drift_witnesses(p, count):
 # Graph-based length metrics on point clouds
 # =====================================================================
 
+def dijkstra(*args, **kwargs):
+    """``scipy.sparse.csgraph.dijkstra``, imported on first call."""
+    from scipy.sparse.csgraph import dijkstra as run
+
+    return run(*args, **kwargs)
+
+
+def default_eps(cloud):
+    """Four times the largest nearest-neighbour distance of the cloud:
+    an eps that connects each point to a handful of neighbours."""
+    from scipy.spatial import cKDTree
+
+    d, _ = cKDTree(cloud).query(cloud, k=2)
+    return float(4.0 * d[:, 1].max())
+
+
 def neighbor_graph(cloud, eps):
     """Symmetric eps-neighborhood graph with Euclidean edge weights.
 
     Raises if the graph is disconnected.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     pts = as_points(cloud)
     tree = cKDTree(pts)
     pairs = tree.query_pairs(r=eps, output_type="ndarray")

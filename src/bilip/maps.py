@@ -879,23 +879,22 @@ class TranslatedReplicationMap(_Replication):
                 yield g, np.flatnonzero(j == jj)  # an index gathers faster than a mask
 
     def _locate(self, pts):
+        """Disk index of each row, or -1. Only the nearest centre, disk
+        j = rint(x1 / 2), can hold a row; where the next lower centre is
+        as near (x1 = 2j - 1, or 2(j - 1) rounds to 2j past 2^53), disk
+        j - 1 holds it too and wins. j stays an integral float, so the
+        index j - 1 is taken in integers at the end."""
         x1 = pts[:, 0]
         rest_sq = row_dots(pts[:, 1:], pts[:, 1:])
-        jest = np.rint(x1 / 2.0)  # past the cap or not finite: -2, no candidate is a disk
-        jest = np.where(np.abs(jest) <= _MAX_TRANSLATED_DISK, jest, -2.0).astype(np.int64)
-        found = np.full(pts.shape[0], -1, dtype=np.int64)
-        for dj in (-1, 0, 1):
-            cand = jest + dj
-            open_rows = (found < 0) & (cand >= 0)
-            if self.uniform is None:
-                open_rows &= cand < len(self.disk_maps)
-            if not open_rows.any():
-                continue
-            c, s = self._disk(cand[open_rows])
-            hit = (x1[open_rows] - c) ** 2 + rest_sq[open_rows] <= s * s
-            idx = np.flatnonzero(open_rows)[hit]
-            found[idx] = cand[open_rows][hit]
-        return found
+        j = np.rint(x1 / 2.0)
+        c, s = self._disk(j)
+        with np.errstate(invalid="ignore"):  # x1 = +-inf: inf - inf, no disk
+            d = np.abs(x1 - c)
+            lower = (j >= 1.0) & (np.abs(x1 - self._disk(j - 1.0)[0]) == d)
+        last = _MAX_TRANSLATED_DISK if self.uniform is not None else len(self.disk_maps) - 1
+        k = j - lower  # the disk index, rounded past 2^53
+        hit = (k >= 0.0) & (k <= last) & (d * d + rest_sq <= s * s)
+        return np.where(hit, j, -1.0).astype(np.int64) - (hit & lower)
 
 
 class ProductMap(MapExpr):

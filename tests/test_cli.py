@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bilip
 from bilip import estimators as est
 from bilip import maps as M
 from bilip import pl
@@ -469,7 +474,50 @@ class TestGeodesicCommand:
         code, records = run(capsys, "geodesic", "--cloud", str(path),
                             "--pairs", "100")
         assert code == 0
-        assert records[0]["eps"] > 0
+        # four nearest-neighbour gaps, each the chord 2 sin(pi / 500)
+        assert records[0]["eps"] == pytest.approx(8.0 * np.sin(np.pi / 500), rel=1e-12)
+
+
+_COLD_START = """
+import json, sys
+from bilip import cli
+codes = [cli.run_cli(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def run_fresh(*argvs):
+    """Exit codes of ``run_cli`` on each argument list in turn, and the
+    scipy modules loaded after them, in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bilip.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120, env=env,
+                          check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestColdStart:
+    def test_map_commands_load_no_scipy(self, tmp_path):
+        radial = tmp_path / "radial.map"
+        save_map(M.radial_extension(M.make_latitude_sphere_map(0.5, dim=2)), radial)
+        rep = tmp_path / "rep.map"
+        save_map(M.disk_replication(M.make_twist_disk_map(dim=2)), rep)
+        plmap = tmp_path / "twist.csv"
+        pl.save_plmap_csv(pl.pl_twist_example(2, 4, 0.2), plmap)
+        got = run_fresh(
+            ["estimate", "--map", str(radial), "--region", "ball:0,0:10",
+             "--pairs", "2000", "--seed", "3", "--claim", "3.0"],
+            ["drift", "--map", str(rep), "--witnesses", "replication", "-K", "10"],
+            ["pl-norm", "--plmap", str(plmap)],
+        )
+        assert got == {"codes": [0, 0, 0], "scipy": []}
+
+    def test_graph_metric_loads_scipy_on_first_use(self):
+        got = run_fresh(["verify", "metric-equivalence", "--points", "2000",
+                         "--pairs", "500", "--eps", "0.05"])
+        assert got["codes"] == [0]
+        assert "scipy.sparse.csgraph" in got["scipy"]
 
 
 class TestConfigHelpers:

@@ -458,6 +458,22 @@ class TestGeodesicGraph:
             chord = np.linalg.norm(cloud[i] - cloud[j])
             assert geo / chord <= 1.001
 
+    def test_graph_metrics_call_dijkstra_through_the_module_global(self, monkeypatch):
+        # a wrapper set on estimators.dijkstra must see every graph search
+        real = est.dijkstra
+        sources = []
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            sources.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(est, "dijkstra", counting)
+        cloud = est.circle_cloud(2000)
+        assert est.metric_equivalence_ratio(cloud, 0.05, 400, 11) == 1.5690831108346024
+        assert est.geodesic_estimate(cloud, 0.05, 0, 1000) == 3.141303592660183
+        assert sources == [20, 1]  # ceil(sqrt(400)) sources, then one
+
     def test_disconnected_cloud_raises(self):
         cloud = est.circle_cloud(100)
         with pytest.raises(DisconnectedCloudError):

@@ -593,6 +593,51 @@ class TestReplicationMatchesDiskByDisk:
         assert g.counts == {"apply": 2 * groups, "inverse": groups}
 
 
+def _touching(js):
+    """x1 = 2j + 1 and its neighbouring floats on either side."""
+    x = 2.0 * np.asarray(js, dtype=float) + 1.0
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+class TestTranslatedLocate:
+    """Disk indices at the touching points x1 = 2j + 1, where the lower
+    disk j wins, at their neighbouring floats, past the cap, past the
+    end of the list and at non-finite values. The expected indices are
+    those of the scan over the candidates rint(x1 / 2) - 1, + 0, + 1 in
+    that order, first hit wins."""
+
+    CASES = {
+        "uniform": (
+            lambda g: M.translated_replication(uniform=g),
+            np.concatenate([_touching([-2, -1, 0, 1, 2, 7, 2 ** 40]),
+                            [2.0 ** 63, np.nextafter(2.0 ** 63, np.inf), -2.0 ** 63,
+                             1e300, np.nan, np.inf, -np.inf]]),
+            [-1, 0, 0, 1, 2, 7, 2 ** 40,
+             -1, -1, 0, 1, 2, 7, 2 ** 40,
+             -1, 0, 1, 2, 3, 8, 2 ** 40 + 1,
+             # 2(2^62 - 1) rounds to 2^63, the centre of disk 2^62
+             2 ** 62 - 1, -1, -1, -1, -1, -1, -1],
+        ),
+        "listed": (
+            lambda g: M.translated_replication([g, None, g, None]),
+            np.concatenate([_touching([-1, 0, 1, 2, 3]), [1e300, np.nan, np.inf]]),
+            [0, 0, 1, 2, 3,
+             -1, 0, 1, 2, 3,
+             0, 1, 2, 3, -1,
+             -1, -1, -1],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", ["uniform", "listed"])
+    def test_pinned_indices(self, case):
+        build, x1, want = self.CASES[case]
+        m = build(M.make_twist_disk_map(dim=2))
+        pts = np.stack([x1, np.zeros_like(x1)], axis=1)
+        assert m._locate(pts).tolist() == want
+        pts[:, 1] = np.nan
+        assert m._locate(pts).tolist() == [-1] * len(want)
+
+
 # =====================================================================
 # Spiral maps
 # =====================================================================
