@@ -8,7 +8,7 @@ import pytest
 
 import bilip.pl
 from bilip import maps as M
-from bilip.core import operator_norm, orthogonality_defect, rotation_matrix
+from bilip.core import operator_norm, orthogonality_defect, rotation_matrix, row_dots
 from bilip.errors import (
     DimensionMismatchError,
     InvalidPointError,
@@ -506,21 +506,32 @@ class _CountingDiskMap(M.DiskMap):
         return _CountingDiskMap(self.inner.inverse(), self.counts)
 
 
+def _hand_placed(m, jj):
+    """Disk map, centre and scale of disk ``jj`` of a replication node,
+    placed by hand: D(4^j e1, 2^j) for a disk replication, D(2j e1, 1)
+    for a translated one."""
+    center = np.zeros(m.dim)
+    if isinstance(m, M.DiskReplicationMap):
+        center[0] = 4.0 ** jj if jj > 0 else 0.0
+        return m.disk_map, center, 2.0 ** jj
+    center[0] = 2.0 * jj
+    return (m.uniform if m.uniform is not None else m.disk_maps[jj]), center, 1.0
+
+
 def _disk_by_disk(m, pts, inverse=False, displacement=False):
     """A replication node's image (or inverse image, or displacement),
-    one disk at a time, each disk placed by hand: D(4^j e1, 2^j) for a
-    disk replication, D(2j e1, 1) for a translated one."""
-    j = m._locate(pts)
+    one hand-placed disk at a time, over the first 16 disks (all that
+    ``_replication_points`` reaches) or the listed ones; a row on two
+    disks goes to the lower one."""
+    listed = getattr(m, "disk_maps", None)
+    j = np.full(pts.shape[0], -1)
+    for jj in reversed(range(16 if listed is None else len(listed))):
+        _, center, scale = _hand_placed(m, jj)
+        j[(pts[:, 0] - center[0]) ** 2 + row_dots(pts[:, 1:], pts[:, 1:])
+          <= scale * scale] = jj
     out = np.zeros_like(pts) if displacement else pts.copy()
     for jj in np.unique(j[j >= 0]):
-        jj = int(jj)
-        center = np.zeros(m.dim)
-        if isinstance(m, M.DiskReplicationMap):
-            g = m.disk_map
-            center[0], scale = (4.0 ** jj if jj > 0 else 0.0), 2.0 ** jj
-        else:
-            g = m.uniform if m.uniform is not None else m.disk_maps[jj]
-            center[0], scale = 2.0 * jj, 1.0
+        g, center, scale = _hand_placed(m, int(jj))
         if g is None:
             continue
         if inverse:
