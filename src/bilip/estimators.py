@@ -16,8 +16,10 @@ sign on S^0, one angle on S^1, Archimedes' height and angle on S^2;
 Box-Muller normals, normalised, only from R^4 on. A region turns a
 block of ``_direction_width(n) + 1`` uniforms into a point: a ball or
 an annulus takes a direction and a radial uniform, a box reads the
-uniforms as coordinates. The pair stream computes each pair family
-(global, local, witness) on its own rows only.
+uniforms as coordinates. Every pair family is sampled here (the pair
+stream's global, local and witness rows; sphere, equal-radius and
+cross-disk pairs) and reduced by ``_running_max`` under one
+degenerate-pair floor; ``verify`` draws and reduces none itself.
 
 scipy is imported on first use, by ``c_density`` and the graph metrics
 only, so the rest of the package loads and runs on numpy alone.
@@ -301,12 +303,22 @@ def _disk_count(scale):
     return count
 
 
-def _cross_disk_pairs(rng, m, n_disks, count):
-    """Pairs with one point uniform in disk i and the other uniform in
-    disk j != i, both among the first ``n_disks`` disks of node ``m``."""
+def equal_radius_pairs(seed, op_name, dim, count, log_lo, log_span):
+    """(x, y, u, v): ``count`` same-sphere pairs x, y of the stream
+    ``op_name`` at radius exp(log_lo + w log_span), w uniform, with a
+    tangential offset near 10^(-3 w') times it, and their unit copies u, v."""
+    u, v, w_radius, w_h = _direction_pairs(_op_rng(seed, op_name), dim, count)
+    u, v = _tangential_pairs(u, v, 1.0, 10.0 ** (-3.0 * w_h))
+    r = np.exp(log_lo + w_radius * log_span)[:, None]
+    return r * u, r * v, u, v
+
+
+def cross_disk_pairs(seed, op_name, m, n_disks, count):
+    """Pairs of the stream ``op_name``, one point uniform in disk i and the
+    other in disk j != i, among the first ``n_disks`` disks of node ``m``."""
     n = m.dim
     k = _direction_width(n) + 1
-    u = _uniform_block(rng, count, 2 * k + 2)
+    u = _uniform_block(_op_rng(seed, op_name), count, 2 * k + 2)
     unit_ball = BallRegion((0.0,) * n, 1.0)
     p = unit_ball.sample(u[:k])
     q = unit_ball.sample(u[k : 2 * k])
@@ -471,6 +483,14 @@ def _two_point_stats(f, x, y):
     return kept, stat, ratio, x, y
 
 
+def distortion(f, x, y):
+    """(worst, ratios) of the point map ``f`` on one batch of pairs: the
+    largest max(r, 1/r), a NaN counting as +inf, and the ratios of the
+    pairs kept (1e-12 apart or more); (-inf, None) when none is kept."""
+    stats = _two_point_stats(f, x, y)
+    return _running_max([stats])[0], stats[2]
+
+
 def _running_max(chunks):
     """Ordered running maximum over (keep_count, stats, ratios, x, y)
     chunks, as _two_point_stats returns them.
@@ -625,10 +645,9 @@ def qi_embedding_check(m, lam, eps, metric, cfg, op_name="qi_embedding_check"):
     any pair with non-finite images.
 
     ``metric`` is 'euclidean' or 'l1'; 'l1' sums Euclidean block norms
-    over the map's product structure.
+    over the map's product structure; any other metric raises.
     """
-    if lam < 1.0 or eps < 0.0:
-        raise InvalidPointError("need lambda >= 1 and eps >= 0")
+    QiParams(lam, eps, metric)
     dist = _metric(_product_blocks(m), metric)
 
     def chunks():

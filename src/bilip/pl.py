@@ -327,16 +327,16 @@ def pl_eval_inverse(f, pts):
     the first image simplex of its grid cube that contains it (via
     barycentric coordinates in the image) and pulled back with the same
     weights. Points that no simplex of their own cube contains are
-    tried against the simplices of the 3^n neighbouring cubes.
+    tried against the simplices of the 3^n neighbouring cubes. Outside
+    the box a boundary-fixed map is the identity; on any other map the
+    edge cubes list the simplices whose images reach past the box.
     """
     tri = f.triangulation
     pts = as_points(pts, tri.dim)
     if np.any(f.determinants() <= 0.0):
         raise NotHomeomorphismError("map is not orientation-positive")
     index = _inverse_index(f)
-    outside = _outside_mask(tri, pts)
-    if outside.any() and not f.boundary_fixed:
-        raise OutOfDomainError("point outside the triangulated box")
+    outside = _outside_mask(tri, pts) if f.boundary_fixed else np.zeros(len(pts), bool)
     out = pts.copy()
     inside = np.flatnonzero(~outside)
     y = pts[inside]

@@ -2,6 +2,7 @@
 record: no benchmark runs here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,8 @@ def _side(job_runs, item_runs):
     return {"workloads": {"w": {"median": median, "runs": runs}}}
 
 
-def _rows(change_jobs, change_items):
-    record = {"parent": _side([1.0, 2.0, 3.0, 4.0, 5.0], [10.0, 10.0, 10.0, 10.0, 10.0]),
+def _rows(change_jobs, change_items, parent_items=(10.0,) * 5):
+    record = {"parent": _side([1.0, 2.0, 3.0, 4.0, 5.0], list(parent_items)),
               "change": _side(change_jobs, change_items)}
     return {row["metric"]: row for row in bench_record.compare(record, END_TO_END)}
 
@@ -56,3 +57,45 @@ class TestCompare:
     def test_gain_is_never_flagged(self):
         rows = _rows([0.1, 0.2, 0.3, 0.4, 0.5], [100.0] * 5)
         assert not rows["job_s.p50"]["worse"] and not rows["items_per_s"]["worse"]
+
+    def test_unresolved_where_the_parent_spreads_past_the_bound(self):
+        rows = _rows([1.0, 2.0, 3.0, 4.0, 5.0], [10.0] * 5)
+        assert rows["job_s.p50"]["unresolved"]  # IQR 2 > 0.25 * median 3
+        assert not rows["items_per_s"]["unresolved"]  # IQR 0
+        assert not rows["job_s.p50"]["worse"]  # unresolved is not worse
+
+    @pytest.mark.parametrize("best, unresolved", [(0.9, False), (1.0, True)])
+    def test_lower_is_better_resolved_only_beyond_every_parent_run(self, best, unresolved):
+        # the parent's fastest run is 1.0; a tie with it is not better
+        rows = _rows([0.1, 0.2, 0.3, 0.4, best], [10.0] * 5)
+        assert rows["job_s.p50"]["unresolved"] is unresolved
+
+    @pytest.mark.parametrize("worst, unresolved", [(26.0, False), (25.0, True)])
+    def test_higher_is_better_resolved_only_beyond_every_parent_run(self, worst, unresolved):
+        # parent items 5..25: IQR 10 > 0.25 * median 15, best run 25
+        rows = _rows([1.0] * 5, [worst, 30.0, 40.0, 50.0, 60.0],
+                     parent_items=(5.0, 10.0, 15.0, 20.0, 25.0))
+        assert rows["items_per_s"]["unresolved"] is unresolved
+
+    def test_spread_at_the_bound_is_resolved(self):
+        # IQR 0.75 = 0.25 * median 3: not past the bound
+        record = {"parent": _side([2.0, 2.625, 3.0, 3.375, 4.0], [10.0] * 5),
+                  "change": _side([2.0, 2.625, 3.0, 3.375, 4.0], [10.0] * 5)}
+        rows = {row["metric"]: row for row in bench_record.compare(record, END_TO_END)}
+        assert rows["job_s.p50"]["spread"] == pytest.approx(0.75)
+        assert not rows["job_s.p50"]["unresolved"]
+
+    def test_bench_11_record(self):
+        # pl setup_s and job_s.tail spread past their bound at the parent;
+        # every change run of setup_s beat every parent run, so only
+        # job_s.tail is unresolved
+        root = _PATH.parent.parent
+        record = json.loads((root / "BENCH_11.json").read_text())
+        end_to_end = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+        rows = bench_record.compare(record, end_to_end)
+        past = {(r["workload"], r["metric"]) for r in rows
+                if r["spread"] > r["bound"] * record["parent"]["workloads"][r["workload"]]
+                ["median"][r["metric"]]}
+        assert past == {("pl", "setup_s"), ("pl", "job_s.tail")}
+        assert {(r["workload"], r["metric"]) for r in rows if r["unresolved"]} == {
+            ("pl", "job_s.tail")}

@@ -161,6 +161,57 @@ class TestPairStreamContract:
         assert ks((np.linalg.norm(pts - center, axis=1) / 3.0) ** n) <= 0.01
 
 
+class TestPairFamilies:
+    """The equal-radius and cross-disk families against the expressions
+    the verify scenarios inlined before they moved here: the streams,
+    and so the reports, stay the same bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equal_radius_pairs(self, n):
+        seed, scale, lo = 11, 300.0, 1e-3
+        # radial-bound: unit pairs, radii log-uniform in [0.1, 10 scale]
+        du, dv, w_radius, w_h = est._direction_pairs(
+            est._op_rng(seed, "verify_radial_equal_radius"), n, 5000)
+        radii = np.exp(np.log(0.1) + w_radius * np.log(10.0 * scale))
+        xu, yu = est._tangential_pairs(du, dv, 1.0, 10.0 ** (-3.0 * w_h))
+        got = est.equal_radius_pairs(seed, "verify_radial_equal_radius", n, 5000,
+                                     np.log(0.1), np.log(10.0 * scale))
+        for a, b in zip(got, (radii[:, None] * xu, radii[:, None] * yu, xu, yu)):
+            assert np.array_equal(a, b)
+        # spiral-bound: the pairs at radii log-uniform in [lo, scale]
+        du, dv, w_radius, w_h = est._direction_pairs(
+            est._op_rng(seed, "verify_spiral_equal_radius"), n, 5000)
+        radii = np.exp(np.log(lo) + w_radius * (np.log(scale) - np.log(lo)))
+        x, y = est._tangential_pairs(du, dv, radii, 10.0 ** (-3.0 * w_h))
+        got = est.equal_radius_pairs(seed, "verify_spiral_equal_radius", n, 5000,
+                                     np.log(lo), np.log(scale) - np.log(lo))
+        assert np.array_equal(got[0], x) and np.array_equal(got[1], y)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cross_disk_pairs(self, n):
+        seed, n_disks, count = 11, 5, 5000
+        m = M.disk_replication(M.make_twist_disk_map(dim=n))
+        rng = est._op_rng(seed, "verify_replication_cross_disk")
+        k = est._direction_width(n) + 1
+        u = est._uniform_block(rng, count, 2 * k + 2)
+        unit_ball = est.BallRegion((0.0,) * n, 1.0)
+        i = np.floor(u[-2] * n_disks).astype(int)
+        j = np.floor(u[-1] * (n_disks - 1)).astype(int)
+        j = np.where(j >= i, j + 1, j)
+        x, y = est.cross_disk_pairs(seed, "verify_replication_cross_disk", m, n_disks, count)
+        assert np.array_equal(x, m.disk_points(i, unit_ball.sample(u[:k])))
+        assert np.array_equal(y, m.disk_points(j, unit_ball.sample(u[k : 2 * k])))
+
+    def test_distortion(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [5.0, 5.0]])
+        y = np.array([[1.0, 0.0], [1.0, 0.5e-12], [0.0, 0.0], [5.0, 6.0]])
+        worst, ratios = est.distortion(lambda p: 2.0 * p, x, y)
+        assert worst == 2.0 and ratios.tolist() == [2.0, 2.0, 2.0]  # the 5e-13 pair is dropped
+        worst, _ = est.distortion(lambda p: np.where(p > 4.0, np.nan, p), x, y)
+        assert worst == np.inf  # a NaN image counts as +inf
+        assert est.distortion(np.negative, x[1:2], y[1:2]) == (-np.inf, None)
+
+
 class TestBilipLowerBound:
     def test_identity_is_exactly_one(self):
         r = est.bilip_lower_bound(M.identity(2), cfg())
@@ -270,6 +321,12 @@ class TestQiEmbeddingCheck:
             est.QiParams(1.0, -1.0)
         with pytest.raises(InvalidPointError):
             est.QiParams(1.0, 0.0, metric="manhattan")
+
+    @pytest.mark.parametrize("lam, eps, metric", [
+        (0.5, 0.0, "euclidean"), (1.0, -1.0, "l1"), (1.0, 0.0, "manhattan")])
+    def test_check_refuses_what_qi_params_refuse(self, lam, eps, metric):
+        with pytest.raises(InvalidPointError):
+            est.qi_embedding_check(M.identity(2), lam, eps, metric, cfg())
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

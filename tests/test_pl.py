@@ -397,6 +397,26 @@ class TestInverse:
         with pytest.raises(OutOfDomainError):
             pl.pl_eval_inverse(f, [[0.0, 0.0], [1.5, 0.0]])
 
+    def test_image_past_the_box(self):
+        # a map that is not boundary-fixed can carry the box past itself;
+        # its inverse covers the whole image, not only the box
+        tri = pl.kuhn_triangulation(2, (-1.0, 1.0), 4)
+        f = pl.PLMap(tri, 2.0 * tri.vertices, boundary_fixed=False)
+        y = pl.pl_eval(f, [[0.75, 0.0]])
+        assert np.array_equal(y, [[1.5, 0.0]])
+        np.testing.assert_allclose(pl.pl_eval_inverse(f, y), [[0.75, 0.0]], rtol=0, atol=1e-15)
+        with pytest.raises(OutOfDomainError):
+            pl.pl_eval_inverse(f, [[1.5, 0.0], [2.5, 0.0]])  # (2.5, 0) is past the image
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("res", [1, 4, 7])
+    def test_round_trip_past_the_box(self, dim, res):
+        tri = pl.kuhn_triangulation(dim, (-1.0, 1.0), res)
+        f = pl.PLMap(tri, 2.0 * tri.vertices + 0.3, boundary_fixed=False)
+        x = np.random.default_rng(res).uniform(-1, 1, size=(500, dim))
+        np.testing.assert_allclose(pl.pl_eval_inverse(f, pl.pl_eval(f, x)), x,
+                                   rtol=0, atol=1e-14)
+
     def test_inside_box_outside_image_raises(self):
         f = perturbed_linear_map(2, 4, seed=0)  # the image misses the corners
         with pytest.raises(OutOfDomainError):

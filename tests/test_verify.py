@@ -71,6 +71,49 @@ class TestReplicationScenario:
             V.verify_replication_constant(g, small_cfg(radius=300.0))
 
 
+class _NanSphereMap(M.SphereMap):
+    dim = 2
+
+    def apply(self, units):
+        return np.full_like(units, np.nan)
+
+
+class _NanDiskMap(M.DiskMap):
+    dim = 2
+    lambda_claimed = 2.0
+
+    def apply(self, pts):
+        return np.full_like(pts, np.nan)
+
+
+class TestFinitePassRule:
+    """A sampled bound holds only for a finite claim and a finite
+    observed value within its refutation floor."""
+
+    @pytest.mark.parametrize("observed, claimed, passed", [
+        (2.0, 2.0, True), (2.0 * (1 + 1e-6), 2.0, True), (2.0 * (1 + 2e-6), 2.0, False),
+        (np.inf, np.inf, False), (np.nan, 2.0, False), (2.0, np.nan, False),
+        (np.inf, 2.0, False)])
+    def test_bound_pass(self, observed, claimed, passed):
+        assert V._bound_pass(observed, claimed) is passed
+
+    def test_radial_bound_with_nan_images_fails(self):
+        # the sphere bound, the claim 1 + inf and every observed value
+        # are infinite: only the finite-claim rule fails the scenario
+        rep = V.verify_radial_bound(_NanSphereMap(), small_cfg(n_pairs=2000),
+                                    sphere_pairs=2000)
+        assert not rep.passed
+        assert rep.claimed == rep.observed == np.inf
+        assert rep.details["equal_radius_max_ratio"] == np.inf
+        assert rep.to_dict()["details"]["sphere_lambda_lower"] == "inf"
+
+    def test_replication_constant_with_nan_images_fails(self):
+        rep = V.verify_replication_constant(_NanDiskMap(), small_cfg(radius=300.0,
+                                                                     n_pairs=2000))
+        assert not rep.passed
+        assert rep.details["cross_disk_max_ratio"] == np.inf
+
+
 class TestDriftScenario:
     def test_drift_law(self):
         g = M.make_twist_disk_map(dim=2)

@@ -24,8 +24,12 @@ start on a checkout with uncommitted changes under ``src/`` or
 After writing the record it prints one line per workload and
 end-to-end metric: the change/parent ratio of the medians, the seeds
 on which the change won, the spread between the quartiles of the
-parent's runs, and a flag where the change is worse than the parent
-by more than the metric's ``bound`` in ``BENCHMARK.json``.
+parent's runs, a flag where the change is worse than the parent by
+more than the metric's ``bound`` in ``BENCHMARK.json``, and a flag
+where the metric is unresolved: the parent's own runs spread wider
+than the bound allows, so the record cannot tell a change of that size
+from noise, unless every run of the change is better than every run of
+the parent.
 
 A run takes about ``run_seconds`` plus a few seconds of set-up probes.
 This script is not part of the test suite.
@@ -73,9 +77,11 @@ def summarise(results):
 def compare(record, end_to_end):
     """One row per workload and end-to-end metric of a record: the
     change/parent median ratio, the pairs of runs (one per seed) the
-    change won, the interquartile range of the parent's runs, and
+    change won, the interquartile range of the parent's runs,
     ``worse``: the change's median is worse than the parent's by more
-    than the metric's relative ``bound``."""
+    than the metric's relative ``bound``, and ``unresolved``: that
+    range exceeds ``bound`` times the parent's median and some run of
+    the change is not better than every run of the parent."""
     rows = []
     for workload, parent in record["parent"]["workloads"].items():
         change = record["change"]["workloads"][workload]
@@ -87,11 +93,15 @@ def compare(record, end_to_end):
             runs = parent["runs"][name]
             q1, _, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
                          if len(runs) > 1 else (runs[0],) * 3)
+            beats_all = (max(change["runs"][name]) < min(runs) if lower
+                         else min(change["runs"][name]) > max(runs))
             rows.append({"workload": workload, "metric": name, "unit": metric["unit"],
                          "ratio": ratio, "won": won, "pairs": len(pairs),
                          "spread": q3 - q1, "bound": metric["bound"],
                          "worse": (ratio > 1.0 + metric["bound"] if lower
-                                   else ratio < 1.0 - metric["bound"])})
+                                   else ratio < 1.0 - metric["bound"]),
+                         "unresolved": (q3 - q1 > metric["bound"] * parent["median"][name]
+                                        and not beats_all)})
     return rows
 
 
@@ -142,6 +152,8 @@ def main(argv=None):
     print(path)
     for row in compare(record, bench["end_to_end"]):
         flag = f"  WORSE than parent beyond bound {row['bound']}" if row["worse"] else ""
+        if row["unresolved"]:
+            flag += f"  UNRESOLVED: parent IQR past bound {row['bound']} of its median"
         print(f"{row['workload']:<10} {row['metric']:<12} change/parent {row['ratio']:.3f}  "
               f"won {row['won']}/{row['pairs']}  parent IQR {row['spread']:.4g} "
               f"{row['unit']}{flag}")
