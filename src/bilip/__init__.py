@@ -17,7 +17,6 @@ from .core import (
 )
 from .estimators import (
     AnnulusRegion,
-    BallRegion,
     BilipEstimate,
     BoxRegion,
     DriftReport,

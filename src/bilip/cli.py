@@ -25,11 +25,13 @@ Exit status:
 * 2: usage error, before any sampling: a bad flag or config value (a
   count below 1, a negative seed, a value a constructor refuses), a
   config key no scenario knows, ``--svg`` on a scenario without a plot,
-  a map or PL file that cannot be read or parsed, an ``estimate``
-  region whose dimension is not the map's, ``--pairs`` below 1 or
-  ``--claim`` below 1, a ``drift`` count ``-K`` below 1, a ``drift
-  --x0`` that is not the map's dimension in finite numbers, or one
-  outside the open unit ball for replication witnesses. Apart from
+  a map or PL file that cannot be read or parsed (map text nested too
+  deep included), an ``estimate`` region that is empty, not finite or
+  too large for its squared diameter to be a finite float (a radius
+  above about 1e154), or whose dimension is not the map's, ``--pairs``
+  below 1 or ``--claim`` below 1, a ``drift`` count ``-K`` below 1, a
+  ``drift --x0`` that is not the map's dimension in finite numbers, or
+  one outside the open unit ball for replication witnesses. Apart from
   argparse's own messages, a usage error prints one ``error:`` line on
   stderr and nothing on stdout.
 
@@ -87,7 +89,8 @@ def parse_config_file(path):
 
 def parse_region(spec, dim):
     """Region syntax: ball:cx,cy,...:R | box:lo1,lo2,..:hi1,hi2,.. |
-    annulus:r_inner:r_outer (centered at the origin)."""
+    annulus:r_inner:r_outer (centered at the origin); a ball is the
+    annulus of inner radius 0."""
     parts = spec.split(":")
     kind = parts[0]
     try:
@@ -196,9 +199,7 @@ def _cmd_drift(args):
             raise ConfigError("spiral witnesses need a spiral map")
         wit = E.spiral_drift_witnesses(m.profile, args.count)
     else:  # ray
-        x0 = _parse_x0(args.x0, m.dim)
-        ks = np.arange(1, args.count + 1)
-        wit = (2.0 ** ks)[:, None] * x0[None, :]
+        wit = E.ray_witnesses(_parse_x0(args.x0, m.dim), args.count)
     rep = E.drift_profile(m, wit, threshold)
     record = {
         "op": "drift",

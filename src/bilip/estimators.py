@@ -118,37 +118,13 @@ def _uniform_block(rng, count, width):
 # Sampling regions
 # =====================================================================
 
-@dataclass(frozen=True)
-class BallRegion:
-    """Closed ball; ``sample`` is uniform in volume."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise EmptyRegionError(f"ball radius must be positive, got {self.radius}")
-
-    @property
-    def dim(self):
-        return len(self.center)
-
-    @property
-    def scale(self):
-        return float(self.radius)
-
-    def sample(self, u):
-        """Points from a block of uniform columns (one point per column):
-        a unit direction from the leading rows, the radius from the last."""
-        r = self.radius * u[-1] ** (1.0 / self.dim)
-        return np.asarray(self.center) + r[:, None] * _directions(u, self.dim)
-
-    def contains(self, pts):
-        return row_norms(pts - np.asarray(self.center)) <= self.radius
-
-    def bounds(self):
-        c = np.asarray(self.center)
-        return c - self.radius, c + self.radius
+def _check_finite(region):
+    """Refuse a region whose bounds, or its bounding box's squared
+    diagonal, are not finite: its distances would overflow."""
+    lo, hi = region.bounds()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.sum((hi - lo) ** 2)):
+            raise InvalidPointError("region bounds and their squared diagonal must be finite")
 
 
 @dataclass(frozen=True)
@@ -162,6 +138,7 @@ class BoxRegion:
         lo, hi = np.asarray(self.lo), np.asarray(self.hi)
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise EmptyRegionError("box needs lo < hi componentwise")
+        _check_finite(self)
 
     @property
     def dim(self):
@@ -187,8 +164,8 @@ class BoxRegion:
 
 @dataclass(frozen=True)
 class AnnulusRegion:
-    """Ball shell between two radii; used for scale-spanning maps whose
-    behaviour at the origin is excluded by construction."""
+    """Ball shell between two radii; a ball is the shell of inner radius
+    0, and a positive one keeps scale-spanning maps off the origin."""
 
     center: tuple
     inner: float
@@ -197,6 +174,7 @@ class AnnulusRegion:
     def __post_init__(self):
         if not (0.0 <= self.inner < self.outer):
             raise EmptyRegionError("annulus needs 0 <= inner < outer")
+        _check_finite(self)
 
     @property
     def dim(self):
@@ -211,8 +189,8 @@ class AnnulusRegion:
         a unit direction from the leading rows, the radius (uniform in
         volume between the radii) from the last."""
         n = self.dim
-        rn = self.inner ** n + u[-1] * (self.outer ** n - self.inner ** n)
-        r = rn ** (1.0 / n)
+        q = (self.inner / self.outer) ** n  # never forms outer ** n, which may overflow
+        r = self.outer * (q + u[-1] * (1.0 - q)) ** (1.0 / n)
         return np.asarray(self.center) + r[:, None] * _directions(u, n)
 
     def contains(self, pts):
@@ -225,7 +203,7 @@ class AnnulusRegion:
 
 
 def ball(center, radius):
-    return BallRegion(tuple(float(c) for c in center), float(radius))
+    return annulus(center, 0.0, radius)
 
 
 def box(lo, hi):
@@ -319,13 +297,21 @@ def cross_disk_pairs(seed, op_name, m, n_disks, count):
     n = m.dim
     k = _direction_width(n) + 1
     u = _uniform_block(_op_rng(seed, op_name), count, 2 * k + 2)
-    unit_ball = BallRegion((0.0,) * n, 1.0)
+    unit_ball = ball((0.0,) * n, 1.0)
     p = unit_ball.sample(u[:k])
     q = unit_ball.sample(u[k : 2 * k])
     i_disk = np.floor(u[-2] * n_disks).astype(int)
     j_disk = np.floor(u[-1] * (n_disks - 1)).astype(int)
     j_disk = np.where(j_disk >= i_disk, j_disk + 1, j_disk)  # force i != j
     return m.disk_points(i_disk, p), m.disk_points(j_disk, q)
+
+
+def radius_range(region):
+    """(lo, hi): the radii that scale-spanning samplers read log-uniformly
+    on ``region``. ``hi`` is its scale; ``lo`` is its inner radius, or
+    1e-3 of its scale where that is 0 (a ball, a box), never below 1e-6."""
+    lo = getattr(region, "inner", 0.0) or 1e-3 * region.scale
+    return max(lo, 1e-6), region.scale
 
 
 def _witness_pairs(m, region, a, b, w1, w2, w3):
@@ -343,8 +329,8 @@ def _witness_pairs(m, region, a, b, w1, w2, w3):
     n = m.dim
     scale = region.scale
     if isinstance(m, (M.RadialExtensionMap, M.SpiralMap)):
-        lo = max(1e-3 * scale, 1e-6)
-        r = np.exp(np.log(lo) + w1 * (np.log(scale) - np.log(lo)))
+        lo, hi = radius_range(region)
+        r = np.exp(np.log(lo) + w1 * (np.log(hi) - np.log(lo)))
         u = _directions(a, n)
         x = r[:, None] * u
         y = np.empty_like(x)
@@ -378,7 +364,7 @@ def _witness_pairs(m, region, a, b, w1, w2, w3):
             count = min(count, len(m.disk_maps))
         j1 = np.floor(w1 * count).astype(np.int64)
         j2 = np.floor(w2 * count).astype(np.int64)
-        unit_ball = BallRegion((0.0,) * n, 1.0)
+        unit_ball = ball((0.0,) * n, 1.0)
         return m.disk_points(j1, unit_ball.sample(a)), m.disk_points(j2, unit_ball.sample(b))
     if isinstance(m, M.ProductMap):
         x = region.sample(a)
@@ -583,12 +569,11 @@ def sphere_bilip_lower_bound(phi, seed, n_pairs):
 @dataclass(frozen=True)
 class QiParams:
     """(lambda, eps) quasi-isometry parameters, with the metric they
-    refer to and an optional covering constant of the image."""
+    refer to."""
 
     lam: float
     eps: float
     metric: str = "euclidean"
-    c_density: float | None = None
 
     def __post_init__(self):
         if self.lam < 1.0 or self.eps < 0.0:
@@ -748,6 +733,12 @@ class DriftReport:
         self.verdict = VERDICT_EXCEEDS if (exceeded and growing) else VERDICT_BOUNDED
 
 
+def ray_witnesses(x0, count):
+    """Witness points 2^k x0, k = 1..count, out along the ray through x0."""
+    ks = np.arange(1, count + 1)
+    return (2.0 ** ks)[:, None] * np.asarray(x0, dtype=float)[None, :]
+
+
 def drift_profile(m, witnesses, threshold):
     """Evaluate the displacement field along witness points.
 
@@ -803,18 +794,13 @@ def spiral_drift_witnesses(p, count):
         theta, u = rotation_angle_and_plane(data)
         if theta < 1e-6:
             raise NoWitnessError("far-field rotation indistinguishable from identity")
-        ks = np.arange(1, count + 1)
-        return (2.0 ** ks)[:, None] * u[None, :]
+        return ray_witnesses(u, count)
     # oscillating plane angle c*ln r: keep radii whose angle is far from 0 mod 2pi
-    c = data
-    ks = np.arange(1, count + 1)
-    ang = np.mod(c * ks * np.log(2.0), 2.0 * np.pi)
+    ang = np.mod(data * np.arange(1, count + 1) * np.log(2.0), 2.0 * np.pi)
     keep = (ang >= np.pi / 2) & (ang <= 3 * np.pi / 2)
     if not keep.any():
         raise NoWitnessError("no radius 2^k with rotation angle bounded away from 0")
-    u = np.zeros(p.dim)
-    u[p.plane[0]] = 1.0
-    return (2.0 ** ks[keep])[:, None] * u[None, :]
+    return ray_witnesses(M.unit_axis(p.dim, p.plane[0]), count)[keep]
 
 
 # =====================================================================

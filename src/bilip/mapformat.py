@@ -105,6 +105,8 @@ def _build(name, kw):
         raise MapFormatError(f"{name}: {exc}") from exc
 
 
+_MAX_NESTING = 100  # deeper text would exhaust the stack of the recursive parser or writer
+
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[-+]?[0-9][^,()\[\]\s]*|[(),=\[\]])")
 
 
@@ -196,6 +198,9 @@ class _Parser:
 def parse_map(text):
     """Parse canonical map text back into a map expression."""
     parser = _Parser(text)
+    depth = np.cumsum([(t in ("(", "[")) - (t in (")", "]")) for t in parser.tokens])
+    if depth.max(initial=0) > _MAX_NESTING:
+        raise MapFormatError(f"map text nests calls and lists over {_MAX_NESTING} deep")
     name = parser.next()
     value = parser.parse_call(name)
     if parser.peek() is not None:

@@ -194,12 +194,15 @@ def verify_replication_drift(g, x0, count=40, threshold=1e6):
 # =====================================================================
 
 _HOM_KINDS = ("disk_replication", "translated_replication", "radial")
+_DRIFT_COUNT, _DRIFT_THRESHOLD = 30, 1e6  # witnesses of the drift-class checks
 
 
 def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
     """construct(g o h) must equal construct(g) o construct(h) pointwise;
     the construction restricted to its core set must reproduce the
-    input map; and a non-identity input must yield a drift witness."""
+    input map; and the drift must grow past the threshold along the
+    witnesses, except for a translated replication (a kernel element of
+    QI(R^n)) or an input that moves nothing, whose drift stays bounded."""
     t0 = time.perf_counter()
     if kind not in _HOM_KINDS:
         raise ConfigError(f"unknown homomorphism kind {kind!r}; pick from {_HOM_KINDS}")
@@ -231,22 +234,19 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
         core = E._unit_rows(core)
     restr = float(np.abs(f_g._eval(core) - g.apply(core)).max())
 
-    # monomorphism evidence: if g moves some mesh point, the built map
-    # has a drift witness with strictly positive displacement
+    # QI-class evidence: maps at bounded distance are one element of QI(R^n)
     moves = row_norms(g.apply(core) - core)
-    drift_witness = 0.0
-    if moves.max() > 1e-9:
-        x0 = core[int(np.argmax(moves))]
-        if kind == "radial":
-            probe = 2.0 ** 20 * x0
-        else:  # the point of replication disk 20 over 0.9 x0 / ||x0||
-            x0 = 0.9 * x0 / max(np.linalg.norm(x0), 1e-12)
-            probe = f_g.disk_points(np.array([20]), x0[None, :])[0]
-        drift_witness = float(np.linalg.norm(M.displacement(f_g, probe)))
+    x0 = core[int(np.argmax(moves))]
+    if kind == "radial":
+        wit = E.ray_witnesses(x0, _DRIFT_COUNT)
+    else:  # the points of replication disks 1..30 over 0.9 x0 / ||x0||
+        x0 = 0.9 * x0 / max(np.linalg.norm(x0), 1e-12)
+        wit = f_g.disk_points(np.arange(1, _DRIFT_COUNT + 1), x0[None, :])
+    rep = E.drift_profile(f_g, wit, _DRIFT_THRESHOLD)
+    grows = kind != "translated_replication" and moves.max() > 1e-9
+    expected = E.VERDICT_EXCEEDS if grows else E.VERDICT_BOUNDED
 
-    passed = residual <= 1e-9 and restr <= 1e-12 and (
-        moves.max() <= 1e-9 or drift_witness > 0.0
-    )
+    passed = residual <= 1e-9 and restr <= 1e-12 and rep.verdict == expected
     return Report(
         scenario="homomorphism",
         passed=passed,
@@ -260,7 +260,8 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
             "kind": kind,
             "composition_residual": residual,
             "restriction_residual": restr,
-            "drift_witness": drift_witness,
+            "drift_witness": float(rep.drifts[-1]),
+            "verdict": rep.verdict,
         },
     )
 
@@ -337,9 +338,6 @@ def verify_product_qi(f, f_params, g, g_params, cfg, grid_step=1.0,
 # Scenario: spiral bound and kernel behaviour
 # =====================================================================
 
-_KERNEL_COUNT, _KERNEL_THRESHOLD = 30, 1e6  # the kernel check's witnesses
-
-
 def verify_spiral_bound(p, cfg):
     """A profile with certified entry bound C yields a map with no
     distortion above n*C + 1; equal-radius pairs are isometric; the
@@ -351,9 +349,9 @@ def verify_spiral_bound(p, cfg):
     est = E.bilip_lower_bound(fmap, cfg, op_name="verify_spiral_bound")
 
     # same-radius pairs are isometric up to rounding
-    lo = max(getattr(cfg.region, "inner", 1e-3 * cfg.region.scale), 1e-9)
+    lo, hi = E.radius_range(cfg.region)
     x, y, _, _ = E.equal_radius_pairs(cfg.seed, "verify_spiral_equal_radius", n, 20_000,
-                                      np.log(lo), np.log(cfg.region.scale) - np.log(lo))
+                                      np.log(lo), np.log(hi) - np.log(lo))
     _, ratios = E.distortion(fmap._eval, x, y)
     eq_worst = float(np.abs(ratios - 1.0).max())
 
@@ -363,16 +361,15 @@ def verify_spiral_bound(p, cfg):
     kernel_detail = {"far_field": kind}
     kernel_ok = True
     if kind == "identity":
-        ks = np.arange(1, _KERNEL_COUNT + 1)
-        ray = (2.0 ** ks)[:, None] * M.unit_axis(n)[None, :]
-        rep = E.drift_profile(fmap, ray, _KERNEL_THRESHOLD)
+        rep = E.drift_profile(fmap, E.ray_witnesses(M.unit_axis(n), _DRIFT_COUNT),
+                              _DRIFT_THRESHOLD)
         kernel_ok = rep.verdict == E.VERDICT_BOUNDED
         kernel_detail["verdict"] = rep.verdict
         kernel_detail["max_drift"] = float(rep.drifts.max())
     elif kind == "rotation":
         try:
-            wit = E.spiral_drift_witnesses(p, _KERNEL_COUNT)
-            rep = E.drift_profile(fmap, wit, _KERNEL_THRESHOLD)
+            wit = E.spiral_drift_witnesses(p, _DRIFT_COUNT)
+            rep = E.drift_profile(fmap, wit, _DRIFT_THRESHOLD)
             theta, _ = E.rotation_angle_and_plane(p.matrix(1.0))
             expected = 2.0 * np.sin(theta / 2.0) * row_norms(wit)
             rel = float(np.abs(rep.drifts - expected).max() / expected.max())

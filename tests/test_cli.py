@@ -18,6 +18,7 @@ from bilip import pl
 from bilip.cli import parse_config_file, parse_region, run_cli
 from bilip.errors import ConfigError
 from bilip.mapformat import save_map
+from bilip.profiles import bump_profile
 
 
 def assert_usage_error(capsys, *args):
@@ -192,6 +193,39 @@ class TestEstimateCommand:
                                  "--region", "ball:0,0:1", "--pairs", "100")
         if "[2]" in text:
             assert "identity" in err  # the node that refused the value
+
+    @pytest.mark.parametrize("text", [
+        "inverse(map=" * 3000 + "identity(dim=2)" + ")" * 3000,
+        "identity(dim=" + "[" * 3000 + "]" * 3000 + ")",
+        "inverse(map=" * 300 + "identity(dim=2)" + ")" * 300,  # too deep to write back
+    ])
+    def test_deep_map_text_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.map"
+        path.write_text(text + "\n")
+        err = assert_usage_error(capsys, "estimate", "--map", str(path),
+                                 "--region", "ball:0,0:1", "--pairs", "100")
+        assert "deep" in err
+
+    @pytest.mark.parametrize("region", ["ball:0,0:inf", "ball:0,0:nan", "ball:nan,0:1",
+                                        "box:0,0:inf,1", "annulus:0:inf",
+                                        "annulus:1e-3:1e200", "ball:0,0:1e308"])
+    def test_hostile_region_is_usage_error(self, capsys, tmp_path, region):
+        path = tmp_path / "id.map"
+        save_map(M.identity(2), path)
+        err = assert_usage_error(capsys, "estimate", "--map", str(path),
+                                 "--region", region, "--pairs", "100")
+        assert region in err
+
+    def test_cutoff_spiral_claim_of_one_is_refuted(self, capsys, tmp_path):
+        # the twist lives on 1 < r < 3; the witness rows reach down to the
+        # annulus' inner radius 1e-3, so they sample it
+        path = tmp_path / "cutoff.map"
+        save_map(M.spiral_map(M.CutoffRotationProfile(bump_profile(1.0, 1.0, 3.0),
+                                                      (0, 1), 2)), path)
+        code, records = run(capsys, "estimate", "--map", str(path),
+                            "--region", "annulus:1e-3:1e4", "--claim", "1.0")
+        assert code == 1 and records[0]["violated"] is True
+        assert records[0]["lambda_lower"] > 3.0
 
     def test_non_utf8_map_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "binary.map"
@@ -534,7 +568,7 @@ class TestConfigHelpers:
 
     def test_parse_region(self):
         r = parse_region("ball:1,2:3", 2)
-        assert r.center == (1.0, 2.0) and r.radius == 3.0
+        assert r.center == (1.0, 2.0) and r.inner == 0.0 and r.outer == 3.0
         r = parse_region("box:0,0:1,2", 2)
         assert r.hi == (1.0, 2.0)
         r = parse_region("annulus:0.5:10", 2)

@@ -45,6 +45,38 @@ class TestSamplerConfig:
         with pytest.raises(EmptyRegionError):
             est.annulus((0.0, 0.0), 2.0, 1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: est.ball((0.0, 0.0), np.inf),
+        lambda: est.ball((np.nan, 0.0), 1.0),
+        lambda: est.ball((0.0, 0.0), 1e308),  # its squared diameter overflows
+        lambda: est.box((0.0, 0.0), (np.inf, 1.0)),
+        lambda: est.annulus((0.0, 0.0, 0.0), 1e-3, 1e200),
+    ])
+    def test_non_finite_regions_rejected(self, make):
+        with pytest.raises(InvalidPointError):
+            make()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_ball_is_the_annulus_of_inner_radius_zero(self, n):
+        center, radius = tuple(float(c) for c in range(n)), 3.7
+        r = est.ball(center, radius)
+        assert isinstance(r, est.AnnulusRegion) and r.inner == 0.0 and r.outer == radius
+        u = np.random.default_rng(n).random((est._direction_width(n) + 1, 1000))
+        # the radius law of the former ball class, bit for bit
+        old = np.asarray(center) + (radius * u[-1] ** (1.0 / n))[:, None] * est._directions(u, n)
+        assert np.array_equal(r.sample(u), old)
+
+    def test_wide_annulus_samples_without_overflow(self):
+        r = est.annulus((0.0,) * 3, 1e-3, 1e150)  # outer ** 3 overflows
+        pts = r.sample(np.random.default_rng(0).random((3, 1000)))
+        assert np.isfinite(pts).all() and r.contains(pts).all()
+
+    def test_radius_range(self):
+        assert est.radius_range(est.annulus((0.0, 0.0), 1e-3, 1e4)) == (1e-3, 1e4)
+        assert est.radius_range(est.ball((0.0, 0.0), 100.0)) == (0.1, 100.0)
+        assert est.radius_range(est.box((0.0, 0.0), (2.0, 4.0))) == (2e-3, 2.0)
+        assert est.radius_range(est.annulus((0.0, 0.0), 1e-9, 1.0)) == (1e-6, 1.0)
+
     def test_region_samples_land_inside(self):
         rng = np.random.default_rng(0)
         for region in (
@@ -194,7 +226,7 @@ class TestPairFamilies:
         rng = est._op_rng(seed, "verify_replication_cross_disk")
         k = est._direction_width(n) + 1
         u = est._uniform_block(rng, count, 2 * k + 2)
-        unit_ball = est.BallRegion((0.0,) * n, 1.0)
+        unit_ball = est.ball((0.0,) * n, 1.0)
         i = np.floor(u[-2] * n_disks).astype(int)
         j = np.floor(u[-1] * (n_disks - 1)).astype(int)
         j = np.where(j >= i, j + 1, j)

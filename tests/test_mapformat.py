@@ -112,3 +112,19 @@ class TestParseErrors:
         m = M.affine([[value, 0.0], [0.0, 1.0]])
         m2 = parse_map(map_to_text(m))
         assert m2.matrix[0, 0] == value
+
+
+class TestNestingLimit:
+    def test_deepest_allowed_text_round_trips(self):
+        text = "inverse(map=" * 99 + "identity(dim=2)" + ")" * 99  # 100 deep
+        m = parse_map(text)
+        assert map_to_text(m) == text
+        assert np.array_equal(M.evaluate_points(m, np.eye(2)), np.eye(2))
+
+    @pytest.mark.parametrize("text", [
+        "inverse(map=" * 100 + "identity(dim=2)" + ")" * 100,
+        "identity(dim=" + "[" * 100 + "]" * 100 + ")",
+    ])
+    def test_deeper_text_is_refused(self, text):
+        with pytest.raises(MapFormatError, match="deep"):
+            parse_map(text)

@@ -156,6 +156,34 @@ class TestHomomorphismScenario:
                                     small_cfg(radius=25.0), n_points=5000)
         assert rep.passed
 
+    @pytest.mark.parametrize("kind, verdict", [
+        ("disk_replication", E.VERDICT_EXCEEDS),
+        ("radial", E.VERDICT_EXCEEDS),
+        # a uniform translated replication stays at bounded distance from
+        # the identity: it is the identity of QI(R^n), not a witness
+        ("translated_replication", E.VERDICT_BOUNDED),
+    ])
+    def test_drift_class_verdict(self, kind, verdict):
+        run, _ = V.SCENARIOS["homomorphism"].build({"seed": 7, "pairs": 2000, "kind": kind})
+        rep, = run()
+        assert rep.passed and rep.details["verdict"] == verdict
+        assert (rep.details["drift_witness"] > 1e6) == (verdict == E.VERDICT_EXCEEDS)
+
+    @pytest.mark.parametrize("kind", ["disk_replication", "translated_replication"])
+    def test_identity_input_is_bounded(self, kind):
+        g = M.make_twist_disk_map(dim=2, amplitude=0.0)
+        rep = V.verify_homomorphism(kind, g, g, small_cfg(radius=25.0), n_points=2000)
+        assert rep.passed and rep.details["verdict"] == E.VERDICT_BOUNDED
+
+    def test_unwitnessed_growth_fails(self, monkeypatch):
+        # three disks take the drift 2^k |g(x0) - x0| nowhere near the
+        # threshold, so the replication's growth goes unwitnessed
+        monkeypatch.setattr(V, "_DRIFT_COUNT", 3)
+        g = M.make_twist_disk_map(dim=2, amplitude=0.8)
+        rep = V.verify_homomorphism("disk_replication", g, g,
+                                    small_cfg(radius=25.0), n_points=2000)
+        assert not rep.passed and rep.details["verdict"] == E.VERDICT_BOUNDED
+
     def test_unknown_kind(self):
         g = M.make_twist_disk_map(dim=2)
         with pytest.raises(ConfigError):
@@ -191,6 +219,13 @@ class TestSpiralScenario:
     def spiral_cfg(self, seed=7, n_pairs=20_000, dim=2):
         return E.SamplerConfig(seed=seed, region=E.annulus((0.0,) * dim, 1e-3, 1e4),
                                n_pairs=n_pairs)
+
+    def test_cutoff_twist_is_sampled(self):
+        # the twist lives on 1 < r < 3, inside the annulus' radius range
+        run, _ = V.SCENARIOS["spiral-bound"].build({"seed": 3, "pairs": 20_000,
+                                                    "profile": "cutoff"})
+        rep, = run()
+        assert rep.passed and rep.observed > 3.0
 
     def test_log_spiral_passes(self):
         p = M.LogSpiralProfile(1.0, (0, 1), 2)
