@@ -20,7 +20,6 @@ from .estimators import (
     BilipEstimate,
     BoxRegion,
     DriftReport,
-    QiParams,
     SamplerConfig,
     annulus,
     ball,

@@ -14,9 +14,9 @@ vs k on a log scale, or a histogram of sampled two-point ratios). The
 environment variable BILIP_SEED overrides the default seed.
 
 ``estimate --claim L`` judges the claim on the same pairs as
-``lambda_lower``, drawn and evaluated once: ``violated`` holds exactly
-when ``lambda_lower > L (1 + estimators.REFUTATION_SLACK)``, and then
-``violation`` is the bound's ``worst_pair``.
+``lambda_lower``, drawn and evaluated once: ``violated`` is
+``estimators.refutes(lambda_lower, L)``, and then ``violation`` is the
+bound's ``worst_pair``.
 
 Exit status:
 
@@ -29,11 +29,14 @@ Exit status:
   deep included), an ``estimate`` region that is empty, not finite or
   too large for its squared diameter to be a finite float (a radius
   above about 1e154), or whose dimension is not the map's, ``--pairs``
-  below 1 or ``--claim`` below 1, a ``drift`` count ``-K`` below 1, a
-  ``drift --x0`` that is not the map's dimension in finite numbers, or
-  one outside the open unit ball for replication witnesses. Apart from
-  argparse's own messages, a usage error prints one ``error:`` line on
-  stderr and nothing on stdout.
+  below 1 or a ``--claim`` that is not a finite number >= 1, a ``drift``
+  count ``-K`` below 1, a ``drift --x0`` that is not the map's dimension
+  in finite numbers, or one outside the open unit ball for replication
+  witnesses, ``drift`` witnesses that overflow (``-K`` or ``--x0`` too
+  large), an eps of ``geodesic`` or ``verify metric-equivalence`` that
+  is not a finite number > 0, or ``geodesic --pairs`` below 1. Apart
+  from argparse's own messages, a usage error prints one ``error:``
+  line on stderr and nothing on stdout.
 
 Non-finite numbers in a record (an infinite bound, a NaN ratio) are
 written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``, so every
@@ -147,9 +150,9 @@ def _cmd_estimate(args):
     region = parse_region(args.region, m.dim)
     if region.dim != m.dim:
         raise ConfigError(f"region dimension {region.dim} != map dimension {m.dim}")
-    if args.claim is not None and not args.claim >= 1.0:
-        raise ConfigError(f"a bi-Lipschitz constant is >= 1, got --claim {args.claim}")
     try:
+        if args.claim is not None:
+            E.check_claim(args.claim)
         cfg = E.SamplerConfig(seed=args.seed, region=region, n_pairs=args.pairs)
     except InvalidPointError as exc:
         raise ConfigError(str(exc)) from exc
@@ -161,7 +164,7 @@ def _cmd_estimate(args):
     if args.claim is not None:
         # judged on the pairs that gave the bound: its worst pair is the
         # first pair beyond the claim whenever the bound refutes it
-        violated = est.lambda_lower > E.refutation_floor(args.claim)
+        violated = E.refutes(est.lambda_lower, args.claim)
         record["claim"] = args.claim
         record["violated"] = violated
         if violated:
@@ -200,6 +203,9 @@ def _cmd_drift(args):
         wit = E.spiral_drift_witnesses(m.profile, args.count)
     else:  # ray
         wit = E.ray_witnesses(_parse_x0(args.x0, m.dim), args.count)
+    if not np.isfinite(wit).all():
+        raise ConfigError(f"witnesses overflow at -K {args.count} from --x0 {args.x0!r}; "
+                          "lower -K or the size of --x0")
     rep = E.drift_profile(m, wit, threshold)
     record = {
         "op": "drift",
@@ -244,12 +250,16 @@ def _cmd_geodesic(args):
         raise ConfigError(f"--pair {args.pair[0]} {args.pair[1]} is out of range "
                           f"for a cloud of {n_points} points")
     eps = E.default_eps(cloud) if args.eps is None else args.eps
+    try:
+        ratio = E.metric_equivalence_ratio(cloud, eps, args.pairs, args.seed)
+    except InvalidPointError as exc:  # --pairs below 1, or an eps not finite and positive
+        raise ConfigError(str(exc)) from exc
     record = {
         "op": "geodesic",
         "cloud": args.cloud,
         "n_points": n_points,
         "eps": eps,
-        "max_ratio": E.metric_equivalence_ratio(cloud, eps, args.pairs, args.seed),
+        "max_ratio": ratio,
     }
     if args.pair is not None:
         i, j = args.pair

@@ -218,31 +218,24 @@ def annulus(center, inner, outer):
 # Sampler configuration and pair streams
 # =====================================================================
 
+_MIX = (0.5, 0.3, 0.2)  # fractions of global, local and witness pairs
+_LOCAL_SCALE = 1e-3  # local pair offsets, relative to the region scale
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Deterministic pair-sampling plan.
-
-    ``mix`` gives the fractions of global pairs, local pairs (offsets
-    of size local_scale * region scale) and construction-aware witness
-    pairs; identical configs produce identical sample streams.
-    """
+    """Deterministic pair-sampling plan; identical configs produce
+    identical sample streams."""
 
     seed: int
     region: object
     n_pairs: int
-    mix: tuple = (0.5, 0.3, 0.2)
-    local_scale: float = 1e-3
 
     def __post_init__(self):
         if self.seed < 0:
             raise InvalidPointError("seed must be a nonnegative integer")
         if self.n_pairs < 1:
             raise InvalidPointError("n_pairs must be >= 1")
-        m = np.asarray(self.mix, dtype=float)
-        if m.shape != (3,) or np.any(m < 0) or abs(m.sum() - 1.0) > 1e-12:
-            raise InvalidPointError("mix must be 3 nonnegative fractions summing to 1")
-        if self.local_scale <= 0:
-            raise InvalidPointError("local_scale must be positive")
 
 
 def _tangential_pairs(u, v, radii, h):
@@ -400,7 +393,7 @@ def _pair_chunks(m, cfg, op_name):
     k = _direction_width(n) + 1
     a, b = slice(0, k), slice(k, 2 * k)  # the two point blocks of a gather
     rng = _op_rng(cfg.seed, op_name)
-    g_frac, l_frac, _ = cfg.mix
+    g_frac, l_frac, _ = _MIX
     remaining = cfg.n_pairs
     while remaining > 0:
         count = min(_CHUNK, remaining)
@@ -418,7 +411,7 @@ def _pair_chunks(m, cfg, op_name):
         rows = np.flatnonzero((cat >= g_frac) & (cat < g_frac + l_frac))
         v = np.take(u[1 : 2 + 2 * k], rows, axis=1)
         x[rows] = xl = region.sample(v[a])
-        h = cfg.local_scale * region.scale * (0.5 + v[-1])
+        h = _LOCAL_SCALE * region.scale * (0.5 + v[-1])
         y[rows] = xl + h[:, None] * _directions(v[b], n)
 
         rows = np.flatnonzero(cat >= g_frac + l_frac)
@@ -513,10 +506,17 @@ def bilip_lower_bound(m, cfg, op_name="bilip_lower_bound"):
     return BilipEstimate(max(best, 1.0), pair, used, cfg.seed)
 
 
-def refutation_floor(lambda_claim):
-    """The distortion a sampled pair must exceed to refute
-    ``lambda_claim``: the claim plus REFUTATION_SLACK relative."""
-    return lambda_claim * (1.0 + REFUTATION_SLACK)
+def check_claim(lam):
+    """Refuse a claimed bi-Lipschitz constant that is not finite and >= 1."""
+    if not (np.isfinite(lam) and lam >= 1.0):
+        raise InvalidPointError(f"a claimed constant is a finite number >= 1, got {lam}")
+
+
+def refutes(observed, claim):
+    """Whether the observed distortion refutes ``claim``: it does unless
+    the claim is finite and the distortion at most claim (1 +
+    REFUTATION_SLACK). A NaN distortion refutes every claim."""
+    return not (np.isfinite(claim) and observed <= claim * (1.0 + REFUTATION_SLACK))
 
 
 def falsify_bilip_bound(m, lambda_claim, cfg, op_name="falsify_bilip_bound"):
@@ -526,17 +526,15 @@ def falsify_bilip_bound(m, lambda_claim, cfg, op_name="falsify_bilip_bound"):
     with non-finite images violates every claim.
 
     The witness is the ``worst_pair`` of ``bilip_lower_bound`` on the
-    stream named ``op_name`` when its ``lambda_lower`` exceeds
-    ``refutation_floor(lambda_claim)``, so a caller holding the
-    estimate needs no second pass.
+    stream named ``op_name`` when its ``lambda_lower`` refutes the
+    claim, so a caller holding the estimate needs no second pass.
     """
-    if lambda_claim < 1.0:
-        raise InvalidPointError("a bi-Lipschitz constant is >= 1")
+    check_claim(lambda_claim)
     try:
         est = bilip_lower_bound(m, cfg, op_name)
     except InsufficientSamplesError:
         return None
-    return est.worst_pair if est.lambda_lower > refutation_floor(lambda_claim) else None
+    return est.worst_pair if refutes(est.lambda_lower, lambda_claim) else None
 
 
 def sphere_bilip_lower_bound(phi, seed, n_pairs):
@@ -566,22 +564,6 @@ def sphere_bilip_lower_bound(phi, seed, n_pairs):
 # Quasi-isometry checks
 # =====================================================================
 
-@dataclass(frozen=True)
-class QiParams:
-    """(lambda, eps) quasi-isometry parameters, with the metric they
-    refer to."""
-
-    lam: float
-    eps: float
-    metric: str = "euclidean"
-
-    def __post_init__(self):
-        if self.lam < 1.0 or self.eps < 0.0:
-            raise InvalidPointError("need lambda >= 1 and eps >= 0")
-        if self.metric not in ("euclidean", "l1"):
-            raise InvalidPointError(f"unknown metric {self.metric!r}")
-
-
 def _product_blocks(m):
     """Column blocks of the flattened product structure of ``m``.
 
@@ -605,6 +587,8 @@ def _product_blocks(m):
 def _metric(blocks, metric):
     if metric == "euclidean":
         return lambda a, b: row_norms(a - b)
+    if metric != "l1":
+        raise InvalidPointError(f"unknown metric {metric!r}")
 
     def l1(a, b):
         total = np.zeros(a.shape[0])
@@ -629,10 +613,13 @@ def qi_embedding_check(m, lam, eps, metric, cfg, op_name="qi_embedding_check"):
     every sampled pair; fails on any violation beyond float slack and on
     any pair with non-finite images.
 
+    ``lam`` must pass ``check_claim`` and ``eps`` be finite and >= 0.
     ``metric`` is 'euclidean' or 'l1'; 'l1' sums Euclidean block norms
     over the map's product structure; any other metric raises.
     """
-    QiParams(lam, eps, metric)
+    check_claim(lam)
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise InvalidPointError(f"eps is a finite number >= 0, got {eps}")
     dist = _metric(_product_blocks(m), metric)
 
     def chunks():
@@ -709,28 +696,38 @@ def c_density(m, region, grid_step):
 
 VERDICT_BOUNDED = "bounded-below-threshold"
 VERDICT_EXCEEDS = "exceeds-threshold-with-growth"
+_GROWTH = 1e6  # the rise over the first nonzero drift that witnesses growth
 
 
 @dataclass
 class DriftReport:
     """Displacement norms ||f(x_k) - x_k|| along a witness sequence.
 
-    The verdict is 'exceeds-threshold-with-growth' only when the final
-    drift passes the threshold and the last five entries are strictly
-    increasing; unboundedness is never decided, only witnessed.
+    The verdict is 'exceeds-threshold-with-growth' only when the last
+    five drifts strictly increase and the last passes ``threshold``, or
+    without one 1e6 times the first nonzero drift (all drifts 0 read
+    bounded); unboundedness is never decided, only witnessed.
     """
 
     witnesses: np.ndarray
     drifts: np.ndarray
-    threshold: float
+    threshold: float | None
     verdict: str = field(init=False)
 
     def __post_init__(self):
         drifts = self.drifts
-        tail = drifts[-min(5, len(drifts)):]
-        growing = bool(np.all(np.diff(tail) > 0)) if len(tail) > 1 else True
-        exceeded = bool(drifts[-1] > self.threshold)
-        self.verdict = VERDICT_EXCEEDS if (exceeded and growing) else VERDICT_BOUNDED
+        if self.threshold is None:  # divided, as 1e6 times a huge drift overflows
+            nonzero = drifts[drifts != 0]
+            passes = nonzero.size > 0 and drifts[-1] / _GROWTH > nonzero[0]
+        else:
+            passes = drifts[-1] > self.threshold
+        exceeds = passes and np.all(np.diff(drifts[-5:]) > 0)
+        self.verdict = VERDICT_EXCEEDS if exceeds else VERDICT_BOUNDED
+
+
+def max_relative_error(observed, expected):
+    """Largest |observed - expected| / expected over a closed-form law."""
+    return float(np.max(np.abs(observed - expected) / expected))
 
 
 def ray_witnesses(x0, count):
@@ -739,7 +736,7 @@ def ray_witnesses(x0, count):
     return (2.0 ** ks)[:, None] * np.asarray(x0, dtype=float)[None, :]
 
 
-def drift_profile(m, witnesses, threshold):
+def drift_profile(m, witnesses, threshold=None):
     """Evaluate the displacement field along witness points.
 
     Displacements are computed by each node's scale-aware form, which
@@ -750,7 +747,7 @@ def drift_profile(m, witnesses, threshold):
     if pts.shape[0] == 0:
         raise InvalidPointError("need at least one witness point")
     drifts = row_norms(m._displacement(pts))
-    return DriftReport(pts, drifts, float(threshold))
+    return DriftReport(pts, drifts, threshold)
 
 
 def replication_drift_witnesses(g, x0, count):
@@ -823,15 +820,22 @@ def default_eps(cloud):
     return float(4.0 * d[:, 1].max())
 
 
+def _check_eps(eps):
+    """Refuse a graph eps that is not finite and > 0 (cKDTree takes r < 0 as no bound)."""
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise InvalidPointError(f"eps is a finite number > 0, got {eps}")
+
+
 def neighbor_graph(cloud, eps):
     """Symmetric eps-neighborhood graph with Euclidean edge weights.
 
-    Raises if the graph is disconnected.
+    Raises on an eps that is not finite and > 0 or a disconnected graph.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
 
+    _check_eps(eps)
     pts = as_points(cloud)
     tree = cKDTree(pts)
     pairs = tree.query_pairs(r=eps, output_type="ndarray")
@@ -870,6 +874,8 @@ def metric_equivalence_ratio(cloud, eps, n_pairs, seed):
     """Max over sampled pairs of (graph length / chord): a sampled
     lower bound for the constant making the intrinsic and ambient
     metrics bi-Lipschitz equivalent."""
+    if n_pairs < 1:
+        raise InvalidPointError(f"n_pairs must be >= 1, got {n_pairs}")
     pts = as_points(cloud)
     g = neighbor_graph(pts, eps)
     rng = _op_rng(seed, "metric_equivalence_ratio")

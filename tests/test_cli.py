@@ -74,6 +74,32 @@ class TestUsage:
         assert not svg.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "estimate --map {affine} --region ball:0,0:10 --pairs 1000 --claim inf",
+    "geodesic --cloud {cloud} --eps -1 --pair 0 100",
+    "geodesic --cloud {cloud} --eps 0",
+    "geodesic --cloud {cloud} --eps nan",
+    "geodesic --cloud {cloud} --eps inf",
+    "geodesic --cloud {cloud} --pairs 0",
+    "geodesic --cloud {cloud} --pairs -5",
+    "verify metric-equivalence --eps 0 --points 200 --pairs 10",
+    "drift --map {identity} --witnesses ray --x0 1,0 -K 1024",
+    "drift --map {replication} --witnesses replication -K 600",
+    "drift --map {identity} --witnesses ray --x0 1e300,0",
+])
+def test_refused_value_is_usage_error(capsys, tmp_path, argv):
+    """A claim that is not a finite constant, a graph eps that is not
+    finite and positive, a pair count below 1 and drift witnesses that
+    overflow are usage errors, not a result or a failed check."""
+    paths = {name: tmp_path / name for name in
+             ("affine", "cloud", "identity", "replication")}
+    save_map(M.affine([[1000.0, 0.0], [0.0, 1.0]]), paths["affine"])
+    est.save_cloud_csv(est.circle_cloud(200), paths["cloud"])
+    save_map(M.identity(2), paths["identity"])
+    save_map(M.disk_replication(M.make_twist_disk_map(dim=2)), paths["replication"])
+    assert_usage_error(capsys, *argv.format(**paths).split())
+
+
 class TestVerifyCommand:
     def test_spiral_scenario_passes(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -32,10 +32,6 @@ class TestSamplerConfig:
             est.SamplerConfig(seed=-1, region=est.ball((0, 0), 1.0), n_pairs=10)
         with pytest.raises(InvalidPointError):
             est.SamplerConfig(seed=1, region=est.ball((0, 0), 1.0), n_pairs=0)
-        with pytest.raises(InvalidPointError):
-            est.SamplerConfig(
-                seed=1, region=est.ball((0, 0), 1.0), n_pairs=10, mix=(0.5, 0.5, 0.5)
-            )
 
     def test_empty_regions_rejected(self):
         with pytest.raises(EmptyRegionError):
@@ -124,18 +120,16 @@ class TestPairStreamContract:
     @given(data=st.data(), n=st.integers(1, 4),
            family=st.sampled_from(["identity", "radial", "spiral", "replication",
                                    "translated", "product"]),
-           mix=st.sampled_from([(0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                (0.0, 0.0, 1.0), (0.1, 0.2, 0.7)]),
            seed=st.integers(0, 2 ** 32), short=st.integers(1, 3000),
            extra=st.integers(1, 2000))
     @settings(max_examples=25)
-    def test_prefix_and_region(self, data, n, family, mix, seed, short, extra):
+    def test_prefix_and_region(self, data, n, family, seed, short, extra):
         m = _stream_map(family, n)
         region = data.draw(_regions(n))
         n_long = est._CHUNK + extra
 
         def stream(n_pairs):
-            c = est.SamplerConfig(seed=seed, region=region, n_pairs=n_pairs, mix=mix)
+            c = est.SamplerConfig(seed=seed, region=region, n_pairs=n_pairs)
             chunks = list(est._pair_chunks(m, c, "stream_contract"))
             return len(chunks), *(np.concatenate(z) for z in zip(*chunks))
 
@@ -147,6 +141,7 @@ class TestPairStreamContract:
         # the family selector is the first uniform of each pair's row
         width = 1 + 2 * (est._direction_width(n) + 1) + 3
         cat = est._op_rng(seed, "stream_contract").random((n_long, width))[:, 0]
+        mix = est._MIX
         glob = cat < mix[0]
         local = (cat >= mix[0]) & (cat < mix[0] + mix[1])
         assert region.contains(x[glob]).all() and region.contains(y[glob]).all()
@@ -276,11 +271,9 @@ class TestBilipLowerBound:
         assert a.lambda_lower != b.lambda_lower
 
     def test_degenerate_stream_raises(self):
-        # local pairs with a vanishing scale produce only skipped pairs
-        c = est.SamplerConfig(
-            seed=3, region=est.ball((0.0, 0.0), 1.0), n_pairs=100,
-            mix=(0.0, 1.0, 0.0), local_scale=1e-30,
-        )
+        # every pair of a ball of radius 1e-20 is closer than 1e-12, so
+        # every pair is skipped
+        c = est.SamplerConfig(seed=3, region=est.ball((0.0, 0.0), 1e-20), n_pairs=100)
         with pytest.raises(InsufficientSamplesError):
             est.bilip_lower_bound(M.identity(2), c)
 
@@ -305,6 +298,11 @@ class TestFalsify:
     def test_valid_claim_survives(self):
         m = M.affine([[3.0, 0.0], [0.0, 1.0]])
         assert est.falsify_bilip_bound(m, 3.0, cfg(n_pairs=50_000)) is None
+
+    @pytest.mark.parametrize("claim", [0.5, np.inf, np.nan])
+    def test_claim_that_is_not_a_constant_is_refused(self, claim):
+        with pytest.raises(InvalidPointError):
+            est.falsify_bilip_bound(M.affine([[1000.0, 0.0], [0.0, 1.0]]), claim, cfg())
 
     def test_radial_extension_bound_survives(self):
         phi = M.make_latitude_sphere_map(0.5, dim=2)
@@ -346,16 +344,10 @@ class TestQiEmbeddingCheck:
         r = est.qi_embedding_check(h, 3.0, 0.0, "l1", cfg(dim=4, n_pairs=50_000))
         assert r.passed
 
-    def test_qi_params_validation(self):
-        with pytest.raises(InvalidPointError):
-            est.QiParams(0.5, 0.0)
-        with pytest.raises(InvalidPointError):
-            est.QiParams(1.0, -1.0)
-        with pytest.raises(InvalidPointError):
-            est.QiParams(1.0, 0.0, metric="manhattan")
-
     @pytest.mark.parametrize("lam, eps, metric", [
-        (0.5, 0.0, "euclidean"), (1.0, -1.0, "l1"), (1.0, 0.0, "manhattan")])
+        (0.5, 0.0, "euclidean"), (1.0, -1.0, "l1"), (1.0, 0.0, "manhattan"),
+        (np.inf, 0.0, "euclidean"), (np.nan, 0.0, "euclidean"),
+        (1.0, np.inf, "euclidean"), (1.0, np.nan, "l1")])
     def test_check_refuses_what_qi_params_refuse(self, lam, eps, metric):
         with pytest.raises(InvalidPointError):
             est.qi_embedding_check(M.identity(2), lam, eps, metric, cfg())
@@ -450,6 +442,31 @@ class TestDriftProfile:
         ratios = rep.drifts[1:] / rep.drifts[:-1]
         assert np.abs(ratios - 2.0).max() <= 1e-9
         assert rep.verdict == est.VERDICT_EXCEEDS
+
+    @pytest.mark.parametrize("drifts, verdict", [
+        ([0.0] * 30, est.VERDICT_BOUNDED),
+        # growth is judged against the first nonzero drift, at any scale
+        ([0.0, 0.0] + [1e-20 * 2.0 ** k for k in range(28)], est.VERDICT_EXCEEDS),
+        ([1e300 * 2.0 ** -k for k in range(30)][::-1], est.VERDICT_EXCEEDS),
+        # a 2^19-fold rise is not 1e6-fold, and a flat tail is not growth
+        ([2.0 ** k for k in range(20)], est.VERDICT_BOUNDED),
+        ([2.0 ** k for k in range(30)] + [2.0 ** 29], est.VERDICT_BOUNDED),
+        ([np.nan] + [2.0 ** k for k in range(30)], est.VERDICT_BOUNDED),
+    ])
+    def test_relative_drift_class(self, drifts, verdict):
+        rep = est.DriftReport(np.zeros((len(drifts), 2)), np.array(drifts), None)
+        assert rep.verdict == verdict
+
+    def test_absolute_threshold_is_kept(self):
+        # a user threshold replaces the relative one: 2^29 < 1e9
+        drifts = np.array([2.0 ** k for k in range(30)])
+        assert est.DriftReport(drifts[:, None], drifts, 1e9).verdict == est.VERDICT_BOUNDED
+        assert est.DriftReport(drifts[:, None], drifts, 1e8).verdict == est.VERDICT_EXCEEDS
+
+    def test_max_relative_error(self):
+        expected = np.array([1.0, 1e-10, 1e10])
+        observed = expected * np.array([1.0, 1.0 + 1e-6, 1.0 - 1e-9])
+        assert est.max_relative_error(observed, expected) == pytest.approx(1e-6, rel=1e-6)
 
 
 class TestReplicationWitnesses:
@@ -567,3 +584,17 @@ class TestGeodesicGraph:
         cloud = est.circle_cloud(100)
         with pytest.raises(DisconnectedCloudError):
             est.neighbor_graph(cloud, 1e-6)
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf])
+    def test_eps_not_finite_and_positive_is_refused(self, eps):
+        # a k-d tree reads a negative radius as no bound: every pair an edge
+        cloud = est.circle_cloud(200)
+        with pytest.raises(InvalidPointError):
+            est.neighbor_graph(cloud, eps)
+        with pytest.raises(InvalidPointError):
+            est.metric_equivalence_ratio(cloud, eps, 10, 7)
+
+    @pytest.mark.parametrize("n_pairs", [0, -5])
+    def test_pair_count_below_one_is_refused(self, n_pairs):
+        with pytest.raises(InvalidPointError):
+            est.metric_equivalence_ratio(est.circle_cloud(200), 0.1, n_pairs, 7)

@@ -88,14 +88,14 @@ class _NanDiskMap(M.DiskMap):
 
 class TestFinitePassRule:
     """A sampled bound holds only for a finite claim and a finite
-    observed value within its refutation floor."""
+    observed value at most the claim plus its refutation slack."""
 
     @pytest.mark.parametrize("observed, claimed, passed", [
         (2.0, 2.0, True), (2.0 * (1 + 1e-6), 2.0, True), (2.0 * (1 + 2e-6), 2.0, False),
         (np.inf, np.inf, False), (np.nan, 2.0, False), (2.0, np.nan, False),
-        (np.inf, 2.0, False)])
+        (np.inf, 2.0, False), (np.nan, np.nan, False)])
     def test_bound_pass(self, observed, claimed, passed):
-        assert V._bound_pass(observed, claimed) is passed
+        assert E.refutes(observed, claimed) is not passed
 
     def test_radial_bound_with_nan_images_fails(self):
         # the sphere bound, the claim 1 + inf and every observed value
@@ -175,6 +175,25 @@ class TestHomomorphismScenario:
         rep = V.verify_homomorphism(kind, g, g, small_cfg(radius=25.0), n_points=2000)
         assert rep.passed and rep.details["verdict"] == E.VERDICT_BOUNDED
 
+    @pytest.mark.parametrize("beta, verdict", [
+        (1e-4, E.VERDICT_EXCEEDS), (1e-6, E.VERDICT_EXCEEDS), (1e-12, E.VERDICT_EXCEEDS),
+        (0.0, E.VERDICT_BOUNDED)])
+    def test_small_radial_input_keeps_its_class(self, beta, verdict):
+        # the drift 2^k |g(x0) - x0| rises 2^29-fold over the 30 rays
+        # whatever the input's size; only an input that moves nothing is bounded
+        run, _ = V.SCENARIOS["homomorphism"].build({"seed": 7, "pairs": 2000,
+                                                    "kind": "radial", "beta": beta})
+        rep, = run()
+        assert rep.passed and rep.details["verdict"] == verdict
+
+    def test_small_twist_replication_grows(self):
+        g = M.make_twist_disk_map(dim=2, amplitude=1e-6)
+        h = M.make_twist_disk_map(dim=2, amplitude=-0.5)
+        rep = V.verify_homomorphism("disk_replication", g, h, small_cfg(radius=25.0),
+                                    n_points=2000)
+        assert rep.passed and rep.details["verdict"] == E.VERDICT_EXCEEDS
+        assert rep.details["drift_witness"] < 1e6
+
     def test_unwitnessed_growth_fails(self, monkeypatch):
         # three disks take the drift 2^k |g(x0) - x0| nowhere near the
         # threshold, so the replication's growth goes unwitnessed
@@ -240,6 +259,14 @@ class TestSpiralScenario:
         assert rep.passed
         assert rep.details["far_field"] == "identity"
         assert rep.details["verdict"] == E.VERDICT_BOUNDED
+
+    def test_small_constant_rotation_grows(self):
+        # the drift 2 sin(1e-4 / 2) 2^30 stays below 1e6, but rises 2^29-fold
+        run, _ = V.SCENARIOS["spiral-bound"].build({"seed": 7, "pairs": 2000,
+                                                    "profile": "constant", "angle": 1e-4})
+        rep, = run()
+        assert rep.passed and rep.details["verdict"] == E.VERDICT_EXCEEDS
+        assert rep.details["closed_form_rel_error"] <= 1e-9
 
     def test_constant_rotation_growing_drift(self):
         p = M.ConstantRotationProfile(rotation_matrix((0, 1), 2.0, 2))
