@@ -249,11 +249,14 @@ def _cmd_geodesic(args):
     if args.pair is not None and not all(0 <= k < n_points for k in args.pair):
         raise ConfigError(f"--pair {args.pair[0]} {args.pair[1]} is out of range "
                           f"for a cloud of {n_points} points")
+    if args.pairs < 1:  # refused before a disconnected graph can exit 1
+        raise ConfigError(f"n_pairs must be >= 1, got {args.pairs}")
     eps = E.default_eps(cloud) if args.eps is None else args.eps
     try:
-        ratio = E.metric_equivalence_ratio(cloud, eps, args.pairs, args.seed)
-    except InvalidPointError as exc:  # --pairs below 1, or an eps not finite and positive
+        graph = E.neighbor_graph(cloud, eps)
+    except InvalidPointError as exc:  # an eps not finite and positive
         raise ConfigError(str(exc)) from exc
+    ratio = E.metric_equivalence_ratio(cloud, eps, args.pairs, args.seed, graph=graph)
     record = {
         "op": "geodesic",
         "cloud": args.cloud,
@@ -263,7 +266,7 @@ def _cmd_geodesic(args):
     }
     if args.pair is not None:
         i, j = args.pair
-        geo = E.geodesic_estimate(cloud, eps, i, j)
+        geo = E.geodesic_estimate(cloud, eps, i, j, graph=graph)
         chord = float(np.linalg.norm(cloud[i] - cloud[j]))
         record["pair"] = {"i": i, "j": j, "graph_length": geo, "chord": chord}
     _emit(record, args.out)

@@ -20,6 +20,7 @@ uniforms as coordinates. Every pair family is sampled here (the pair
 stream's global, local and witness rows; sphere, equal-radius and
 cross-disk pairs) and reduced by ``_running_max`` under one
 degenerate-pair floor; ``verify`` draws and reduces none itself.
+Witness rows follow one rule per construction and stay in the region.
 
 scipy is imported on first use, by ``c_density`` and the graph metrics
 only, so the rest of the package loads and runs on numpy alone.
@@ -265,15 +266,6 @@ def _region_points(rng, region, count):
     return region.sample(u)
 
 
-def _disk_count(scale):
-    """Number of replication disks D(0, 1), D(4^j e1, 2^j) inside the
-    ball of radius ``scale`` about the origin."""
-    count = 1
-    while 4.0 ** count + 2.0 ** count <= scale:
-        count += 1
-    return count
-
-
 def equal_radius_pairs(seed, op_name, dim, count, log_lo, log_span):
     """(x, y, u, v): ``count`` same-sphere pairs x, y of the stream
     ``op_name`` at radius exp(log_lo + w log_span), w uniform, with a
@@ -307,54 +299,33 @@ def radius_range(region):
     return max(lo, 1e-6), region.scale
 
 
-def _witness_pairs(m, region, a, b, w1, w2, w3):
+def _witness_pairs(m, region, a, b, w1, w2):
     """Construction-aware pairs for the root node of ``m``, one per
     column of the point blocks ``a`` and ``b`` (direction rows, then a
     radial uniform, as ``region.sample`` reads them) and of the free
-    uniforms ``w1``, ``w2``, ``w3``.
+    uniforms ``w1``, ``w2``.
 
-    Heuristics per constructor: rays and tight same-sphere pairs for
-    norm-preserving maps, disk-boundary and cross-disk pairs for the
-    replication embeddings, single-block offsets for products, and
-    multi-scale local pairs otherwise. Everything is a pure function of
-    the supplied uniforms.
+    One rule per construction, each placed where its distortion lives:
+    a radial extension preserves norms along every ray, so its rows are
+    tight same-sphere pairs; a spiral turns every sphere rigidly, so its
+    rows are offset from a point of log-uniform radius r in a uniform
+    direction by r 10^(-6 w2); a replication node's rows are interior
+    points of two of its first ``m.disk_count(scale)`` disks; a product's
+    rows move one factor only; any other node gets multi-scale local
+    pairs. Everything is a pure function of the supplied uniforms.
     """
     n = m.dim
     scale = region.scale
     if isinstance(m, (M.RadialExtensionMap, M.SpiralMap)):
         lo, hi = radius_range(region)
         r = np.exp(np.log(lo) + w1 * (np.log(hi) - np.log(lo)))
-        u = _directions(a, n)
+        u, v = _directions(a, n), _directions(b, n)
+        if isinstance(m, M.RadialExtensionMap):
+            return _tangential_pairs(u, v, r, 1e-3 * (0.5 + w2))
         x = r[:, None] * u
-        y = np.empty_like(x)
-        ray = np.flatnonzero(w3 < 0.5)  # the same ray at another radius
-        y[ray] = (r[ray] * (1.3 + 0.7 * w2[ray]))[:, None] * u[ray]
-        tan = np.flatnonzero(w3 >= 0.5)  # a tight pair on the same sphere
-        _, y[tan] = _tangential_pairs(u[tan], _directions(b[:, tan], n), r[tan],
-                                      1e-3 * (0.5 + w2[tan]))
-        return x, y
-    if isinstance(m, M.DiskReplicationMap):
-        n_disks = _disk_count(scale)
-        j1 = np.floor(w1 * n_disks).astype(np.int64)
-        j2 = np.floor(w2 * n_disks).astype(np.int64)
-        u = _directions(a, n)
-        v = _directions(b, n)
-        p, q = np.empty_like(u), np.empty_like(v)
-        # straddling pairs hug the boundary of disk j1 from both sides
-        rows = np.flatnonzero(w3 < 1.0 / 3.0)
-        delta = (1e-4 + 0.01 * w2[rows])[:, None]
-        p[rows] = (1.0 - delta) * u[rows]
-        q[rows] = (1.0 + delta) * _unit_rows(u[rows] + 0.02 * v[rows])
-        j2[rows] = j1[rows]
-        # interior points of two (possibly different) disks
-        rows = np.flatnonzero(w3 >= 1.0 / 3.0)
-        p[rows] = (a[-1, rows] ** (1.0 / n))[:, None] * u[rows]
-        q[rows] = (b[-1, rows] ** (1.0 / n))[:, None] * v[rows]
-        return m.disk_points(j1, p), m.disk_points(j2, q)
-    if isinstance(m, M.TranslatedReplicationMap):
-        count = 1 + int(min(scale / 2.0, 64.0))
-        if m.disk_maps is not None:
-            count = min(count, len(m.disk_maps))
+        return x, x + (r * 10.0 ** (-6.0 * w2))[:, None] * v
+    if hasattr(m, "disk_count"):  # a replication node
+        count = m.disk_count(scale)
         j1 = np.floor(w1 * count).astype(np.int64)
         j2 = np.floor(w2 * count).astype(np.int64)
         unit_ball = ball((0.0,) * n, 1.0)
@@ -382,7 +353,9 @@ def _pair_chunks(m, cfg, op_name):
     selector, the blocks of its two points (k = _direction_width(n) + 1
     uniforms each, which ``region.sample`` reads), then three free
     uniforms. Global, local and witness pairs are each computed on
-    their own rows only, from a gather of the uniforms they read.
+    their own rows only, from a gather of the uniforms they read. A
+    witness pair with a point outside the region is replaced by the
+    global pair of its own row, so every witness pair lies in the region.
     """
     n = m.dim
     region = cfg.region
@@ -398,6 +371,7 @@ def _pair_chunks(m, cfg, op_name):
     while remaining > 0:
         count = min(_CHUNK, remaining)
         remaining -= count
+        # no family reads the last column; it keeps global and local rows as they were
         u = _uniform_block(rng, count, 1 + 2 * k + 3)
         cat = u[0]
         x = np.empty((count, n))
@@ -416,7 +390,12 @@ def _pair_chunks(m, cfg, op_name):
 
         rows = np.flatnonzero(cat >= g_frac + l_frac)
         v = np.take(u[1:], rows, axis=1)
-        x[rows], y[rows] = _witness_pairs(m, region, v[a], v[b], v[-3], v[-2], v[-1])
+        xw, yw = _witness_pairs(m, region, v[a], v[b], v[-3], v[-2])
+        out = np.flatnonzero(~(region.contains(xw) & region.contains(yw)))
+        xw[out] = region.sample(v[a][:, out])
+        yw[out] = region.sample(v[b][:, out])
+        x[rows], y[rows] = xw, yw
+        del xw, yw  # the generator's frame outlives the yield: hold no copy
         yield x, y
 
 
@@ -870,14 +849,14 @@ def geodesic_estimate(cloud, eps, i, j, graph=None):
     return d
 
 
-def metric_equivalence_ratio(cloud, eps, n_pairs, seed):
+def metric_equivalence_ratio(cloud, eps, n_pairs, seed, graph=None):
     """Max over sampled pairs of (graph length / chord): a sampled
     lower bound for the constant making the intrinsic and ambient
     metrics bi-Lipschitz equivalent."""
     if n_pairs < 1:
         raise InvalidPointError(f"n_pairs must be >= 1, got {n_pairs}")
     pts = as_points(cloud)
-    g = neighbor_graph(pts, eps)
+    g = neighbor_graph(pts, eps) if graph is None else graph
     rng = _op_rng(seed, "metric_equivalence_ratio")
     n = pts.shape[0]
     n_sources = int(min(max(int(np.ceil(np.sqrt(n_pairs))), 1), 128))

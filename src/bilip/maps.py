@@ -812,6 +812,14 @@ class DiskReplicationMap(_Replication):
         s = np.ldexp(1.0, j)  # 2^j; the centre 4^j = s^2 (0 for j = 0) is exact
         return np.where(j > 0, s * s, 0.0), s
 
+    @staticmethod
+    def disk_count(radius):
+        """Disks D(0, 1), D(4^j e1, 2^j) within ``radius`` of 0; D(0, 1) always."""
+        count = 1
+        while 4.0 ** count + 2.0 ** count <= radius:
+            count += 1
+        return count
+
     def _locate(self, pts):
         return locate_replication_disks(pts)
 
@@ -868,6 +876,11 @@ class TranslatedReplicationMap(_Replication):
     @staticmethod
     def _disk(j):
         return 2.0 * j, np.ones(np.shape(j))
+
+    def disk_count(self, radius):
+        """Disks read within ``radius``: 1 + radius / 2, at most 65 and the listed maps."""
+        count = 1 + int(min(radius / 2.0, 64.0))
+        return count if self.disk_maps is None else min(count, len(self.disk_maps))
 
     def _groups(self, j):
         if self.uniform is not None:

@@ -131,7 +131,7 @@ def verify_replication_constant(g, cfg, claimed=None):
     est = E.bilip_lower_bound(fmap, cfg, op_name="verify_replication_constant")
 
     # dedicated cross-disk pairs: one point in disk i, the other in disk j != i
-    n_disks = E._disk_count(cfg.region.scale)
+    n_disks = fmap.disk_count(cfg.region.scale)
     x, y = E.cross_disk_pairs(cfg.seed, "verify_replication_cross_disk", fmap, n_disks,
                               20_000)
     cross_max, _ = E.distortion(fmap._eval, x, y)
@@ -328,8 +328,8 @@ def verify_spiral_bound(p, cfg):
     far-field behaviour matches the kernel classification."""
     t0 = time.perf_counter()
     n = p.dim
-    claimed = n * p.c_bound + 1.0
     fmap = M.spiral_map(p)
+    claimed = fmap.lambda_claimed
     est = E.bilip_lower_bound(fmap, cfg, op_name="verify_spiral_bound")
 
     # same-radius pairs are isometric up to rounding
@@ -440,19 +440,19 @@ def verify_metric_equivalence(kind, n_points, eps, n_pairs, seed,
         raise ConfigError(f"unknown cloud kind {kind!r}; pick from {sorted(_CLOUDS)}")
     cloud = _CLOUDS[kind](n_points)
     graph = E.neighbor_graph(cloud, eps)
-    ratio = E.metric_equivalence_ratio(cloud, eps, n_pairs, seed)
+    ratio = E.metric_equivalence_ratio(cloud, eps, n_pairs, seed, graph=graph)
 
-    # spot-check delta >= d on explicit pairs, including an antipodal one
+    # spot-check delta >= d on explicit pairs, including an antipodal one, in
+    # one search from the pairs' first points and point 0 (the graph is connected)
     rng = E._op_rng(seed, "verify_metric_delta_ge_d")
     idx = rng.integers(0, n_points, size=(64, 2))
+    dist = E.dijkstra(graph, directed=False, indices=np.append(idx[:, 0], 0))
     undercut = 0.0
-    for i, j in idx:
-        if i == j:
-            continue
-        geo = E.geodesic_estimate(cloud, eps, int(i), int(j), graph=graph)
-        chord = float(np.linalg.norm(cloud[i] - cloud[j]))
-        undercut = min(undercut, geo - chord)
-    anti = E.geodesic_estimate(cloud, eps, 0, n_points // 2, graph=graph)
+    for row, (i, j) in enumerate(idx):
+        if i != j:
+            chord = float(np.linalg.norm(cloud[i] - cloud[j]))
+            undercut = min(undercut, float(dist[row, j]) - chord)
+    anti = float(dist[-1, n_points // 2])
 
     details = {
         "kind": kind,

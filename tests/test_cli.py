@@ -252,6 +252,21 @@ class TestEstimateCommand:
                             "--region", "annulus:1e-3:1e4", "--claim", "1.0")
         assert code == 1 and records[0]["violated"] is True
         assert records[0]["lambda_lower"] > 3.0
+        # its exact constant is 4.0346357: a claim 1% under it is refuted too
+        code, records = run(capsys, "estimate", "--map", str(path),
+                            "--region", "annulus:1e-3:1e4", "--claim", "4.0")
+        assert code == 1 and records[0]["violated"] is True
+        assert records[0]["lambda_lower"] <= 4.0346357 * (1.0 + 1e-6)
+
+    def test_cutoff_spiral_is_the_identity_off_its_support(self, capsys, tmp_path):
+        # the map is the identity for r >= 3, so no pair in the box sees the twist
+        path = tmp_path / "cutoff.map"
+        save_map(M.spiral_map(M.CutoffRotationProfile(bump_profile(1.0, 1.0, 3.0),
+                                                      (0, 1), 2)), path)
+        code, records = run(capsys, "estimate", "--map", str(path),
+                            "--region", "box:10,10:20,20", "--claim", "1.0001")
+        assert code == 0 and records[0]["violated"] is False
+        assert records[0]["lambda_lower"] == 1.0
 
     def test_non_utf8_map_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "binary.map"

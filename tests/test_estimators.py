@@ -146,6 +146,8 @@ class TestPairStreamContract:
         local = (cat >= mix[0]) & (cat < mix[0] + mix[1])
         assert region.contains(x[glob]).all() and region.contains(y[glob]).all()
         assert region.contains(x[local]).all()
+        wit = cat >= mix[0] + mix[1]
+        assert region.contains(x[wit]).all() and region.contains(y[wit]).all()
         h = np.linalg.norm(y[local] - x[local], axis=1) / (1e-3 * region.scale)
         assert np.all((h >= 0.5 * (1 - 1e-9)) & (h <= 1.5 * (1 + 1e-9)))
 
@@ -186,6 +188,38 @@ class TestPairStreamContract:
         center = np.ones(n)
         pts = est._region_points(rng, est.ball(center, 3.0), 100_000)
         assert ks((np.linalg.norm(pts - center, axis=1) / 3.0) ** n) <= 0.01
+
+
+class TestWitnessRows:
+    """Each construction's witness rule, and the region rule that keeps
+    every witness pair in the region."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_radial_rows_share_a_sphere(self, n):
+        m = M.radial_extension(M.make_latitude_sphere_map(0.6, dim=n))
+        region = est.annulus((0.0,) * n, 1e-3, 1e4)
+        k = est._direction_width(n) + 1
+        u = np.random.default_rng(n).random((2 * k + 2, 5000))
+        x, y = est._witness_pairs(m, region, u[:k], u[k : 2 * k], u[-2], u[-1])
+        rx, ry = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
+        assert np.all(np.abs(ry - rx) <= 1e-12 * rx)
+        assert np.all(np.linalg.norm(x - y, axis=1) >= 4e-4 * rx)  # tight, not degenerate
+
+    @pytest.mark.parametrize("m, region, top", [
+        # the identity for r >= 3: the twist on 1 < r < 3 is outside the box
+        (M.spiral_map(M.CutoffRotationProfile(bump_profile(1.0, 1.0, 3.0), (0, 1), 2)),
+         est.box((10.0, 10.0), (20.0, 20.0)), 1.0),
+        # a unit ball 1000 out sees a sliver of the sphere map: about 1.0006
+        (M.radial_extension(M.make_latitude_sphere_map(0.6, dim=2)),
+         est.ball((1000.0, 0.0), 1.0), 1.001),
+        # a ball that holds no disk: the map is the identity there
+        (M.disk_replication(M.make_twist_disk_map(dim=2, amplitude=0.7)),
+         est.ball((-500.0, 0.0), 100.0), 1.0),
+    ])
+    def test_off_origin_regions_read_their_own_distortion(self, m, region, top):
+        r = est.bilip_lower_bound(m, est.SamplerConfig(1, region, 100_000))
+        assert r.n_pairs_used == 100_000 and 1.0 <= r.lambda_lower <= top
+        assert region.contains(np.array([r.worst_pair[0], r.worst_pair[1]])).all()
 
 
 class TestPairFamilies:

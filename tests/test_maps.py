@@ -398,6 +398,15 @@ class TestDiskReplication:
         assert calls == []
         assert g.inverse().lambda_claimed == g.lambda_claimed
 
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 5.0, 6.0, 20.0, 300.0, 1e6])
+    def test_disk_count(self, radius):
+        # disks j >= 1 count while 4^j + 2^j <= radius; the unit disk always
+        count = 1
+        while 4.0 ** count + 2.0 ** count <= radius:
+            count += 1
+        f = M.disk_replication(M.make_twist_disk_map(dim=2))
+        assert f.disk_count(radius) == count
+
     def test_drift_law_exact_to_k40(self):
         g = M.make_twist_disk_map(dim=2)
         f = M.disk_replication(g)
@@ -458,6 +467,15 @@ class TestTranslatedReplication:
         assert np.array_equal(M.evaluate(f, v0), v0)
         expected = np.array([2.0, 0.0]) + M.disk_apply(g, x0)
         assert np.array_equal(M.evaluate(f, v1), expected)
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 5.0, 6.0, 20.0, 300.0, 1e6])
+    def test_disk_count(self, radius):
+        g = M.make_twist_disk_map(dim=2)
+        count = 1 + int(min(radius / 2.0, 64.0))  # one disk per two units, at most 65
+        assert M.translated_replication(uniform=g).disk_count(radius) == count
+        for listed in (1, 3, 100):
+            f = M.translated_replication(disk_maps=[g] * listed)
+            assert f.disk_count(radius) == min(count, listed)
 
     def test_roundtrip(self):
         f = M.translated_replication(uniform=M.make_twist_disk_map(dim=2))
