@@ -22,6 +22,15 @@ cross-disk pairs) and reduced by ``_running_max`` under one
 degenerate-pair floor; ``verify`` draws and reduces none itself.
 Witness rows follow one rule per construction and stay in the region.
 
+The chunked samplers (the pair stream and the sphere pairs) read ahead:
+one worker thread draws chunk i + 1 while the caller evaluates and
+reduces chunk i (``_read_ahead``). The worker only draws (uniforms,
+directions, region points, witness rows) and never calls a node's
+``_eval`` or ``apply``; evaluation and reduction stay on the calling
+thread. Values and order cannot change: the worker runs one draw at a
+time, in chunk order, so the generator advances row after row exactly as
+a single thread would, and the chunk size moves no row.
+
 scipy is imported on first use, by ``c_density`` and the graph metrics
 only, so the rest of the package loads and runs on numpy alone.
 """
@@ -43,7 +52,7 @@ from .errors import (
     TrivialWitnessError,
 )
 
-_CHUNK = 131072
+_CHUNK = 32768  # rows per chunk of a pair stream: a chunk's arrays stay in cache
 _DRAW_ROWS = 4096  # rows of uniforms per draw (see _uniform_block)
 _DEGENERATE_PAIR = 1e-12
 _RELATIVE_SLACK = 1e-9  # float headroom on proven inequalities
@@ -346,8 +355,34 @@ def _witness_pairs(m, region, a, b, w1, w2):
     return x, x + h[:, None] * _directions(b, n)
 
 
+def _read_ahead(draw, total):
+    """Yield ``draw(count)`` for consecutive chunks of _CHUNK rows (the
+    last one shorter) that add up to ``total`` rows, drawing chunk i + 1
+    on one worker thread while the caller consumes chunk i.
+
+    Values and order are those of drawing in turn: the worker runs one
+    ``draw`` at a time, in chunk order, and the next one is submitted
+    only after the last one returned, so a generator that ``draw``
+    advances is advanced by one thread at a time, row after row. Only
+    drawing runs on the worker; whoever consumes the chunks evaluates
+    maps on them, so no node method runs there. An error raised while
+    drawing comes out of the ``next()`` that asks for its chunk. Closing
+    the stream waits for the chunk in flight, and the worker ends.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as worker:
+        ahead = worker.submit(draw, min(_CHUNK, total))
+        for start in range(_CHUNK, total, _CHUNK):
+            chunk = ahead.result()
+            ahead = worker.submit(draw, min(_CHUNK, total - start))
+            yield chunk
+        yield ahead.result()
+
+
 def _pair_chunks(m, cfg, op_name):
-    """Yield (x, y) chunks of the deterministic pair stream.
+    """Yield (x, y) chunks of the deterministic pair stream, each drawn
+    one chunk ahead on a worker thread (see _read_ahead).
 
     Pair i reads row i of a fixed-width block of uniforms: the family
     selector, the blocks of its two points (k = _direction_width(n) + 1
@@ -356,6 +391,15 @@ def _pair_chunks(m, cfg, op_name):
     their own rows only, from a gather of the uniforms they read. A
     witness pair with a point outside the region is replaced by the
     global pair of its own row, so every witness pair lies in the region.
+
+    The rule for ``draw``, which runs on the worker: it only draws
+    (uniforms, directions, ``region.sample`` and ``contains``, and
+    ``_witness_pairs``, which reads a node's disk geometry through
+    ``disk_count`` and ``disk_points``) and calls no node's ``_eval`` or
+    ``apply``, so every evaluation, and every span a caller-side tracer
+    opens, stays on the calling thread. The stream's one generator
+    advances in row order whatever the chunk size, so values and order
+    are those of a single-threaded draw.
     """
     n = m.dim
     region = cfg.region
@@ -367,10 +411,8 @@ def _pair_chunks(m, cfg, op_name):
     a, b = slice(0, k), slice(k, 2 * k)  # the two point blocks of a gather
     rng = _op_rng(cfg.seed, op_name)
     g_frac, l_frac, _ = _MIX
-    remaining = cfg.n_pairs
-    while remaining > 0:
-        count = min(_CHUNK, remaining)
-        remaining -= count
+
+    def draw(count):
         # no family reads the last column; it keeps global and local rows as they were
         u = _uniform_block(rng, count, 1 + 2 * k + 3)
         cat = u[0]
@@ -395,8 +437,9 @@ def _pair_chunks(m, cfg, op_name):
         xw[out] = region.sample(v[a][:, out])
         yw[out] = region.sample(v[b][:, out])
         x[rows], y[rows] = xw, yw
-        del xw, yw  # the generator's frame outlives the yield: hold no copy
-        yield x, y
+        return x, y
+
+    yield from _read_ahead(draw, cfg.n_pairs)
 
 
 # =====================================================================
@@ -524,16 +567,16 @@ def sphere_bilip_lower_bound(phi, seed, n_pairs):
     """
     rng = _op_rng(seed, "sphere_bilip_lower_bound")
 
-    def chunks():
-        for start in range(0, n_pairs, _CHUNK):
-            xu, yu, sel, hraw = _direction_pairs(rng, phi.dim, min(_CHUNK, n_pairs - start))
-            local = sel < 0.5
-            # tangential offsets from 1e-1 to 1e-4 on half the pairs
-            _, yu[local] = _tangential_pairs(xu[local], yu[local], 1.0,
-                                             10.0 ** (-1.0 - 3.0 * hraw[local]))
-            yield _two_point_stats(phi.apply, xu, yu)
+    def draw(count):
+        xu, yu, sel, hraw = _direction_pairs(rng, phi.dim, count)
+        local = sel < 0.5
+        # tangential offsets from 1e-1 to 1e-4 on half the pairs
+        _, yu[local] = _tangential_pairs(xu[local], yu[local], 1.0,
+                                         10.0 ** (-1.0 - 3.0 * hraw[local]))
+        return xu, yu
 
-    best, pair, used = _running_max(chunks())
+    best, pair, used = _running_max(_two_point_stats(phi.apply, x, y)
+                                    for x, y in _read_ahead(draw, n_pairs))
     if used == 0:
         raise InsufficientSamplesError("all sampled sphere pairs were degenerate")
     return BilipEstimate(max(best, 1.0), pair, used, seed)

@@ -1,6 +1,8 @@
 """Tests for sampled bi-Lipschitz bounds, QI checks, covering radii,
 drift witnesses and graph length metrics."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ from bilip import estimators as est
 from bilip import maps as M
 from bilip.core import rotation_matrix
 from bilip.errors import (
+    DimensionMismatchError,
     DisconnectedCloudError,
     EmptyRegionError,
     InsufficientSamplesError,
@@ -115,18 +118,19 @@ def _regions(draw, n):
 
 class TestPairStreamContract:
     """The pair stream's fixed-block layout: prefixes are bit-identical,
-    global and local points lie in the region, directions are unit."""
+    across the hand-offs between chunks too, global and local points lie
+    in the region, directions are unit."""
 
     @given(data=st.data(), n=st.integers(1, 4),
            family=st.sampled_from(["identity", "radial", "spiral", "replication",
                                    "translated", "product"]),
-           seed=st.integers(0, 2 ** 32), short=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 32), short=st.integers(1, est._CHUNK + 3000),
            extra=st.integers(1, 2000))
     @settings(max_examples=25)
     def test_prefix_and_region(self, data, n, family, seed, short, extra):
         m = _stream_map(family, n)
         region = data.draw(_regions(n))
-        n_long = est._CHUNK + extra
+        n_long = 2 * est._CHUNK + extra
 
         def stream(n_pairs):
             c = est.SamplerConfig(seed=seed, region=region, n_pairs=n_pairs)
@@ -135,7 +139,7 @@ class TestPairStreamContract:
 
         n_chunks, x, y = stream(n_long)
         _, xs, ys = stream(short)
-        assert n_chunks == 2 and x.shape == y.shape == (n_long, n)
+        assert n_chunks == 3 and x.shape == y.shape == (n_long, n)
         assert np.array_equal(x[:short], xs) and np.array_equal(y[:short], ys)
 
         # the family selector is the first uniform of each pair's row
@@ -188,6 +192,100 @@ class TestPairStreamContract:
         center = np.ones(n)
         pts = est._region_points(rng, est.ball(center, 3.0), 100_000)
         assert ks((np.linalg.norm(pts - center, axis=1) / 3.0) ** n) <= 0.01
+
+
+class _Broken(Exception):
+    pass
+
+
+def _record_thread(monkeypatch, owner, name, threads):
+    """Patch ``owner.name`` to add the id of each calling thread to ``threads``."""
+    fn = vars(owner)[name]
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+def _classes(base):
+    classes = [base]
+    for cls in classes:
+        classes.extend(c for c in cls.__subclasses__() if c not in classes)
+    return classes
+
+
+class TestReadAhead:
+    """The chunked samplers draw one chunk ahead on one worker thread:
+    the worker only draws, its errors reach the caller, and it ends with
+    its stream."""
+
+    N_PAIRS = 2 * est._CHUNK + 100  # three chunks, two hand-offs
+
+    @pytest.mark.parametrize("run", [
+        lambda m, c: est.bilip_lower_bound(m, c),
+        lambda m, c: est.qi_embedding_check(m, 4.0, 0.0, "euclidean", c),
+        lambda m, c: est.sphere_bilip_lower_bound(M.make_latitude_sphere_map(0.5, dim=2),
+                                                  c.seed, c.n_pairs),
+    ], ids=["bilip", "qi", "sphere"])
+    def test_nodes_run_on_the_callers_thread(self, monkeypatch, run):
+        nodes, draws = set(), set()
+        for base, names in ((M.MapExpr, ("_eval", "_eval_inverse", "_displacement")),
+                            (M.SphereMap, ("apply",)), (M.DiskMap, ("apply",))):
+            for cls in _classes(base):
+                for name in names:
+                    if name in vars(cls):
+                        _record_thread(monkeypatch, cls, name, nodes)
+        _record_thread(monkeypatch, est, "_two_point_stats", nodes)
+        _record_thread(monkeypatch, est, "_uniform_block", draws)
+        m = M.disk_replication(M.make_twist_disk_map(dim=2))
+        run(m, cfg(radius=300.0, n_pairs=self.N_PAIRS))
+        assert nodes == {threading.get_ident()}
+        assert draws and threading.get_ident() not in draws
+
+    def test_the_worker_ends_with_its_stream(self, monkeypatch):
+        m, c = M.identity(2), cfg(n_pairs=self.N_PAIRS)
+        base = threading.active_count()
+        assert len(list(est._pair_chunks(m, c, "read_ahead"))) == 3
+        assert threading.active_count() == base
+
+        chunks = est._pair_chunks(m, c, "read_ahead")
+        next(chunks)
+        assert threading.active_count() == base + 1
+        chunks.close()
+        assert threading.active_count() == base
+
+        def broken(*args):
+            raise _Broken
+
+        monkeypatch.setattr(est, "_two_point_stats", broken)
+        with pytest.raises(_Broken):
+            est.bilip_lower_bound(m, c)
+        assert threading.active_count() == base
+
+    def test_a_draw_error_comes_out_of_next(self, monkeypatch):
+        calls = []
+        witness = est._witness_pairs
+
+        def second_raises(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise _Broken("while drawing the second chunk")
+            return witness(*args)
+
+        monkeypatch.setattr(est, "_witness_pairs", second_raises)
+        base = threading.active_count()
+        chunks = est._pair_chunks(M.identity(2), cfg(n_pairs=self.N_PAIRS), "read_ahead")
+        next(chunks)
+        with pytest.raises(_Broken):
+            next(chunks)
+        assert threading.active_count() == base
+
+    def test_dimension_mismatch_on_first_next(self):
+        chunks = est._pair_chunks(M.identity(3), cfg(dim=2), "read_ahead")
+        with pytest.raises(DimensionMismatchError):
+            next(chunks)
 
 
 class TestWitnessRows:
@@ -312,8 +410,6 @@ class TestBilipLowerBound:
             est.bilip_lower_bound(M.identity(2), c)
 
     def test_dimension_mismatch(self):
-        from bilip.errors import DimensionMismatchError
-
         with pytest.raises(DimensionMismatchError):
             est.bilip_lower_bound(M.identity(3), cfg(dim=2))
 
