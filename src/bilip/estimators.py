@@ -360,14 +360,13 @@ def _read_ahead(draw, total):
     last one shorter) that add up to ``total`` rows, drawing chunk i + 1
     on one worker thread while the caller consumes chunk i.
 
-    Values and order are those of drawing in turn: the worker runs one
-    ``draw`` at a time, in chunk order, and the next one is submitted
-    only after the last one returned, so a generator that ``draw``
-    advances is advanced by one thread at a time, row after row. Only
-    drawing runs on the worker; whoever consumes the chunks evaluates
-    maps on them, so no node method runs there. An error raised while
-    drawing comes out of the ``next()`` that asks for its chunk. Closing
-    the stream waits for the chunk in flight, and the worker ends.
+    Values and order are those of drawing in turn: a draw is submitted
+    only after the one before it returned, so a generator that ``draw``
+    advances is advanced by one thread at a time, row after row. ``draw``
+    runs beside the caller's work, so it only draws and calls no node
+    method. An error raised while drawing comes out of the ``next()``
+    that asks for its chunk; closing the stream waits for the chunk in
+    flight, and the worker ends.
     """
     from concurrent.futures import ThreadPoolExecutor
 
