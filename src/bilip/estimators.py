@@ -468,7 +468,12 @@ class BilipEstimate:
 def _two_point_stats(f, x, y):
     """Distance ratios of the point map ``f`` on one chunk of pairs;
     pairs closer than 1e-12 are dropped. Returns (keep_count, stats,
-    ratios, x, y) filtered, with stat = max(r, 1/r)."""
+    ratios, x, y) filtered, with stat = max(r, 1/r).
+
+    x - y is freed before ``f`` runs, since ``f`` makes the chunk's
+    largest temporaries; the ratios and stats are formed in place.
+    x, y and the images of ``f`` are only read.
+    """
     d = row_norms(x - y)
     keep = d >= _DEGENERATE_PAIR
     kept = int(np.count_nonzero(keep))
@@ -476,10 +481,12 @@ def _two_point_stats(f, x, y):
         return 0, None, None, None, None
     if kept < d.shape[0]:  # usually every pair is kept: no copies then
         x, y, d = x[keep], y[keep], d[keep]
-    df = row_norms(f(x) - f(y))
+    ratio = row_norms(f(x) - f(y))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = df / d
-        stat = np.maximum(ratio, np.where(ratio > 0, 1.0 / ratio, np.inf))
+        ratio /= d
+        stat = np.divide(1.0, ratio)
+    stat[~(ratio > 0)] = np.inf
+    np.maximum(ratio, stat, out=stat)
     return kept, stat, ratio, x, y
 
 
@@ -505,7 +512,7 @@ def _running_max(chunks):
         if count == 0:
             continue
         kept += count
-        stat = np.where(np.isnan(stat), np.inf, stat)
+        stat[np.isnan(stat)] = np.inf  # a chunk's stats are its own to change
         k = int(np.argmax(stat))
         if stat[k] > best:
             best = float(stat[k])

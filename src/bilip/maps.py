@@ -2,7 +2,11 @@
 
 Map expressions are immutable trees. Every node evaluates pointwise on
 (N, n) row arrays with no state, so evaluation is pure and can run from
-many threads at once. Each constructor records the bi-Lipschitz
+many threads at once. A node never writes into the rows it is given or
+into an array another node returned to it; to keep a chunk's
+temporaries few, it writes in place only into arrays it allocated
+itself, and it broadcasts per-row scalars over columns one column at a
+time (``core.row_broadcast``). Each constructor records the bi-Lipschitz
 constant its construction rule promises (when one is known) as
 ``lambda_claimed``; estimators treat those claims as hypotheses to
 falsify, never as trusted facts.
@@ -55,6 +59,7 @@ from .core import (
     largest_singular_values,
     orthogonality_defect,
     rotation_matrix,
+    row_broadcast,
     row_dots,
     row_norms,
 )
@@ -157,11 +162,15 @@ class SphereMap:
 
     @staticmethod
     def _renormalize(out):
+        """``out`` with each row divided by its norm, in place: callers
+        pass only arrays they allocated."""
         norms = row_norms(out)
-        if np.any(np.abs(norms - 1.0) > SPHERE_TOL):
-            worst = float(np.abs(norms - 1.0).max())
-            raise OffSphereError(f"sphere map output drifted {worst:.3e} off the sphere")
-        return out / norms[:, None]
+        drift = norms - 1.0
+        np.abs(drift, out=drift)
+        if np.any(drift > SPHERE_TOL):
+            raise OffSphereError(
+                f"sphere map output drifted {float(drift.max()):.3e} off the sphere")
+        return row_broadcast(np.divide, out, norms, out=out)
 
 
 class OrthogonalSphereMap(SphereMap):
@@ -228,25 +237,33 @@ class LatitudeSphereMap(SphereMap):
             rows = rows[np.abs(fval) >= 1e-15]
             if rows.size == 0:
                 break
-        return np.clip(a, 0.0, np.pi)
+        return np.clip(a, 0.0, np.pi, out=a)
 
     def _polar(self, units):
         """(c, s, tang, polar): cos and sin of each row's polar angle
         alpha, its part tangent to the axis (norm s) and the rows at a
-        pole, where the map is the identity and s reads 1."""
+        pole, where the map is the identity and s reads 1. All four are
+        fresh arrays, which the callers overwrite."""
         # summed per row, so a row's bits do not depend on its batch
-        c = np.clip(row_dots(units, self._unit), -1.0, 1.0)
-        tang = units - c[:, None] * self._unit[None, :]
+        c = row_dots(units, self._unit)
+        np.clip(c, -1.0, 1.0, out=c)
+        tang = row_broadcast(np.multiply, self._unit, c)  # c times the axis
+        np.subtract(units, tang, out=tang)
         s = row_norms(tang)
         polar = s < 1e-12
-        return c, np.where(polar, 1.0, s), tang, polar
+        s[polar] = 1.0
+        return c, s, tang, polar
 
     def _remap(self, units, cos_h, along, polar):
         """Rows at polar angle h: cos h on the axis plus ``along``, the
-        tangent part sin(h) tang / s."""
-        out = cos_h[:, None] * self._unit[None, :] + along
-        out[polar] = units[polar]
-        return self._renormalize(out)
+        tangent part sin(h) tang / s, which is overwritten with them."""
+        term = np.empty_like(cos_h)
+        for i, w in enumerate(self._unit):
+            np.multiply(cos_h, w, out=term)
+            np.add(term, along[:, i], out=along[:, i])
+        if polar.any():
+            along[polar] = units[polar]
+        return self._renormalize(along)
 
     def apply(self, units):
         # h = alpha + beta s by angle addition from c = cos(alpha) and
@@ -254,9 +271,19 @@ class LatitudeSphereMap(SphereMap):
         # lost near the poles, where arccos(c) would amplify rounding by
         # 1/s, and only beta s, at most 0.9, goes through the trig
         c, s, tang, polar = self._polar(units)
-        cb, sb = np.cos(self.beta * s), np.sin(self.beta * s)
-        along = (cb + c * sb / s)[:, None] * tang
-        return self._remap(units, c * cb - s * sb, along, polar)
+        # along = (cb + c sb / s) tang and cos h = c cb - s sb, with
+        # cb, sb = cos, sin(beta s), formed in place in this order
+        sb = self.beta * s
+        cb = np.cos(sb)
+        np.sin(sb, out=sb)
+        scale = c * sb
+        scale /= s
+        np.add(cb, scale, out=scale)
+        along = row_broadcast(np.multiply, tang, scale, out=tang)
+        cos_h = np.multiply(c, cb, out=c)
+        cos_h -= np.multiply(s, sb, out=s)
+        del s, sb, cb, scale  # freed before _remap allocates
+        return self._remap(units, cos_h, along, polar)
 
     def inverse(self):
         return _InverseLatitudeSphereMap(self.beta, self.axis)
@@ -272,9 +299,10 @@ class _InverseLatitudeSphereMap(LatitudeSphereMap):
         c, s, tang, polar = self._polar(units)
         # arctan2 keeps the polar angle well conditioned near the poles,
         # where arccos would amplify rounding by 1/sin(alpha)
-        h = self._angle_map_inverse(np.arctan2(s, c))
-        along = np.sin(h)[:, None] * (tang / s[:, None])
-        return self._remap(units, np.cos(h), along, polar)
+        h = self._angle_map_inverse(np.arctan2(s, c, out=c))
+        along = row_broadcast(np.divide, tang, s, out=tang)
+        row_broadcast(np.multiply, along, np.sin(h, out=s), out=along)
+        return self._remap(units, np.cos(h, out=h), along, polar)
 
     def inverse(self):
         return LatitudeSphereMap(self.beta, self.axis)
@@ -723,13 +751,22 @@ class RadialExtensionMap(MapExpr):
         that minus v, computed at unit scale as ||v|| (phi(u) - u)."""
         r = row_norms(pts)
         nz = r > 0.0
+        if nz.all():  # the usual case: the image rows are the whole result
+            u = row_broadcast(np.divide, pts, r)
+            return self._scaled_image(u, r, displacement)
         out = np.zeros_like(pts) if displacement else pts.copy()
         if nz.any():
-            nz = _rows_where(nz)
-            u = pts[nz] / r[nz, None]
-            image = self.sphere_map.apply(u)
-            out[nz] = r[nz, None] * (image - u if displacement else image)
+            u, rn = pts[nz], r[nz]
+            row_broadcast(np.divide, u, rn, out=u)
+            out[nz] = self._scaled_image(u, rn, displacement)
         return out
+
+    def _scaled_image(self, u, r, displacement):
+        """r phi(u), or r (phi(u) - u), written over the unit rows ``u``."""
+        image = self.sphere_map.apply(u)
+        if displacement:
+            image = np.subtract(image, u, out=u)
+        return row_broadcast(np.multiply, image, r, out=u)
 
     def _eval(self, pts):
         return self._radial(pts)
@@ -745,24 +782,30 @@ class _Replication(MapExpr):
     """Per-disk transport shared by the replication nodes. A subclass
     names the disk holding each row (``_locate``: index or -1), the
     similarity onto disk j (``_disk``: centre along e1 and scale, per
-    row) and each disk map with its rows (``_groups``)."""
+    row) and each disk map with its rows (``_groups``). The similarity
+    is applied column by column (``row_broadcast``, ``_shift``) into
+    arrays made here."""
 
-    def _similarity(self, j):
-        """Centre rows c e1 and scale column s of the disks ``j``."""
-        c, s = self._disk(j)
-        return c[:, None] * unit_axis(self.dim), s[:, None]
+    @staticmethod
+    def _shift(op, rows, c):
+        """``op(rows, c e1)`` in place, one column at a time: the centre
+        c e1 of each row's disk added to or taken from the row."""
+        for k, e in enumerate(unit_axis(rows.shape[1])):
+            op(rows[:, k], c * e, out=rows[:, k])
+        return rows
 
     def disk_points(self, j, p):
         """The images c e1 + s p of unit-ball rows ``p`` in disks ``j``
         (an integer array): the similarity onto disk j."""
-        centre, scale = self._similarity(j)
-        return centre + scale * p
+        c, s = self._disk(j)
+        return self._shift(np.add, row_broadcast(np.multiply, p, s), c)
 
     def _per_disk(self, pts, inverse=False, displacement=False):
         """Rows of each disk through its disk map (or its inverse) in
         the disk's unit coordinates (x - c e1) / s, one call per disk
         map; other rows pass through. With ``displacement`` the image
-        minus the input, computed at the disk's own scale."""
+        minus the input, computed at the disk's own scale. The gathered
+        rows are a copy, which holds each step's result in turn."""
         j = self._locate(pts)
         out = np.zeros_like(pts) if displacement else pts.copy()
         for g, rows in self._groups(j):
@@ -770,11 +813,16 @@ class _Replication(MapExpr):
                 continue
             if inverse:
                 g = g.inverse()
-            centre, scale = self._similarity(j[rows])
-            local = (pts[rows] - centre) / scale
+            c, s = self._disk(j[rows])
+            local = self._shift(np.subtract, pts[rows], c)
+            row_broadcast(np.divide, local, s, out=local)
             moved = g.apply(local)
-            out[rows] = (scale * (moved - local) if displacement
-                         else centre + scale * moved)
+            if displacement:
+                out[rows] = row_broadcast(
+                    np.multiply, np.subtract(moved, local, out=local), s, out=local)
+            else:
+                out[rows] = self._shift(
+                    np.add, row_broadcast(np.multiply, moved, s, out=local), c)
         return out
 
     def _eval(self, pts):

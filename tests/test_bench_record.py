@@ -1,8 +1,9 @@
 """The comparison that ``tools/bench_record.py`` prints, on a synthetic
-record: no benchmark runs here."""
+record, and the usage it records per run: no benchmark runs here."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,28 @@ class TestCompare:
         assert past == {("pl", "setup_s"), ("pl", "job_s.tail")}
         assert {(r["workload"], r["metric"]) for r in rows if r["unresolved"]} == {
             ("pl", "job_s.tail")}
+
+
+class TestUsage:
+    def test_a_run_counts_its_own_faults_and_system_time(self):
+        # the child writes 64 MiB, far more than an idle interpreter touches
+        idle = bench_record.run_counted([sys.executable, "-c", "pass"], _PATH.parent)[1]
+        busy = bench_record.run_counted(
+            [sys.executable, "-c", "b = bytearray(64 << 20); b[::4096] = b'x' * (16 << 10)"],
+            _PATH.parent)[1]
+        assert set(idle) == set(busy) == {"minflt", "sys_s"}
+        assert isinstance(busy["minflt"], int) and isinstance(busy["sys_s"], float)
+        assert 0 < idle["minflt"] and 0.0 <= idle["sys_s"]
+        assert busy["minflt"] > idle["minflt"] and busy["sys_s"] >= 0.0
+
+    def test_summary_keeps_runs_and_medians(self):
+        results = [{"metrics": {"job_s.p50": {"value": v}}, "attempted": 6, "failed": f}
+                   for v, f in ((0.3, 0), (0.1, 1), (0.2, 0))]
+        usages = [{"minflt": 900, "sys_s": 0.5}, {"minflt": 100, "sys_s": 0.1},
+                  {"minflt": 300, "sys_s": 0.2}]
+        summary = bench_record.summarise(results, usages)
+        assert summary["median"] == {"job_s.p50": 0.2}
+        assert (summary["attempted"], summary["failed"]) == (18, 1)
+        assert summary["usage"] == {"median": {"minflt": 300, "sys_s": 0.2},
+                                    "runs": {"minflt": [900, 100, 300],
+                                             "sys_s": [0.5, 0.1, 0.2]}}

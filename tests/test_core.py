@@ -68,8 +68,30 @@ def _rows(rng, n_rows, n):
     return rng.normal(size=(n_rows, n)) * scale
 
 
+_BROADCAST_OPS = (np.multiply, np.divide, np.add, np.subtract)
+
+
+def _check_broadcast(v, s):
+    """``row_broadcast`` equals ``op(v, s[:, None])`` bit for bit for
+    each op, into a fresh array, a given one and ``v`` itself, and
+    leaves its inputs untouched."""
+    for op in _BROADCAST_OPS:
+        want = _bits(op(v, s[:, None]))
+        v_bits, s_bits = _bits(v).copy(), _bits(s).copy()
+        assert np.array_equal(_bits(core.row_broadcast(op, v, s)), want)
+        out = np.full(want.shape, np.nan)
+        assert core.row_broadcast(op, v, s, out=out) is out
+        assert np.array_equal(_bits(out), want)
+        assert np.array_equal(_bits(v), v_bits) and np.array_equal(_bits(s), s_bits)
+        if v.shape == want.shape:
+            w = v.copy()
+            assert core.row_broadcast(op, w, s, out=w) is w
+            assert np.array_equal(_bits(w), want)
+
+
 class TestRowKernels:
-    """``row_norms`` and ``row_dots`` equal numpy's reductions bit for bit."""
+    """``row_norms`` and ``row_dots`` equal numpy's reductions bit for bit,
+    and ``row_broadcast(op, v, s)`` equals ``op(v, s[:, None])``."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("n_rows", [1, 2, 7, 131072])
@@ -125,6 +147,33 @@ class TestRowKernels:
                               _bits(np.sum(a * b, axis=1)))
         assert np.array_equal(_bits(core.row_dots(a, b[0])),
                               _bits(np.sum(a * b[0], axis=1)))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n_rows", [0, 1, 32768])
+    def test_broadcast_equals_numpy_bit_for_bit(self, n, n_rows):
+        rng = np.random.default_rng([n, n_rows, 7])
+        v, s = _rows(rng, n_rows, n), _rows(rng, n_rows, 1)[:, 0]
+        _check_broadcast(v, s)
+        _check_broadcast(_rows(rng, 1, n)[0], s)  # one (n,) row for every row of s
+        _check_broadcast(_rows(rng, 1, n), s)  # one (1, n) row, as disk_points takes
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_broadcast_signed_zeros_non_finite_and_subnormals(self, n):
+        rng = np.random.default_rng(200 + n)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                             2.2250738585072014e-308, 1.0, -3.0, 1e-300, 1e308])
+        v = rng.choice(specials, size=(4096, n))
+        s = rng.choice(specials, size=4096)
+        _check_broadcast(v, s)
+        _check_broadcast(v[0], s)
+
+    def test_broadcast_strided_rows(self):
+        rng = np.random.default_rng(3)
+        pts = _rows(rng, 1000, 5)
+        s = pts[:, 4]  # a column view
+        _check_broadcast(pts[:, 1:4], s)
+        _check_broadcast(np.asfortranarray(pts[:, :3]), s)
 
 
 def _oracle(mats):

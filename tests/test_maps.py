@@ -207,6 +207,106 @@ class TestRadialExtension:
         assert roundtrip_residual(f, pts) <= 1e-9
 
 
+def _latitude_broadcast(phi, units):
+    """A latitude map (or its inverse) written with numpy broadcasts
+    over whole rows."""
+    unit = phi._unit
+    c = np.clip(np.sum(units * unit, axis=1), -1.0, 1.0)
+    tang = units - c[:, None] * unit[None, :]
+    s = np.linalg.norm(tang, axis=1)
+    polar = s < 1e-12
+    s = np.where(polar, 1.0, s)
+    if isinstance(phi, M._InverseLatitudeSphereMap):
+        h = phi._angle_map_inverse(np.arctan2(s, c))
+        along = np.sin(h)[:, None] * (tang / s[:, None])
+        cos_h = np.cos(h)
+    else:
+        cb, sb = np.cos(phi.beta * s), np.sin(phi.beta * s)
+        along = (cb + c * sb / s)[:, None] * tang
+        cos_h = c * cb - s * sb
+    out = cos_h[:, None] * unit[None, :] + along
+    out[polar] = units[polar]
+    return out / np.linalg.norm(out, axis=1)[:, None]
+
+
+def _radial_broadcast(m, pts, displacement=False):
+    """A radial extension of a latitude map written with broadcasts."""
+    r = np.linalg.norm(pts, axis=1)
+    nz = r > 0.0
+    out = np.zeros_like(pts) if displacement else pts.copy()
+    u = pts[nz] / r[nz, None]
+    image = _latitude_broadcast(m.sphere_map, u)
+    out[nz] = r[nz, None] * (image - u if displacement else image)
+    return out
+
+
+def _radial_batches(axis, rng):
+    """All-nonzero rows, the same with zero rows mixed in, and rows at
+    both poles, near them and at signed zeros."""
+    n = axis.size
+    unit = axis / np.linalg.norm(axis)
+    pts = random_points(rng, n, 4000, scale=50.0)
+    mixed = pts.copy()
+    mixed[::7] = 0.0
+    mixed[3::7] = -0.0
+    poles = np.vstack([unit * 3.0, -unit * 0.25, unit * 1e-300, -unit * 7e5,
+                       unit + 1e-13, -unit + 1e-14])
+    signed = pts[:50].copy()
+    signed[:, -1] = -0.0
+    return [pts, mixed, np.vstack([poles, pts[:100], poles]), signed]
+
+
+class TestBroadcastFormulas:
+    """The latitude maps, the radial extension and the replication
+    transport, written column by column and in place, equal the whole-row
+    broadcasts they replace bit for bit and leave their inputs unchanged."""
+
+    @pytest.mark.parametrize("beta", [0.45, -0.8])
+    @pytest.mark.parametrize("axis", [[0.0, 1.0], [0.3, -1.1, 2.4], [1.0, 2.0, -0.5, 0.3]])
+    def test_latitude_maps(self, beta, axis):
+        axis = np.array(axis)
+        rng = np.random.default_rng(axis.size)
+        phi = M.LatitudeSphereMap(beta, axis)
+        for batch in _radial_batches(axis, rng):
+            units = batch[np.linalg.norm(batch, axis=1) > 0.0]
+            units = units / np.linalg.norm(units, axis=1)[:, None]
+            for node in (phi, phi.inverse()):
+                before = units.copy()
+                got = node.apply(units)
+                assert np.array_equal(got.view(np.uint64),
+                                      _latitude_broadcast(node, units).view(np.uint64))
+                assert np.array_equal(units.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("beta", [0.45, -0.8])
+    @pytest.mark.parametrize("axis", [[0.0, 1.0], [0.3, -1.1, 2.4], [1.0, 2.0, -0.5, 0.3]])
+    def test_radial_extension(self, beta, axis):
+        axis = np.array(axis)
+        rng = np.random.default_rng(axis.size)
+        f = M.radial_extension(M.LatitudeSphereMap(beta, axis))
+        for m in (f, f.inverse()):
+            for pts in _radial_batches(axis, rng):
+                before = pts.copy()
+                for displacement, node in ((False, m._eval), (True, m._displacement)):
+                    want = _radial_broadcast(m, pts, displacement)
+                    assert np.array_equal(node(pts).view(np.uint64), want.view(np.uint64))
+                    assert np.array_equal(pts.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("case", ["twist", "twist-pl", "uniform", "listed"])
+    def test_replication_transport(self, case):
+        m = _replication_cases()[case]
+        rng = np.random.default_rng(len(case) + 50)
+        j = rng.integers(0, 8, 500)
+        for p in (rng.uniform(-1.0, 1.0, size=(j.size, m.dim)), -np.zeros((1, m.dim))):
+            c, s = m._disk(j)
+            want = c[:, None] * M.unit_axis(m.dim) + s[:, None] * p
+            assert np.array_equal(m.disk_points(j, p).view(np.uint64), want.view(np.uint64))
+        pts = _replication_points(m, rng)
+        before = pts.copy()
+        for node in (m._eval, m._eval_inverse, m._displacement):
+            node(pts)
+            assert np.array_equal(pts.view(np.uint64), before.view(np.uint64))
+
+
 # =====================================================================
 # Twist disk maps
 # =====================================================================

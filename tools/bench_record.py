@@ -14,8 +14,10 @@ sides alike. Runs never overlap.
 
 The record, written to ``BENCH_<N>.json`` at the root of this checkout,
 holds for each side the commit and, per workload, the median of every
-end-to-end metric over the seeds, the per-run values and the attempted
-and failed job counts. The machine facts (cores, CPU, Python, numpy,
+end-to-end metric over the seeds, the per-run values, the attempted
+and failed job counts, and each run's minor page faults and system CPU
+seconds (``usage``: the ``getrusage(RUSAGE_CHILDREN)`` delta over the
+run, its set-up probes included) with their medians. The machine facts (cores, CPU, Python, numpy,
 scipy, BLAS and its threads) come from the runs' provenance lines; the
 script refuses to write a record whose runs disagree on them, and to
 start on a checkout with uncommitted changes under ``src/`` or
@@ -29,7 +31,8 @@ more than the metric's ``bound`` in ``BENCHMARK.json``, and a flag
 where the metric is unresolved: the parent's own runs spread wider
 than the bound allows, so the record cannot tell a change of that size
 from noise, unless every run of the change is better than every run of
-the parent.
+the parent. Then one line per workload gives the median page faults
+and system CPU seconds of a run on each side.
 
 A run takes about ``run_seconds`` plus a few seconds of set-up probes.
 This script is not part of the test suite.
@@ -37,6 +40,7 @@ This script is not part of the test suite.
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,24 +57,39 @@ def uncommitted(checkout):
     return done.stdout.strip()
 
 
+def run_counted(cmd, checkout):
+    """Run ``cmd`` to completion in ``checkout``; returns the completed
+    process and its usage: minor page faults and system CPU seconds,
+    the ``getrusage(RUSAGE_CHILDREN)`` delta over the call."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return done, {"minflt": after.ru_minflt - before.ru_minflt,
+                  "sys_s": after.ru_stime - before.ru_stime}
+
+
 def run_bench(checkout, workload, seed, seconds):
-    """One untraced run; returns (provenance, result line)."""
+    """One untraced run; returns (provenance, result line, usage)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    done, usage = run_counted(cmd, checkout)
     details, result = (json.loads(line) for line in done.stdout.splitlines()[-2:])
-    return details["provenance"], result
+    return details["provenance"], result, usage
 
 
-def summarise(results):
-    """Medians and per-run values of each metric, plus job counts."""
+def summarise(results, usages):
+    """Medians and per-run values of each metric and of each usage
+    field, plus job counts."""
     names = list(results[0]["metrics"])
     runs = {name: [r["metrics"][name]["value"] for r in results] for name in names}
+    usage = {key: [u[key] for u in usages] for key in usages[0]}
     return {
         "median": {name: statistics.median(values) for name, values in runs.items()},
         "runs": runs,
         "attempted": sum(r["attempted"] for r in results),
         "failed": sum(r["failed"] for r in results),
+        "usage": {"median": {key: statistics.median(v) for key, v in usage.items()},
+                  "runs": usage},
     }
 
 
@@ -122,19 +141,22 @@ def main(argv=None):
             sys.exit(f"bench_record: {side} checkout {checkout} has uncommitted changes "
                      f"under src/ or bench/")
     results = {side: {w: [] for w in workloads} for side in sides}
+    usages = {side: {w: [] for w in workloads} for side in sides}
     commits = {}
     machines = set()
     for workload in workloads:
         for k, seed in enumerate(args.seeds):
             order = list(sides) if k % 2 == 0 else list(reversed(sides))
             for side in order:
-                prov, result = run_bench(sides[side], workload, seed, seconds)
+                prov, result, usage = run_bench(sides[side], workload, seed, seconds)
                 commits[side] = prov["commit"]
                 machines.add(json.dumps({key: prov[key] for key in MACHINE}, sort_keys=True))
                 results[side][workload].append(result)
+                usages[side][workload].append(usage)
                 print(f"{workload} seed {seed} {side}: job_s.p50 "
                       f"{result['metrics']['job_s.p50']['value']:.4f} s, "
-                      f"failed {result['failed']}/{result['attempted']}", file=sys.stderr)
+                      f"failed {result['failed']}/{result['attempted']}, "
+                      f"minflt {usage['minflt']}, sys {usage['sys_s']:.2f} s", file=sys.stderr)
     if len(machines) != 1:
         sys.exit(f"bench_record: runs disagree on the machine: {sorted(machines)}")
 
@@ -146,7 +168,8 @@ def main(argv=None):
     }
     for side in sides:
         record[side] = {"commit": commits[side],
-                        "workloads": {w: summarise(results[side][w]) for w in workloads}}
+                        "workloads": {w: summarise(results[side][w], usages[side][w])
+                                      for w in workloads}}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
@@ -157,6 +180,12 @@ def main(argv=None):
         print(f"{row['workload']:<10} {row['metric']:<12} change/parent {row['ratio']:.3f}  "
               f"won {row['won']}/{row['pairs']}  parent IQR {row['spread']:.4g} "
               f"{row['unit']}{flag}")
+    for workload in workloads:
+        parent, change = (record[side]["workloads"][workload]["usage"]["median"]
+                          for side in ("parent", "change"))
+        print(f"{workload:<10} per run: minor faults parent {parent['minflt']:.0f} "
+              f"change {change['minflt']:.0f}, system CPU parent {parent['sys_s']:.2f} s "
+              f"change {change['sys_s']:.2f} s")
     return 0
 
 
