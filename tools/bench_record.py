@@ -17,11 +17,12 @@ holds for each side the commit and, per workload, the median of every
 end-to-end metric over the seeds, the per-run values, the attempted
 and failed job counts, and each run's minor page faults and system CPU
 seconds (``usage``: the ``getrusage(RUSAGE_CHILDREN)`` delta over the
-run, its set-up probes included) with their medians. The machine facts (cores, CPU, Python, numpy,
-scipy, BLAS and its threads) come from the runs' provenance lines; the
-script refuses to write a record whose runs disagree on them, and to
-start on a checkout with uncommitted changes under ``src/`` or
-``bench/``, whose figures would not belong to its commit.
+run, its set-up probes included) with their medians. The machine
+facts (cores, CPU, Python, numpy, scipy, BLAS and its threads) come
+from the runs' provenance lines; the script refuses to write a record
+whose runs disagree on them, and to start on a checkout with
+uncommitted changes under ``src/`` or ``bench/``, whose figures would
+not belong to its commit.
 
 After writing the record it prints one line per workload and
 end-to-end metric: the change/parent ratio of the medians, the seeds
