@@ -4,13 +4,13 @@ Everything here works on plain float64 numpy arrays and is pure: no
 global state, safe to call concurrently. Intended for dimensions up to
 about 16; there is no sparse or large-scale path.
 
-The row kernels (``row_dots``, ``row_norms``, ``row_broadcast``) serve
-the (N, n) chunks of the pair streams, where n is small and N large.
-They work column by column, since numpy's reductions and broadcasts
-along a 2- or 3-wide axis run their inner loop once per row, and they
-reuse the arrays they allocate, since glibc returns a freed
-multi-megabyte temporary to the system and the next chunk faults its
-pages in again. Both change no bit of any result.
+The row kernels (``row_dots``, ``row_norms``, ``row_broadcast``,
+``row_shift``) serve the (N, n) chunks of the pair streams, where n is
+small and N large. They work column by column, since numpy's reductions
+and broadcasts along a 2- or 3-wide axis run their inner loop once per
+row, and they reuse the arrays they allocate, since glibc returns a
+freed multi-megabyte temporary to the system and the next chunk faults
+its pages in again. Both change no bit of any result.
 """
 
 import numpy as np
@@ -107,21 +107,32 @@ def row_broadcast(op, v, s, out=None):
 
     Against ``s[:, None]`` numpy runs its inner loop once per row over
     only n elements; with 2 or 3 columns that costs 3 to 5 times one
-    pass per column over all N rows, which is what this does below 8
-    columns. ``out`` lets a caller write into an array it allocated
-    itself: a chunk's temporaries are a few MB, and glibc hands freed
-    blocks of that size back to the system, so every fresh one faults
-    its pages in again. Being elementwise, writing in place or by
-    column changes no bit.
+    pass per column over all N rows, which is what this does. ``out``
+    lets a caller write into an array it allocated itself: a chunk's
+    temporaries are a few MB, and glibc hands freed blocks of that size
+    back to the system, so every fresh one faults its pages in again.
+    Being elementwise, writing in place or by column changes no bit.
     """
     n = v.shape[-1]
     if out is None:
         out = np.empty((s.shape[0], n), dtype=np.result_type(v, s))
-    if n >= _PAIRWISE_BLOCK:
-        return op(v, s[:, None], out=out)
     for i in range(n):
         op(v[..., i], s, out=out[:, i])
     return out
+
+
+def row_shift(op, rows, s, w):
+    """``op(rows, s[:, None] * w)`` for a binary ufunc ``op``, an (N, n)
+    array ``rows``, an (N,) column ``s`` and an (n,) vector ``w``, bit
+    for bit, written into ``rows`` and returned: each row moved by its
+    own multiple of one vector. One column at a time, through one (N,)
+    buffer, for the reasons given in ``row_broadcast``.
+    """
+    term = np.empty_like(s, dtype=np.result_type(s, w))
+    for i, wi in enumerate(w):
+        np.multiply(s, wi, out=term)
+        op(rows[:, i], term, out=rows[:, i])
+    return rows
 
 
 # =====================================================================

@@ -6,10 +6,10 @@ many threads at once. A node never writes into the rows it is given or
 into an array another node returned to it; to keep a chunk's
 temporaries few, it writes in place only into arrays it allocated
 itself, and it broadcasts per-row scalars over columns one column at a
-time (``core.row_broadcast``). Each constructor records the bi-Lipschitz
-constant its construction rule promises (when one is known) as
-``lambda_claimed``; estimators treat those claims as hypotheses to
-falsify, never as trusted facts.
+time (``core.row_broadcast``, ``core.row_shift``). Each constructor
+records the bi-Lipschitz constant its construction rule promises (when
+one is known) as ``lambda_claimed``; estimators treat those claims as
+hypotheses to falsify, never as trusted facts.
 
 Besides the plain image ``f(x)``, nodes expose the displacement field
 ``f(x) - x`` computed at the construction's own scale. For maps that
@@ -62,6 +62,7 @@ from .core import (
     row_broadcast,
     row_dots,
     row_norms,
+    row_shift,
 )
 from .errors import (
     DimensionMismatchError,
@@ -257,10 +258,7 @@ class LatitudeSphereMap(SphereMap):
     def _remap(self, units, cos_h, along, polar):
         """Rows at polar angle h: cos h on the axis plus ``along``, the
         tangent part sin(h) tang / s, which is overwritten with them."""
-        term = np.empty_like(cos_h)
-        for i, w in enumerate(self._unit):
-            np.multiply(cos_h, w, out=term)
-            np.add(term, along[:, i], out=along[:, i])
+        row_shift(np.add, along, cos_h, self._unit)
         if polar.any():
             along[polar] = units[polar]
         return self._renormalize(along)
@@ -783,22 +781,15 @@ class _Replication(MapExpr):
     names the disk holding each row (``_locate``: index or -1), the
     similarity onto disk j (``_disk``: centre along e1 and scale, per
     row) and each disk map with its rows (``_groups``). The similarity
-    is applied column by column (``row_broadcast``, ``_shift``) into
-    arrays made here."""
-
-    @staticmethod
-    def _shift(op, rows, c):
-        """``op(rows, c e1)`` in place, one column at a time: the centre
-        c e1 of each row's disk added to or taken from the row."""
-        for k, e in enumerate(unit_axis(rows.shape[1])):
-            op(rows[:, k], c * e, out=rows[:, k])
-        return rows
+    is applied column by column (``row_broadcast``, ``row_shift`` with
+    the axis e1) into arrays made here."""
 
     def disk_points(self, j, p):
         """The images c e1 + s p of unit-ball rows ``p`` in disks ``j``
         (an integer array): the similarity onto disk j."""
         c, s = self._disk(j)
-        return self._shift(np.add, row_broadcast(np.multiply, p, s), c)
+        return row_shift(np.add, row_broadcast(np.multiply, p, s), c,
+                         unit_axis(self.dim))
 
     def _per_disk(self, pts, inverse=False, displacement=False):
         """Rows of each disk through its disk map (or its inverse) in
@@ -807,6 +798,7 @@ class _Replication(MapExpr):
         minus the input, computed at the disk's own scale. The gathered
         rows are a copy, which holds each step's result in turn."""
         j = self._locate(pts)
+        e1 = unit_axis(self.dim)
         out = np.zeros_like(pts) if displacement else pts.copy()
         for g, rows in self._groups(j):
             if rows.size == 0:
@@ -814,15 +806,15 @@ class _Replication(MapExpr):
             if inverse:
                 g = g.inverse()
             c, s = self._disk(j[rows])
-            local = self._shift(np.subtract, pts[rows], c)
+            local = row_shift(np.subtract, pts[rows], c, e1)
             row_broadcast(np.divide, local, s, out=local)
             moved = g.apply(local)
             if displacement:
                 out[rows] = row_broadcast(
                     np.multiply, np.subtract(moved, local, out=local), s, out=local)
             else:
-                out[rows] = self._shift(
-                    np.add, row_broadcast(np.multiply, moved, s, out=local), c)
+                out[rows] = row_shift(
+                    np.add, row_broadcast(np.multiply, moved, s, out=local), c, e1)
         return out
 
     def _eval(self, pts):

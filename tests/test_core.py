@@ -89,9 +89,23 @@ def _check_broadcast(v, s):
             assert np.array_equal(_bits(w), want)
 
 
+def _check_shift(rows, s, w):
+    """``row_shift`` writes ``op(rows, s[:, None] * w)`` into ``rows`` bit
+    for bit for addition and subtraction, and leaves ``s`` and ``w``
+    untouched."""
+    for op in (np.add, np.subtract):
+        want = _bits(op(rows, s[:, None] * w[None, :]))
+        s_bits, w_bits = _bits(s).copy(), _bits(w).copy()
+        got = rows.copy()
+        assert core.row_shift(op, got, s, w) is got
+        assert np.array_equal(_bits(got), want)
+        assert np.array_equal(_bits(s), s_bits) and np.array_equal(_bits(w), w_bits)
+
+
 class TestRowKernels:
     """``row_norms`` and ``row_dots`` equal numpy's reductions bit for bit,
-    and ``row_broadcast(op, v, s)`` equals ``op(v, s[:, None])``."""
+    ``row_broadcast(op, v, s)`` equals ``op(v, s[:, None])`` and
+    ``row_shift(op, rows, s, w)`` equals ``op(rows, s[:, None] * w)``."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("n_rows", [1, 2, 7, 131072])
@@ -174,6 +188,25 @@ class TestRowKernels:
         s = pts[:, 4]  # a column view
         _check_broadcast(pts[:, 1:4], s)
         _check_broadcast(np.asfortranarray(pts[:, :3]), s)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n_rows", [0, 1, 32768])
+    def test_shift_equals_numpy_bit_for_bit(self, n, n_rows):
+        rng = np.random.default_rng([n, n_rows, 11])
+        rows, s = _rows(rng, n_rows, n), _rows(rng, n_rows, 1)[:, 0]
+        _check_shift(rows, s, _rows(rng, 1, n)[0])
+        _check_shift(rows, s, np.eye(n)[0])  # e1, as the replication transport takes
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_shift_signed_zeros_non_finite_and_subnormals(self, n):
+        rng = np.random.default_rng(300 + n)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                             2.2250738585072014e-308, 1.0, -3.0, 1e-300, 1e308])
+        rows = rng.choice(specials, size=(4096, n))
+        s = rng.choice(specials, size=4096)
+        _check_shift(rows, s, rng.choice(specials, size=n))
+        _check_shift(rows, s, np.eye(n)[-1])
 
 
 def _oracle(mats):
