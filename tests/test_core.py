@@ -170,6 +170,8 @@ class TestRowKernels:
         _check_broadcast(v, s)
         _check_broadcast(_rows(rng, 1, n)[0], s)  # one (n,) row for every row of s
         _check_broadcast(_rows(rng, 1, n), s)  # one (1, n) row, as disk_points takes
+        _check_shift(v, s, _rows(rng, 1, n)[0])
+        _check_shift(v, s, np.eye(n)[0])  # e1, as the replication transport takes
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("n", range(1, 10))
@@ -181,6 +183,8 @@ class TestRowKernels:
         s = rng.choice(specials, size=4096)
         _check_broadcast(v, s)
         _check_broadcast(v[0], s)
+        _check_shift(v, s, v[0])
+        _check_shift(v, s, np.eye(n)[-1])
 
     def test_broadcast_strided_rows(self):
         rng = np.random.default_rng(3)
@@ -188,25 +192,6 @@ class TestRowKernels:
         s = pts[:, 4]  # a column view
         _check_broadcast(pts[:, 1:4], s)
         _check_broadcast(np.asfortranarray(pts[:, :3]), s)
-
-    @pytest.mark.parametrize("n", range(1, 10))
-    @pytest.mark.parametrize("n_rows", [0, 1, 32768])
-    def test_shift_equals_numpy_bit_for_bit(self, n, n_rows):
-        rng = np.random.default_rng([n, n_rows, 11])
-        rows, s = _rows(rng, n_rows, n), _rows(rng, n_rows, 1)[:, 0]
-        _check_shift(rows, s, _rows(rng, 1, n)[0])
-        _check_shift(rows, s, np.eye(n)[0])  # e1, as the replication transport takes
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_shift_signed_zeros_non_finite_and_subnormals(self, n):
-        rng = np.random.default_rng(300 + n)
-        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
-                             2.2250738585072014e-308, 1.0, -3.0, 1e-300, 1e308])
-        rows = rng.choice(specials, size=(4096, n))
-        s = rng.choice(specials, size=4096)
-        _check_shift(rows, s, rng.choice(specials, size=n))
-        _check_shift(rows, s, np.eye(n)[-1])
 
 
 def _oracle(mats):
