@@ -25,6 +25,8 @@ Exit status:
 * 2: usage error, before any sampling: a bad flag or config value (a
   count below 1, a negative seed, a value a constructor refuses), a
   config key no scenario knows, ``--svg`` on a scenario without a plot,
+  ``verify radial-bound --n 1`` (S^0 has no nondegenerate same-sphere
+  pair), a ``drift --witnesses`` family other than the three above,
   a map or PL file that cannot be read or parsed (map text nested too
   deep included), an ``estimate`` region that is empty, not finite or
   too large for its squared diameter to be a finite float (a radius
@@ -57,7 +59,6 @@ import time
 
 import numpy as np
 
-from . import _svg
 from . import estimators as E
 from . import maps as M
 from . import pl as plmod
@@ -218,10 +219,7 @@ def _cmd_drift(args):
     }
     _emit(record, args.out)
     if args.svg:
-        svg = _svg.line_plot(np.arange(1, len(rep.drifts) + 1), rep.drifts,
-                             title="drift along witness sequence", xlabel="k",
-                             ylabel="||f(x_k) - x_k||", log_y=True)
-        _svg.save_svg(svg, args.svg)
+        V._drift_figure(rep.drifts, "drift along witness sequence", args.svg)
     if args.expect is not None:
         want = E.VERDICT_EXCEEDS if args.expect == "exceeds" else E.VERDICT_BOUNDED
         return 0 if rep.verdict == want else 1
@@ -306,10 +304,11 @@ def _build_parser():
 
     p = sub.add_parser("drift", help="drift along a witness sequence")
     p.add_argument("--map", required=True)
-    p.add_argument("--witnesses", choices=("replication", "spiral", "ray", "psi"),
+    p.add_argument("--witnesses", choices=("replication", "spiral", "ray"),
                    default="ray",
-                   help="witness family (psi is accepted as an alias of "
-                        "replication)")
+                   help="witness points: replication is 4^k e1 + 2^k x0 on a "
+                        "disk_replication map, spiral is 2^k-norm points of a "
+                        "spiral map, ray is 2^k x0 on any map")
     p.add_argument("-K", "--count", dest="count", type=int, default=40)
     p.add_argument("--x0", default="0.3125,-0.25",
                    help="base point for replication/ray witnesses")
@@ -341,8 +340,6 @@ def run_cli(argv=None):
     try:
         # the parser's seed defaults read BILIP_SEED, which may be malformed
         args = _build_parser().parse_args(argv)
-        if getattr(args, "witnesses", None) == "psi":
-            args.witnesses = "replication"
         # non-finite values are results (an infinite bound, a NaN ratio),
         # reported in the record, so numpy's warnings about them are noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -930,9 +930,9 @@ def metric_equivalence_ratio(cloud, eps, n_pairs, seed, graph=None):
 # Example hypersurface clouds
 # =====================================================================
 
-def circle_cloud(n_points, radius=1.0):
-    t = 2.0 * np.pi * np.arange(n_points) / n_points
-    return np.stack([radius * np.cos(t), radius * np.sin(t)], axis=1)
+def circle_cloud(n_points):
+    """``n_points`` equally spaced points on the unit circle."""
+    return ellipse_cloud(1.0, 1.0, n_points)
 
 
 def ellipse_cloud(a, b, n_points):

@@ -335,14 +335,10 @@ class ComposedSphereMap(_Composition, SphereMap):
     tag = "sphere_compose"
 
 
-def make_latitude_sphere_map(beta, axis=None, dim=None):
-    """Latitude sphere map about ``axis`` (default: the last coordinate
-    axis of R^dim)."""
-    if axis is None:
-        if dim is None:
-            raise InvalidPointError("need an axis or a dimension")
-        axis = unit_axis(dim, dim - 1)
-    return LatitudeSphereMap(beta, axis)
+def make_latitude_sphere_map(beta, dim):
+    """Latitude sphere map of S^(dim-1) about the last coordinate axis
+    of R^dim; ``LatitudeSphereMap`` takes any other axis."""
+    return LatitudeSphereMap(beta, unit_axis(dim, dim - 1))
 
 
 def compose_sphere_maps(*maps):
@@ -468,15 +464,11 @@ class ComposedDiskMap(_Composition, DiskMap):
     tag = "disk_compose"
 
 
-def make_twist_disk_map(theta=None, plane=(0, 1), dim=2, amplitude=0.8):
-    """Builtin nontrivial disk map: rotate by ``theta(r)`` in a plane.
-
-    Without an explicit profile, a default C^1 profile with the given
-    center amplitude is used.
-    """
-    if theta is None:
-        theta = twist_angle_profile(amplitude)
-    return TwistDiskMap(theta, plane, dim)
+def make_twist_disk_map(dim=2, amplitude=0.8):
+    """Builtin nontrivial disk map: rotate in the (0, 1) plane by the
+    default C^1 angle profile with center angle ``amplitude``;
+    ``TwistDiskMap`` takes any other profile or plane."""
+    return TwistDiskMap(twist_angle_profile(amplitude), (0, 1), dim)
 
 
 def pl_disk_map(plmap):
@@ -622,17 +614,17 @@ class CutoffRotationProfile(_PlaneAngleProfile):
         return CutoffRotationProfile(-self.theta, self.plane, self.dim)
 
 
-def profile_derivative_check(profile, n_grid=60, fd_step=1e-6):
-    """Measured sup over a log grid t in [1e-3, 1e6] of
-    t * max_ij |finite-difference f'_ij(t)|.
+def profile_derivative_check(profile):
+    """Measured sup over a 60-point log grid t in [1e-3, 1e6] of
+    t * max_ij |finite-difference f'_ij(t)|, with step 1e-6 t.
 
     For a valid profile this never exceeds c_bound by more than
     rounding; used by the certification tests.
     """
-    ts = np.logspace(-3.0, 6.0, n_grid)
+    ts = np.logspace(-3.0, 6.0, 60)
     worst = 0.0
     for t in ts:
-        h = fd_step * t
+        h = 1e-6 * t
         fd = (profile.matrix(t + h) - profile.matrix(t - h)) / (2.0 * h)
         worst = max(worst, t * float(np.abs(fd).max()))
     return worst
@@ -1193,14 +1185,13 @@ def displacement(m, v):
     return m._displacement(as_vector(v, dim=m.dim)[None, :])[0]
 
 
-def jacobian_fd(m, x, step=None):
-    """Central-difference Jacobian of a map expression at ``x``.
-
-    Default step 1e-5 * max(1, ||x||). Column k holds the difference
-    quotient along axis k.
+def jacobian_fd(m, x):
+    """Central-difference Jacobian of a map expression at ``x``, with
+    step 1e-5 * max(1, ||x||). Column k holds the difference quotient
+    along axis k.
     """
     xv = as_vector(x, dim=m.dim)
-    h = step if step is not None else 1e-5 * max(1.0, float(np.linalg.norm(xv)))
+    h = 1e-5 * max(1.0, float(np.linalg.norm(xv)))
     probes = np.repeat(xv[None, :], 2 * m.dim, axis=0)
     for k in range(m.dim):
         probes[2 * k, k] += h

@@ -438,17 +438,17 @@ def identity_plmap(triangulation):
     return PLMap(triangulation, triangulation.vertices.copy(), boundary_fixed=True)
 
 
-def pl_twist_example(dim, resolution, displacement, plane=(0, 1)):
+def pl_twist_example(dim, resolution, displacement):
     """Compactly supported PL twist on the box [-1, 1]^dim.
 
-    Interior lattice vertices rotate in the given coordinate plane by
+    Interior lattice vertices rotate in the (0, 1) coordinate plane by
     ``displacement`` scaled by a weight that vanishes on the boundary,
-    so the boundary is fixed exactly. Raises if the displacement flips
-    any simplex orientation.
+    so the boundary is fixed exactly. Raises if ``dim`` < 2 or if the
+    displacement flips any simplex orientation.
     """
     from .core import check_plane
 
-    i, j = check_plane(plane, dim)
+    i, j = check_plane((0, 1), dim)
     tri = kuhn_triangulation(dim, (-1.0, 1.0), resolution)
     v = tri.vertices
     weight = np.prod(1.0 - v * v, axis=1)

@@ -138,25 +138,23 @@ class CubicProfile:
         return float(best)
 
 
-def bump_profile(height, start, end, peak=None):
+def bump_profile(height, start, end):
     """Compactly supported C^1 bump: 0 at ``start`` and ``end``, flat top
-    ``height`` at ``peak`` (midpoint by default), identically 0 outside."""
-    if not (start < end):
-        raise InvalidPointError("need start < end")
-    if peak is None:
-        peak = 0.5 * (start + end)
+    ``height`` at the midpoint, identically 0 outside;
+    ``CubicProfile.from_hermite`` places the top anywhere else."""
+    peak = 0.5 * (start + end)
     if not (start < peak < end):
-        raise InvalidPointError("peak must lie strictly inside the support")
+        raise InvalidPointError("need start < end")
     return CubicProfile.from_hermite(
         [start, peak, end], [0.0, float(height), 0.0], [0.0, 0.0, 0.0]
     )
 
 
-def twist_angle_profile(amplitude, dim_knee=0.55):
-    """Default twist angle on [0, 1]: ``amplitude`` at the center, 0 at
-    radius 1 with zero slope, C^1 throughout."""
+def twist_angle_profile(amplitude):
+    """Default twist angle on [0, 1]: ``amplitude`` at the center, half
+    of it at radius 0.55, 0 at radius 1 with zero slope, C^1 throughout."""
     return CubicProfile.from_hermite(
-        [0.0, dim_knee, 1.0],
+        [0.0, 0.55, 1.0],
         [float(amplitude), 0.5 * float(amplitude), 0.0],
         [0.0, -1.2 * float(amplitude), 0.0],
     )

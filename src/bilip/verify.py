@@ -81,8 +81,12 @@ def _worst_pair_dict(pair):
 def verify_radial_bound(phi, cfg, sphere_pairs=200_000):
     """The radial extension of a sphere map with (sampled) chordal
     constant lambda-hat must show no two-point distortion above
-    1 + lambda-hat; equal-radius pairs must stay within lambda-hat."""
+    1 + lambda-hat; equal-radius pairs must stay within lambda-hat.
+    A map of S^0 (dimension 1) has no nondegenerate same-sphere pair,
+    so it is refused with ConfigError before any sampling."""
     t0 = time.perf_counter()
+    if phi.dim < 2:
+        raise ConfigError(f"radial-bound needs a sphere map of dimension >= 2, got {phi.dim}")
     sphere_est = E.sphere_bilip_lower_bound(phi, cfg.seed, sphere_pairs)
     lam_hat = sphere_est.lambda_lower
     claimed = 1.0 + lam_hat
@@ -119,14 +123,14 @@ def verify_radial_bound(phi, cfg, sphere_pairs=200_000):
 # Scenario: disk replication preserves the constant
 # =====================================================================
 
-def verify_replication_constant(g, cfg, claimed=None):
-    """The replication of a disk map with constant lambda must show no
-    distortion above lambda, including across disks."""
+def verify_replication_constant(g, cfg):
+    """The replication of a disk map with constant lambda =
+    ``g.lambda_claimed`` must show no distortion above lambda, including
+    across disks. A disk map without a claim raises ConfigError."""
     t0 = time.perf_counter()
+    claimed = g.lambda_claimed
     if claimed is None:
-        claimed = g.lambda_claimed
-    if claimed is None:
-        raise ConfigError("disk map carries no claimed constant; pass claimed=")
+        raise ConfigError("disk map carries no claimed constant")
     fmap = M.disk_replication(g)
     est = E.bilip_lower_bound(fmap, cfg, op_name="verify_replication_constant")
 
@@ -264,8 +268,11 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
 # Scenario: product quasi-isometry parameters
 # =====================================================================
 
-def verify_product_qi(f, f_params, g, g_params, cfg, grid_step=1.0,
-                      density_radius=3.0):
+_GRID_STEP = 1.0  # of the covering-radius grids
+_DENSITY_RADIUS = 3.0  # of the balls whose covering radius is measured
+
+
+def verify_product_qi(f, f_params, g, g_params, cfg):
     """The product of a (lam, eps) and a (mu, delta) quasi-isometry must
     pass the check with (max(lam, mu), eps + delta) in the product-sum
     metric, satisfy the pointwise drift identity exactly, and stay
@@ -290,10 +297,10 @@ def verify_product_qi(f, f_params, g, g_params, cfg, grid_step=1.0,
     drift_err = float(np.abs(lhs - rhs).max() / max(1.0, float(rhs.max())))
 
     # covering radius of the product vs its components
-    c_f = E.c_density(f, E.ball((0.0,) * f.dim, density_radius), grid_step)
-    c_g = E.c_density(g, E.ball((0.0,) * g.dim, density_radius), grid_step)
-    c_h = E.c_density(h, E.ball((0.0,) * n, density_radius), grid_step)
-    c_bound = 2.0 * max(c_f, c_g) + grid_step * np.sqrt(n)
+    c_f = E.c_density(f, E.ball((0.0,) * f.dim, _DENSITY_RADIUS), _GRID_STEP)
+    c_g = E.c_density(g, E.ball((0.0,) * g.dim, _DENSITY_RADIUS), _GRID_STEP)
+    c_h = E.c_density(h, E.ball((0.0,) * n, _DENSITY_RADIUS), _GRID_STEP)
+    c_bound = 2.0 * max(c_f, c_g) + _GRID_STEP * np.sqrt(n)
     density_ok = c_h <= c_bound
 
     passed = qi.passed and drift_err <= 1e-12 and density_ok
@@ -423,22 +430,29 @@ def verify_matrix_norms(seed, n_matrices=1000, max_dim=8):
 # Scenario: intrinsic vs chordal metric on hypersurface clouds
 # =====================================================================
 
+# per cloud kind: its builder, its default graph eps, the surface's worst
+# ratio of intrinsic to chordal distance (None where it is not known)
+# and the relative error allowed on that ratio
 _CLOUDS = {
-    "circle": lambda n: E.circle_cloud(n),
-    "sphere": lambda n: E.sphere_cloud(n),
-    "ellipse": lambda n: E.ellipse_cloud(2.0, 1.0, n),
+    "circle": (E.circle_cloud, 0.01, np.pi / 2, 0.02),
+    "sphere": (E.sphere_cloud, 0.09, np.pi / 2, 0.08),
+    "ellipse": (lambda n: E.ellipse_cloud(2.0, 1.0, n), 0.09, None, None),
 }
 
 
-def verify_metric_equivalence(kind, n_points, eps, n_pairs, seed,
-                              expected_ratio=None, rel_tol=0.02):
-    """Graph length over chord stays finite and reproduces the known
-    worst ratio of the surface; the graph length never undercuts the
-    chord."""
-    t0 = time.perf_counter()
+def _cloud_kind(kind):
     if kind not in _CLOUDS:
         raise ConfigError(f"unknown cloud kind {kind!r}; pick from {sorted(_CLOUDS)}")
-    cloud = _CLOUDS[kind](n_points)
+    return _CLOUDS[kind]
+
+
+def verify_metric_equivalence(kind, n_points, eps, n_pairs, seed):
+    """Graph length over chord stays finite and reproduces the known
+    worst ratio of the surface (``_CLOUDS``) within its tolerance; the
+    graph length never undercuts the chord."""
+    t0 = time.perf_counter()
+    build, _, expected_ratio, rel_tol = _cloud_kind(kind)
+    cloud = build(n_points)
     graph = E.neighbor_graph(cloud, eps)
     ratio = E.metric_equivalence_ratio(cloud, eps, n_pairs, seed, graph=graph)
 
@@ -465,13 +479,13 @@ def verify_metric_equivalence(kind, n_points, eps, n_pairs, seed,
     passed = undercut >= -1e-12 and np.isfinite(ratio)
     if expected_ratio is not None:
         rel = abs(ratio - expected_ratio) / expected_ratio
-        details["expected_ratio"] = float(expected_ratio)
+        details["expected_ratio"] = expected_ratio
         details["ratio_rel_error"] = float(rel)
         passed = passed and rel <= rel_tol
     return Report(
         scenario="metric-equivalence",
         passed=passed,
-        claimed=float(expected_ratio) if expected_ratio is not None else None,
+        claimed=expected_ratio,
         observed=ratio,
         worst=None,
         n_samples=n_pairs,
@@ -549,17 +563,18 @@ def _ratio_histogram(subject, path):
     _svg.save_svg(_svg.histogram(values, title=title, xlabel="two-point ratio"), path)
 
 
+def _drift_figure(drifts, title, path):
+    """Drift ||f(x_k) - x_k|| against k = 1, 2, ... on a log scale."""
+    _svg.save_svg(_svg.line_plot(np.arange(1, len(drifts) + 1), drifts, title=title,
+                                 xlabel="k", ylabel="||f(x_k) - x_k||", log_y=True), path)
+
+
 def _drift_plot(subject, path):
     g, x0, count, threshold = subject
     rep = E.drift_profile(M.disk_replication(g),
                           E.replication_drift_witnesses(g, x0, count), threshold)
-    _svg.save_svg(_svg.line_plot(np.arange(1, count + 1), rep.drifts,
-                                 title="replication drift vs k", xlabel="k",
-                                 ylabel="||f(x_k) - x_k||", log_y=True), path)
+    _drift_figure(rep.drifts, "replication drift vs k", path)
 
-
-# sphere_pairs (radial-bound) and n_points (homomorphism) are not in KEYS:
-# only the default suite sets them
 
 def _radial_bound(seed=7, pairs=100_000, n=2, beta=0.5, radius=100.0,
                   sphere_pairs=200_000):
@@ -630,13 +645,9 @@ def _matrix_norms(seed=7, count=1000, max_dim=8):
 
 
 def _metric_equivalence(seed=7, pairs=100_000, cloud="circle", points=10_000, eps=None):
-    circle = cloud == "circle"
-    eps = (0.01 if circle else 0.09) if eps is None else eps
+    eps = _cloud_kind(cloud)[1] if eps is None else eps
     E._check_eps(eps)
-    expected = float(np.pi / 2) if cloud in ("circle", "sphere") else None
-    return (lambda: [verify_metric_equivalence(cloud, points, eps, pairs, seed,
-                                               expected_ratio=expected,
-                                               rel_tol=0.02 if circle else 0.08)]), None
+    return (lambda: [verify_metric_equivalence(cloud, points, eps, pairs, seed)]), None
 
 
 def _all(seed=7, pairs=100_000):

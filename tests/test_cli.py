@@ -83,14 +83,16 @@ class TestUsage:
     "geodesic --cloud {cloud} --pairs 0",
     "geodesic --cloud {cloud} --pairs -5",
     "verify metric-equivalence --eps 0 --points 200 --pairs 10",
+    "verify radial-bound --n 1 --pairs 100",
     "drift --map {identity} --witnesses ray --x0 1,0 -K 1024",
     "drift --map {replication} --witnesses replication -K 600",
     "drift --map {identity} --witnesses ray --x0 1e300,0",
 ])
 def test_refused_value_is_usage_error(capsys, tmp_path, argv):
     """A claim that is not a finite constant, a graph eps that is not
-    finite and positive, a pair count below 1 and drift witnesses that
-    overflow are usage errors, not a result or a failed check."""
+    finite and positive, a pair count below 1, a radial bound on S^0
+    (where no pair can be sampled) and drift witnesses that overflow are
+    usage errors, not a result or a failed check."""
     paths = {name: tmp_path / name for name in
              ("affine", "cloud", "identity", "replication")}
     save_map(M.affine([[1000.0, 0.0], [0.0, 1.0]]), paths["affine"])
@@ -430,14 +432,11 @@ class TestDriftCommand:
         np.testing.assert_allclose(np.array(drifts[1:]) / np.array(drifts[:-1]),
                                    2.0, rtol=1e-12)
 
-    def test_psi_spelling_is_accepted(self, capsys, tmp_path):
+    def test_unknown_witness_family_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "rep.map"
         save_map(M.disk_replication(M.make_twist_disk_map(dim=2)), path)
-        code, records = run(
-            capsys, "drift", "--map", str(path), "--witnesses", "psi", "-K", "5",
-        )
-        assert code == 0
-        assert records[0]["witness_kind"] == "replication"
+        assert run_cli(["drift", "--map", str(path), "--witnesses", "psi", "-K", "5"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_spiral_witnesses_bounded_for_cutoff(self, capsys, tmp_path):
         from bilip.profiles import bump_profile

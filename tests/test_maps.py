@@ -314,7 +314,7 @@ class TestBroadcastFormulas:
 class TestTwistDiskMap:
     def test_zero_profile_is_identity(self):
         theta = CubicProfile.from_hermite([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        g = M.make_twist_disk_map(theta=theta, dim=2)
+        g = M.TwistDiskMap(theta, (0, 1), 2)
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(1000, 2))
         assert np.array_equal(g.apply(pts), pts)
@@ -341,7 +341,7 @@ class TestTwistDiskMap:
     def test_support_violation_rejected(self):
         bad = CubicProfile.from_hermite([0.0, 1.0], [0.5, 0.3], [0.0, 0.0])
         with pytest.raises(SupportViolationError):
-            M.make_twist_disk_map(theta=bad, dim=2)
+            M.TwistDiskMap(bad, (0, 1), 2)
 
     def test_inverse_roundtrip(self):
         g = M.make_twist_disk_map(dim=2)
@@ -437,7 +437,7 @@ class TestLocateReplicationDisk:
 class TestDiskReplication:
     def test_identity_disk_map_gives_identity(self):
         theta = CubicProfile.from_hermite([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        f = M.disk_replication(M.make_twist_disk_map(theta=theta, dim=2))
+        f = M.disk_replication(M.TwistDiskMap(theta, (0, 1), 2))
         rng = np.random.default_rng(12)
         pts = random_points(rng, 2, 2000, scale=50.0)
         assert np.array_equal(M.evaluate_points(f, pts), pts)
@@ -523,7 +523,7 @@ class TestDiskReplication:
 class TestTranslatedReplication:
     def test_all_identity(self):
         theta = CubicProfile.from_hermite([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        ident = M.make_twist_disk_map(theta=theta, dim=2)
+        ident = M.TwistDiskMap(theta, (0, 1), 2)
         f = M.translated_replication(disk_maps=[ident, ident])
         rng = np.random.default_rng(17)
         pts = random_points(rng, 2, 2000, scale=10.0)

@@ -105,5 +105,3 @@ class TestBump:
     def test_bad_support(self):
         with pytest.raises(InvalidPointError):
             bump_profile(1.0, 2.0, 1.0)
-        with pytest.raises(InvalidPointError):
-            bump_profile(1.0, 1.0, 3.0, peak=5.0)

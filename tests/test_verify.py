@@ -1,6 +1,7 @@
 """Tests for the verification scenarios and report plumbing."""
 
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -60,8 +61,8 @@ class TestReplicationScenario:
 
     def test_undersized_claim_fails(self):
         g = M.make_twist_disk_map(dim=2)
-        rep = V.verify_replication_constant(g, small_cfg(radius=300.0),
-                                            claimed=1.01)
+        g.lambda_claimed = 1.01
+        rep = V.verify_replication_constant(g, small_cfg(radius=300.0))
         assert not rep.passed
 
     def test_missing_claim_rejected(self):
@@ -286,9 +287,9 @@ class TestMatrixNormScenario:
 
 class TestMetricScenario:
     def test_circle(self):
-        rep = V.verify_metric_equivalence("circle", 4000, 0.01, 1500, 7,
-                                          expected_ratio=float(np.pi / 2))
+        rep = V.verify_metric_equivalence("circle", 4000, 0.01, 1500, 7)
         assert rep.passed
+        assert rep.claimed == rep.details["expected_ratio"] == np.pi / 2
         assert rep.details["worst_undercut"] >= -1e-12
 
     def test_unknown_cloud(self):
@@ -330,6 +331,20 @@ class TestDefaultSuite:
         for r in reports:
             data = json.loads(r.to_json())
             assert isinstance(data["passed"], bool)
+
+
+def test_every_flag_is_read_and_every_parameter_is_set():
+    """Each KEYS entry (a `bilip verify` flag) is a parameter of some
+    scenario's ``make``, and each ``make`` parameter outside KEYS is set
+    by a SUITE entry: no flag that nothing reads, no parameter that
+    nothing can set."""
+    params = {name: set(inspect.signature(s.make).parameters)
+              for name, s in V.SCENARIOS.items()}
+    assert set(V.KEYS) <= set().union(*params.values())
+    suite_sets = {(name, key) for name, fixed in V.SUITE for key in fixed}
+    unset = {(name, key) for name, keys in params.items()
+             for key in keys - set(V.KEYS)}
+    assert unset <= suite_sets
 
 
 def _bench_tracer():
