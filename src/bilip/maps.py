@@ -226,18 +226,15 @@ class LatitudeSphereMap(SphereMap):
         self.lambda_claimed = max(1.0 + b, 1.0 / (1.0 - b)) if b > 0 else 1.0
 
     def _angle_map_inverse(self, target):
-        # Newton on a + beta*sin(a) - t; derivative >= 1 - 0.9 = 0.1. A
-        # row stops after the step at which its own |f| < 1e-15, so its
-        # bits do not depend on the other rows of its batch.
+        # Four Halley steps on f(a) = a + beta*sin(a) - t from a = t, on
+        # the whole array: f' = c >= 0.1 and f'' = -beta*sin(a), so the
+        # first denominator 2c^2 + (beta sin t)^2 is positive. Every row
+        # takes the same steps, so its bits do not depend on its batch.
         a = target.copy()
-        rows = np.arange(a.size)
-        for _ in range(80):
-            ar = a[rows]
-            fval = ar + self.beta * np.sin(ar) - target[rows]
-            a[rows] = ar - fval / (1.0 + self.beta * np.cos(ar))
-            rows = rows[np.abs(fval) >= 1e-15]
-            if rows.size == 0:
-                break
+        for _ in range(4):
+            s, c = self.beta * np.sin(a), 1.0 + self.beta * np.cos(a)
+            f = a + s - target
+            a -= 2.0 * f * c / (2.0 * c * c + f * s)
         return np.clip(a, 0.0, np.pi, out=a)
 
     def _polar(self, units):
@@ -289,7 +286,7 @@ class LatitudeSphereMap(SphereMap):
 
 class _InverseLatitudeSphereMap(LatitudeSphereMap):
     """Inverse of the latitude map with the same beta and axis; the
-    angle map is inverted by Newton's method. Same claim."""
+    angle map is inverted by four Halley steps. Same claim."""
 
     tag = "latitude_inverse"
 

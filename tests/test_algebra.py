@@ -224,7 +224,7 @@ class TestInverseNodes:
         assert inverted == [twists[0], twists[1], twists[2], twists[0], twists[1]]
 
     def test_latitude_newton_is_batch_independent(self):
-        # each row stops Newton on its own residual, not the batch maximum
+        # every row takes the same fixed Halley steps, whatever its batch
         phi = M.make_latitude_sphere_map(0.9, dim=3).inverse()
         u = np.random.default_rng(5).normal(size=(20_000, 3))
         u /= np.linalg.norm(u, axis=1)[:, None]

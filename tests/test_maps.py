@@ -116,6 +116,15 @@ class TestSphereMaps:
         with pytest.raises(MonotonicityError):
             M.make_latitude_sphere_map(0.95, dim=2)
 
+    @pytest.mark.parametrize("beta", [0.0, 1e-8, -1e-8, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9])
+    def test_latitude_inverse_angle_solves_kepler(self, beta):
+        # a + beta sin(a) = t to 1e-15 across [0, pi], at its ends too
+        t = np.concatenate([np.linspace(0.0, np.pi, 200_001),
+                            [5e-324, 1e-300, np.nextafter(np.pi, 0.0)]])
+        a = M.LatitudeSphereMap(beta, [0.0, 0.0, 1.0])._angle_map_inverse(t)
+        assert np.all((a >= 0.0) & (a <= np.pi))
+        assert np.abs(a + beta * np.sin(a) - t).max() <= 1e-15
+
     def test_latitude_inverse_roundtrip(self):
         phi = M.make_latitude_sphere_map(0.8, dim=3)
         inv = phi.inverse()
