@@ -26,7 +26,8 @@ Exit status:
   count below 1, a negative seed, a value a constructor refuses), a
   config key no scenario knows, ``--svg`` on a scenario without a plot,
   ``verify radial-bound --n 1`` (S^0 has no nondegenerate same-sphere
-  pair), a ``drift --witnesses`` family other than the three above,
+  pair), ``verify homomorphism --kind radial --n 1`` (every latitude
+  map of S^0 is the identity), a ``drift --witnesses`` family other than the three above,
   a map or PL file that cannot be read or parsed (map text nested too
   deep included), an ``estimate`` region that is empty, not finite or
   too large for its squared diameter to be a finite float (a radius

@@ -79,6 +79,13 @@ _MAX_FINITE_DISK = 511  # 4^511 = 2^1022; the centre of disk 512 overflows
 _MAX_TRANSLATED_DISK = 2.0 ** 62  # the nearest centre index of every |x1| < 2^63
 
 
+def _check_dim(dim):
+    """``dim`` as an int; a dimension is an integer >= 1."""
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise InvalidPointError(f"dimension must be an integer >= 1, got {dim!r}")
+    return int(dim)
+
+
 def unit_axis(dim, axis=0):
     e = np.zeros(dim)
     e[axis] = 1.0
@@ -335,6 +342,7 @@ class ComposedSphereMap(_Composition, SphereMap):
 def make_latitude_sphere_map(beta, dim):
     """Latitude sphere map of S^(dim-1) about the last coordinate axis
     of R^dim; ``LatitudeSphereMap`` takes any other axis."""
+    dim = _check_dim(dim)
     return LatitudeSphereMap(beta, unit_axis(dim, dim - 1))
 
 
@@ -668,9 +676,7 @@ class IdentityMap(MapExpr):
     fields = (("dim", "dim"),)
 
     def __init__(self, dim):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise InvalidPointError(f"dimension must be an integer >= 1, got {dim!r}")
-        self.dim = int(dim)
+        self.dim = _check_dim(dim)
         self.lambda_claimed = 1.0
 
     def _eval(self, pts):

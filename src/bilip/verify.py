@@ -201,10 +201,14 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
     the construction restricted to its core set must reproduce the
     input map; and the drift must grow along the witnesses, except for a
     translated replication (a kernel element of QI(R^n)) or where every
-    witness drift is 0, which must read bounded (see E.DriftReport)."""
+    witness drift is 0, which must read bounded (see E.DriftReport).
+    On S^0 every latitude map is the identity, so a radial kind of
+    dimension 1 is refused with ConfigError before any sampling."""
     t0 = time.perf_counter()
     if kind not in _HOM_KINDS:
         raise ConfigError(f"unknown homomorphism kind {kind!r}; pick from {_HOM_KINDS}")
+    if kind == "radial" and g.dim < 2:
+        raise ConfigError(f"radial homomorphism needs dimension >= 2, got {g.dim}")
 
     if kind == "radial":
         build = M.radial_extension

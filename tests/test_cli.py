@@ -84,6 +84,7 @@ class TestUsage:
     "geodesic --cloud {cloud} --pairs -5",
     "verify metric-equivalence --eps 0 --points 200 --pairs 10",
     "verify radial-bound --n 1 --pairs 100",
+    "verify homomorphism --kind radial --n 1 --pairs 100",
     "drift --map {identity} --witnesses ray --x0 1,0 -K 1024",
     "drift --map {replication} --witnesses replication -K 600",
     "drift --map {identity} --witnesses ray --x0 1e300,0",
@@ -91,8 +92,9 @@ class TestUsage:
 def test_refused_value_is_usage_error(capsys, tmp_path, argv):
     """A claim that is not a finite constant, a graph eps that is not
     finite and positive, a pair count below 1, a radial bound on S^0
-    (where no pair can be sampled) and drift witnesses that overflow are
-    usage errors, not a result or a failed check."""
+    (where no pair can be sampled), a radial homomorphism on S^0 (where
+    every latitude map is the identity) and drift witnesses that
+    overflow are usage errors, not a result or a failed check."""
     paths = {name: tmp_path / name for name in
              ("affine", "cloud", "identity", "replication")}
     save_map(M.affine([[1000.0, 0.0], [0.0, 1.0]]), paths["affine"])

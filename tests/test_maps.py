@@ -116,6 +116,11 @@ class TestSphereMaps:
         with pytest.raises(MonotonicityError):
             M.make_latitude_sphere_map(0.95, dim=2)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_latitude_dimension_guard(self, dim):
+        with pytest.raises(InvalidPointError):
+            M.make_latitude_sphere_map(0.5, dim)
+
     @pytest.mark.parametrize("beta", [0.0, 1e-8, -1e-8, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9])
     def test_latitude_inverse_angle_solves_kepler(self, beta):
         # a + beta sin(a) = t to 1e-15 across [0, pi], at its ends too
