@@ -29,11 +29,11 @@ from .estimators import (
     circle_cloud,
     drift_profile,
     ellipse_cloud,
-    falsify_bilip_bound,
     geodesic_estimate,
     metric_equivalence_ratio,
     neighbor_graph,
     qi_embedding_check,
+    refutes,
     replication_drift_witnesses,
     sphere_bilip_lower_bound,
     sphere_cloud,

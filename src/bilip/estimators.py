@@ -547,24 +547,6 @@ def refutes(observed, claim):
     return not (np.isfinite(claim) and observed <= claim * (1.0 + REFUTATION_SLACK))
 
 
-def falsify_bilip_bound(m, lambda_claim, cfg, op_name="falsify_bilip_bound"):
-    """Search for a pair violating the claimed constant by more than
-    REFUTATION_SLACK relative. Returns the worst violating pair (x, y,
-    ratio) or None; None is absence of refutation, not a proof. A pair
-    with non-finite images violates every claim.
-
-    The witness is the ``worst_pair`` of ``bilip_lower_bound`` on the
-    stream named ``op_name`` when its ``lambda_lower`` refutes the
-    claim, so a caller holding the estimate needs no second pass.
-    """
-    check_claim(lambda_claim)
-    try:
-        est = bilip_lower_bound(m, cfg, op_name)
-    except InsufficientSamplesError:
-        return None
-    return est.worst_pair if refutes(est.lambda_lower, lambda_claim) else None
-
-
 def sphere_bilip_lower_bound(phi, seed, n_pairs):
     """Chordal-metric bi-Lipschitz lower bound for a sphere self-map.
 

@@ -454,32 +454,34 @@ class TestChunkPeak:
 
 
 class TestFalsify:
+    """A claim is judged by ``refutes`` on the bound's own stream, and the
+    bound's ``worst_pair`` is the witness."""
+
     def test_identity_claim_one_unrefuted(self):
-        assert est.falsify_bilip_bound(M.identity(2), 1.0, cfg()) is None
+        assert not est.refutes(est.bilip_lower_bound(M.identity(2), cfg()).lambda_lower, 1.0)
 
     def test_undersized_claim_refuted_along_axis(self):
         m = M.affine([[3.0, 0.0], [0.0, 1.0]])
-        w = est.falsify_bilip_bound(m, 2.0, cfg(n_pairs=50_000))
-        assert w is not None
-        x, y, ratio = w
+        e = est.bilip_lower_bound(m, cfg(n_pairs=50_000))
+        assert est.refutes(e.lambda_lower, 2.0)
+        x, y, ratio = e.worst_pair
         assert max(ratio, 1.0 / ratio) > 2.0 * (1 + 1e-6)
 
     def test_valid_claim_survives(self):
         m = M.affine([[3.0, 0.0], [0.0, 1.0]])
-        assert est.falsify_bilip_bound(m, 3.0, cfg(n_pairs=50_000)) is None
+        assert not est.refutes(est.bilip_lower_bound(m, cfg(n_pairs=50_000)).lambda_lower, 3.0)
 
     @pytest.mark.parametrize("claim", [0.5, np.inf, np.nan])
     def test_claim_that_is_not_a_constant_is_refused(self, claim):
         with pytest.raises(InvalidPointError):
-            est.falsify_bilip_bound(M.affine([[1000.0, 0.0], [0.0, 1.0]]), claim, cfg())
+            est.check_claim(claim)
 
     def test_radial_extension_bound_survives(self):
         phi = M.make_latitude_sphere_map(0.5, dim=2)
         lam_hat = est.sphere_bilip_lower_bound(phi, 7, 50_000).lambda_lower
         f = M.radial_extension(phi)
-        w = est.falsify_bilip_bound(f, 1.0 + lam_hat, cfg(radius=100.0,
-                                                          n_pairs=200_000))
-        assert w is None
+        e = est.bilip_lower_bound(f, cfg(radius=100.0, n_pairs=200_000))
+        assert not est.refutes(e.lambda_lower, 1.0 + lam_hat)
 
 
 class TestSphereLowerBound:
@@ -537,9 +539,9 @@ class TestNonFiniteRatios:
         assert not np.isfinite(self.huge(np.stack([x, y]))).all()
 
     def test_falsify_returns_a_witness(self):
-        witness = est.falsify_bilip_bound(self.huge, 2.0, cfg(seed=1, radius=100.0))
-        assert witness is not None
-        assert not np.isfinite(self.huge(np.stack(witness[:2]))).all()
+        e = est.bilip_lower_bound(self.huge, cfg(seed=1, radius=100.0))
+        assert est.refutes(e.lambda_lower, 2.0)
+        assert not np.isfinite(self.huge(np.stack(e.worst_pair[:2]))).all()
 
     def test_qi_check_fails(self):
         r = est.qi_embedding_check(self.huge, 2.0, 0.0, "euclidean",
