@@ -1,7 +1,7 @@
 """Reports pinned across commits.
 
 ``tests/data`` holds the JSON lines of ``verify.default_suite(3, 20_000)``
-and of three ``bilip estimate --claim`` records, written by an earlier
+and of four ``bilip estimate --claim`` records, written by an earlier
 commit with their timing fields removed. A change that keeps the sample
 stream must reproduce them byte for byte; a change that alters a stream
 or a constant on purpose writes them again and says why.
@@ -19,7 +19,7 @@ DATA = Path(__file__).parent / "data"
 TIMING = ("wall_time_ms", "elapsed_ms")
 
 # (name, map, region, claim) of the pinned estimate records, each at
-# seed 5 and 2e4 pairs; the radial claim survives, the other two fall
+# seed 5 and 2e4 pairs; the two radial claims survive, the other two fall
 ESTIMATES = (
     ("radial", lambda: M.radial_extension(M.make_latitude_sphere_map(0.45, dim=3)),
      "ball:0,0,0:100", 2.0),
@@ -27,6 +27,9 @@ ESTIMATES = (
      "ball:0,0:300", 1.3),
     ("spiral", lambda: M.spiral_map(M.LogSpiralProfile(1.0, (0, 1), 2)),
      "annulus:1e-3:1e4", 1.5),
+    ("radial_inverse",
+     lambda: M.inverse(M.radial_extension(M.make_latitude_sphere_map(0.45, dim=3))),
+     "ball:0,0,0:100", 2.0),
 )
 
 
