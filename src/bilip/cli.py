@@ -27,9 +27,9 @@ Exit status:
   config key no scenario knows, ``--svg`` on a scenario without a plot,
   ``verify radial-bound --n 1`` (S^0 has no nondegenerate same-sphere
   pair), ``verify homomorphism --kind radial --n 1`` (every latitude
-  map of S^0 is the identity), a ``drift --witnesses`` family other than the three above,
-  a map or PL file that cannot be read or parsed (map text nested too
-  deep included), an ``estimate`` region that is empty, not finite or
+  map of S^0 is the identity), a ``drift --witnesses`` family other
+  than the three above, a map or PL file that cannot be read or parsed
+  (map text nested too deep included), an ``estimate`` region that is empty, not finite or
   too large for its squared diameter to be a finite float (a radius
   above about 1e154), or whose dimension is not the map's, ``--pairs``
   below 1 or a ``--claim`` that is not a finite number >= 1, a ``drift``

@@ -202,7 +202,7 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
     input map; and the drift must grow along the witnesses, except for a
     translated replication (a kernel element of QI(R^n)) or where every
     witness drift is 0, which must read bounded (see E.DriftReport).
-    On S^0 every latitude map is the identity, so a radial kind of
+    On S^0 the latitude maps are the identity, so a radial kind of
     dimension 1 is refused with ConfigError before any sampling."""
     t0 = time.perf_counter()
     if kind not in _HOM_KINDS:
