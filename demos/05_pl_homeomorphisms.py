@@ -4,7 +4,7 @@ On a Kuhn-triangulated box a PL map is affine on every simplex, so its
 differential norm sup ||T_sigma f|| is a finite maximum computed
 exactly, not estimated. This script builds a compactly supported PL
 twist, certifies its constant, feeds it through the disk-replication
-embedding, and round-trips it through the CSV interchange format.
+embedding, and round-trips it through the canonical map text.
 """
 
 import os
@@ -14,6 +14,7 @@ import numpy as np
 
 from bilip import estimators as est
 from bilip import maps, pl
+from bilip.mapformat import load_map, save_map
 
 # ---------------------------------------------------------------
 # Kuhn triangulations: n! simplices per cube
@@ -60,11 +61,11 @@ print(f"replicated over the disk family: sampled {sampled.lambda_lower:.6f} "
       f"<= {g.lambda_claimed:.6f}")
 
 # ---------------------------------------------------------------
-# CSV interchange round trip
+# Map text round trip: plmap(dim, lo, hi, resolution, boundary_fixed, images)
 # ---------------------------------------------------------------
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "twist.csv")
-    pl.save_plmap_csv(f, path)
-    back = pl.load_plmap_csv(path)
+    path = os.path.join(tmp, "twist.map")
+    save_map(f, path)
+    back = load_map(path, pl.PLMap)
     exact = np.array_equal(back.vertex_images, f.vertex_images)
-    print(f"\nCSV round trip bit-exact: {exact}")
+    print(f"\nmap text round trip bit-exact: {exact}")

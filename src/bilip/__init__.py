@@ -76,14 +76,12 @@ from .pl import (
     PLMap,
     Triangulation,
     kuhn_triangulation,
-    load_plmap_csv,
     pl_bilip_constant,
     pl_differential_norm,
     pl_eval,
     pl_eval_inverse,
     pl_twist_example,
     pl_validate,
-    save_plmap_csv,
 )
 from .profiles import CubicProfile, bump_profile, twist_angle_profile
 from .verify import (

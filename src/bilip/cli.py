@@ -5,7 +5,7 @@ Subcommands::
     bilip verify <scenario> [--config FILE] [scenario flags] [--out F] [--svg F]
     bilip estimate --map FILE --region SPEC --pairs N --seed S [--claim L]
     bilip drift --map FILE --witnesses {replication,spiral,ray} -K 40 [...]
-    bilip pl-norm --plmap FILE.csv
+    bilip pl-norm --plmap FILE
     bilip geodesic --cloud FILE.csv --pairs N [--eps E] [--pair I J]
 
 Every command prints one JSON object per result (newline-delimited when
@@ -28,18 +28,27 @@ Exit status:
   ``verify radial-bound --n 1`` (S^0 has no nondegenerate same-sphere
   pair), ``verify homomorphism --kind radial --n 1`` (every latitude
   map of S^0 is the identity), a ``drift --witnesses`` family other
-  than the three above, a map or PL file that cannot be read or parsed
-  (map text nested too deep included), an ``estimate`` region that is empty, not finite or
-  too large for its squared diameter to be a finite float (a radius
-  above about 1e154), or whose dimension is not the map's, ``--pairs``
-  below 1 or a ``--claim`` that is not a finite number >= 1, a ``drift``
-  count ``-K`` below 1, a ``drift --x0`` that is not the map's dimension
-  in finite numbers, or one outside the open unit ball for replication
-  witnesses, ``drift`` witnesses that overflow (``-K`` or ``--x0`` too
-  large), an eps of ``geodesic`` or ``verify metric-equivalence`` that
-  is not a finite number > 0, or ``geodesic --pairs`` below 1. Apart
-  from argparse's own messages, a usage error prints one ``error:``
-  line on stderr and nothing on stdout.
+  than the three above, an input file (``--config``, ``--map``,
+  ``--plmap``, ``--cloud``) that is missing, a directory or not UTF-8
+  text, map text that cannot be parsed (nested too deep included), a
+  node whose part is of the wrong family (``spiral`` of a sphere map,
+  ``pl`` of an ``identity``), a ``--map`` that is not a map expression
+  or a ``--plmap`` that is not one ``plmap(...)``, an ``estimate``
+  region that is empty, not finite or too large for its squared
+  diameter to be a finite float (a radius above about 1e154), or whose
+  dimension is not the map's, ``--pairs`` below 1 or a ``--claim`` that
+  is not a finite number >= 1, a ``drift`` count ``-K`` below 1, a
+  ``drift --x0`` that is not the map's dimension in finite numbers, or
+  one outside the open unit ball for replication witnesses, ``drift``
+  witnesses that overflow (``-K`` or ``--x0`` too large), a
+  ``geodesic --cloud`` that is not rows of equally many finite numbers
+  or holds fewer than 2 points, an eps of ``geodesic`` or ``verify
+  metric-equivalence`` that is not a finite number > 0, or ``geodesic
+  --pairs`` below 1. Apart from argparse's own messages, a usage error
+  prints one ``error:`` line on stderr and nothing on stdout. An
+  ``--out`` or ``--svg`` that cannot be written (a directory, say)
+  also exits 2 with one ``error:`` line, but is found only after the
+  record has been printed.
 
 Non-finite numbers in a record (an infinite bound, a NaN ratio) are
 written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``, so every
@@ -57,6 +66,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -80,15 +90,19 @@ def _default_seed():
 def parse_config_file(path):
     """Flat key-value config: ``key = value`` lines, # comments."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -228,7 +242,7 @@ def _cmd_drift(args):
 
 
 def _cmd_pl_norm(args):
-    f = plmod.load_plmap_csv(args.plmap)
+    f = load_map(args.plmap, plmod.PLMap)
     norm, argmax = plmod.pl_differential_norm(f, with_argmax=True)
     record = {
         "op": "pl-norm",
@@ -243,8 +257,15 @@ def _cmd_pl_norm(args):
 
 
 def _cmd_geodesic(args):
-    cloud = E.load_cloud_csv(args.cloud)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's: an empty file
+            cloud = E.load_cloud_csv(args.cloud)
+    except ValueError as exc:  # not UTF-8, not numbers, ragged rows or not finite
+        raise ConfigError(f"bad --cloud {args.cloud}: {exc}") from exc
     n_points = cloud.shape[0]
+    if n_points < 2:
+        raise ConfigError(f"--cloud needs at least 2 points, got {n_points}")
     if args.pair is not None and not all(0 <= k < n_points for k in args.pair):
         raise ConfigError(f"--pair {args.pair[0]} {args.pair[1]} is out of range "
                           f"for a cloud of {n_points} points")
@@ -319,8 +340,8 @@ def _build_parser():
     p.add_argument("--svg")
     p.set_defaults(func=_cmd_drift)
 
-    p = sub.add_parser("pl-norm", help="exact PL differential norm from CSV")
-    p.add_argument("--plmap", required=True)
+    p = sub.add_parser("pl-norm", help="exact PL differential norm of a plmap")
+    p.add_argument("--plmap", required=True, help="map text file holding one plmap(...)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pl_norm)
 
@@ -350,7 +371,7 @@ def run_cli(argv=None):
     except BilipError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, (ConfigError, MapFormatError)) else 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that cannot be opened, read or written
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -78,7 +78,7 @@ class EmptyRegionError(BilipError, ValueError):
 
 
 class MapFormatError(BilipError, ValueError):
-    """Canonical map text or a PL map CSV file could not be parsed."""
+    """Canonical map text could not be parsed."""
 
 
 class ConfigError(BilipError, ValueError):

@@ -456,13 +456,20 @@ class BilipEstimate:
     seed: int
 
     def record(self):
-        x, y, ratio = self.worst_pair
         return {
             "lambda_lower": self.lambda_lower,
-            "worst_pair": {"x": list(x), "y": list(y), "ratio": ratio},
+            "worst_pair": worst_pair_record(self.worst_pair),
             "n_pairs": self.n_pairs_used,
             "seed": self.seed,
         }
+
+
+def worst_pair_record(pair):
+    """The record ``{x, y, ratio}`` of a worst pair (x, y, ratio), or None."""
+    if pair is None:
+        return None
+    x, y, ratio = pair
+    return {"x": [float(v) for v in x], "y": [float(v) for v in y], "ratio": float(ratio)}
 
 
 def _two_point_stats(f, x, y):

@@ -195,8 +195,9 @@ class _Parser:
         return _build(name, kwargs)
 
 
-def parse_map(text):
-    """Parse canonical map text back into a map expression."""
+def parse_map(text, expect=M.MapExpr):
+    """Parse canonical map text back into a node of class ``expect``
+    (a map expression unless told otherwise, e.g. ``pl.PLMap``)."""
     parser = _Parser(text)
     depth = np.cumsum([(t in ("(", "[")) - (t in (")", "]")) for t in parser.tokens])
     if depth.max(initial=0) > _MAX_NESTING:
@@ -205,13 +206,14 @@ def parse_map(text):
     value = parser.parse_call(name)
     if parser.peek() is not None:
         raise MapFormatError(f"trailing input after expression: {parser.peek()!r}")
-    if not isinstance(value, M.MapExpr):
-        raise MapFormatError(f"{name!r} is not a map expression")
+    if not isinstance(value, expect):
+        raise MapFormatError(f"{name!r} is not a {expect.__name__}")
     return value
 
 
-def load_map(path):
-    """Read a canonical map text file (comments with # allowed)."""
+def load_map(path, expect=M.MapExpr):
+    """Read a canonical map text file (comments with # allowed) holding
+    a node of class ``expect``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh
@@ -220,7 +222,7 @@ def load_map(path):
         raise MapFormatError(f"map file is not UTF-8 text: {exc}") from exc
     if not lines:
         raise MapFormatError(f"no map expression found in {path}")
-    return parse_map(" ".join(lines))
+    return parse_map(" ".join(lines), expect)
 
 
 def save_map(m, path):

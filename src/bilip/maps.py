@@ -86,6 +86,15 @@ def _check_dim(dim):
     return int(dim)
 
 
+def _part(node, family):
+    """``node`` if it is of ``family``, the base class of the parts a
+    constructor takes; a part of another family is refused."""
+    if not isinstance(node, family):
+        raise InvalidPointError(f"expected a {family.__name__} part, "
+                                f"got {type(node).__name__}")
+    return node
+
+
 def unit_axis(dim, axis=0):
     e = np.zeros(dim)
     e[axis] = 1.0
@@ -115,13 +124,14 @@ def _rotate_columns(out, i, j, cos_a, sin_a):
 
 class _Composition:
     """maps[0] o maps[1] o ... (rightmost applied first), for factors of
-    one family and one dimension; the claim is the product of the
-    factors' claims, or None when any factor has none."""
+    one family (``family``, set by each subclass) and one dimension;
+    the claim is the product of the factors' claims, or None when any
+    factor has none."""
 
     fields = (("maps", "maps"),)
 
     def __init__(self, maps):
-        maps = list(maps)
+        maps = [_part(m, self.family) for m in maps]
         if not maps:
             raise InvalidPointError("need at least one map")
         dims = {m.dim for m in maps}
@@ -317,6 +327,7 @@ class ConjugatedSphereMap(SphereMap):
     fields = (("rotation", "rotation"), ("map", "inner"))
 
     def __init__(self, rotation, inner):
+        inner = _part(inner, SphereMap)
         r = as_matrix(rotation, dim=inner.dim)
         if orthogonality_defect(r) > 1e-9:
             raise OffSphereError("conjugating matrix is not orthogonal to 1e-9")
@@ -337,6 +348,7 @@ class ComposedSphereMap(_Composition, SphereMap):
     """Composition maps[0] o maps[1] o ... applied right to left."""
 
     tag = "sphere_compose"
+    family = SphereMap
 
 
 def make_latitude_sphere_map(beta, dim):
@@ -392,8 +404,7 @@ class TwistDiskMap(DiskMap):
     fields = (("profile", "profile"), ("plane", "plane"), ("dim", "dim"))
 
     def __init__(self, profile, plane, dim):
-        if not isinstance(profile, CubicProfile):
-            raise InvalidPointError("twist profile must be a CubicProfile")
+        _part(profile, CubicProfile)
         if profile.support_end > 1.0 or profile.values[-1] != 0.0:
             raise SupportViolationError(
                 "twist angle must vanish at radius 1 (theta(1) = 0)"
@@ -432,7 +443,7 @@ class PLDiskMap(DiskMap):
     _FIT_RADIUS = 0.95
 
     def __init__(self, plmap, inverted=False):
-        if not plmap.boundary_fixed:
+        if not _part(plmap, plmod.PLMap).boundary_fixed:
             raise SupportViolationError("disk embedding needs a boundary-fixed PLMap")
         tri = plmap.triangulation
         self.plmap = plmap
@@ -467,6 +478,7 @@ class ComposedDiskMap(_Composition, DiskMap):
     """Composition maps[0] o maps[1] o ... applied right to left."""
 
     tag = "disk_compose"
+    family = DiskMap
 
 
 def make_twist_disk_map(dim=2, amplitude=0.8):
@@ -600,8 +612,7 @@ class CutoffRotationProfile(_PlaneAngleProfile):
     fields = (("angle", "theta"), ("plane", "plane"), ("dim", "dim"))
 
     def __init__(self, theta, plane, dim):
-        if not isinstance(theta, CubicProfile):
-            raise InvalidPointError("cutoff angle must be a CubicProfile")
+        _part(theta, CubicProfile)
         if theta.values[-1] != 0.0:
             raise SupportViolationError("cutoff angle must vanish at its support end")
         self.theta = theta
@@ -734,7 +745,7 @@ class RadialExtensionMap(MapExpr):
     fields = (("map", "sphere_map"),)
 
     def __init__(self, sphere_map):
-        self.sphere_map = sphere_map
+        self.sphere_map = _part(sphere_map, SphereMap)
         self.dim = sphere_map.dim
         lam = sphere_map.lambda_claimed
         self.lambda_claimed = (1.0 + lam) if lam is not None else None
@@ -838,7 +849,7 @@ class DiskReplicationMap(_Replication):
     fields = (("map", "disk_map"),)
 
     def __init__(self, disk_map):
-        self.disk_map = disk_map
+        self.disk_map = _part(disk_map, DiskMap)
         self.dim = disk_map.dim
         self.lambda_claimed = disk_map.lambda_claimed
 
@@ -880,12 +891,12 @@ class TranslatedReplicationMap(_Replication):
         if (disk_maps is None) == (uniform is None):
             raise InvalidPointError("pass exactly one of disk_maps or uniform")
         if uniform is not None:
-            self.uniform = uniform
+            self.uniform = _part(uniform, DiskMap)
             self.disk_maps = None
             self.dim = uniform.dim
             self.lambda_claimed = uniform.lambda_claimed
         else:
-            gs = list(disk_maps)
+            gs = [None if g is None else _part(g, DiskMap) for g in disk_maps]
             if len(gs) > _MAX_TRANSLATED_MAPS:
                 raise InvalidPointError(
                     f"at most {_MAX_TRANSLATED_MAPS} maps; use uniform= for more"
@@ -952,8 +963,8 @@ class ProductMap(MapExpr):
     fields = (("left", "left"), ("right", "right"))
 
     def __init__(self, left, right):
-        self.left = left
-        self.right = right
+        self.left = _part(left, MapExpr)
+        self.right = _part(right, MapExpr)
         self.dim = left.dim + right.dim
         lams = (left.lambda_claimed, right.lambda_claimed)
         self.lambda_claimed = float(max(lams)) if None not in lams else None
@@ -985,7 +996,7 @@ class SpiralMap(MapExpr):
     fields = (("profile", "profile"),)
 
     def __init__(self, profile):
-        self.profile = profile
+        self.profile = _part(profile, SpiralProfile)
         self.dim = profile.dim
         self.lambda_claimed = profile.dim * profile.c_bound + 1.0
 
@@ -1013,7 +1024,7 @@ class PLHomeomorphismMap(MapExpr):
     fields = (("map", "plmap"), ("inverted", "inverted"))
 
     def __init__(self, plmap, inverted=False):
-        if not plmap.boundary_fixed:
+        if not _part(plmap, plmod.PLMap).boundary_fixed:
             raise SupportViolationError(
                 "a PL node must be boundary-fixed to act on all of R^n"
             )
@@ -1037,6 +1048,7 @@ class CompositionMap(_Composition, MapExpr):
     """maps[0] o maps[1] o ... (rightmost applied first)."""
 
     tag = "compose"
+    family = MapExpr
 
     def _eval(self, pts):
         return self.apply(pts)
@@ -1058,7 +1070,7 @@ class InverseMap(MapExpr):
     fields = (("map", "inner"),)
 
     def __init__(self, inner):
-        self.inner = inner
+        self.inner = _part(inner, MapExpr)
         self._inv = inner.inverse()
         self.dim = inner.dim
         self.lambda_claimed = inner.lambda_claimed  # symmetric in the definition

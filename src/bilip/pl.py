@@ -17,7 +17,6 @@ from .errors import (
     DisplacementTooLargeError,
     EmptyGridError,
     InvalidPointError,
-    MapFormatError,
     NotHomeomorphismError,
     OutOfDomainError,
     SupportViolationError,
@@ -431,7 +430,7 @@ def pl_validate(f):
 
 
 # =====================================================================
-# Builtin generators and CSV interchange
+# Builtin generators
 # =====================================================================
 
 def identity_plmap(triangulation):
@@ -466,70 +465,3 @@ def pl_twist_example(dim, resolution, displacement):
             f"displacement {displacement} flips a simplex; use a smaller value"
         )
     return f
-
-
-def save_plmap_csv(f, path):
-    """Write a PLMap as CSV: header lines (dim, box, resolution,
-    boundary_fixed), then one row per vertex: index and image
-    coordinates with 17 significant digits."""
-    tri = f.triangulation
-    lines = ["# bilip plmap v1"]
-    lines.append(f"dim,{tri.dim}")
-    lines.append(f"box,{tri.lo:.17g},{tri.hi:.17g}")
-    lines.append(f"resolution,{tri.resolution}")
-    lines.append(f"boundary_fixed,{int(f.boundary_fixed)}")
-    for idx in range(tri.n_vertices):
-        coords = ",".join(f"{x:.17g}" for x in f.vertex_images[idx])
-        lines.append(f"{idx},{coords}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_plmap_csv(path):
-    """Read a PLMap written by :func:`save_plmap_csv`.
-
-    A malformed file raises MapFormatError: a missing or bad header
-    value (the triangulation's limits included), a vertex row whose
-    index is not an integer below the vertex count or that does not
-    hold exactly ``dim`` finite coordinates, or a missing vertex row.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except UnicodeDecodeError as exc:
-        raise MapFormatError(f"plmap csv is not UTF-8 text: {exc}") from exc
-    header = {}
-    body = []
-    for ln in rows:
-        parts = ln.split(",")
-        if parts[0] in ("dim", "box", "resolution", "boundary_fixed"):
-            header[parts[0]] = parts[1:]
-        else:
-            body.append(ln)
-    try:
-        dim = int(header["dim"][0])
-        lo, hi = float(header["box"][0]), float(header["box"][1])
-        resolution = int(header["resolution"][0])
-        boundary_fixed = bool(int(header["boundary_fixed"][0]))
-        tri = kuhn_triangulation(dim, (lo, hi), resolution)
-    except (KeyError, IndexError, ValueError) as exc:
-        raise MapFormatError(f"malformed plmap csv header: {exc}") from exc
-    images = np.empty_like(tri.vertices)
-    seen = np.zeros(tri.n_vertices, dtype=bool)
-    for ln in body:
-        parts = ln.split(",")
-        try:
-            idx = int(parts[0])
-            coords = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise MapFormatError(f"malformed plmap csv row {ln!r}: {exc}") from exc
-        if not (0 <= idx < tri.n_vertices and len(coords) == dim
-                and np.all(np.isfinite(coords))):
-            raise MapFormatError(
-                f"plmap csv row {ln!r} needs a vertex index in [0, {tri.n_vertices}) "
-                f"and {dim} finite coordinates")
-        images[idx] = coords
-        seen[idx] = True
-    if not seen.all():
-        raise MapFormatError("plmap csv is missing vertex rows")
-    return PLMap(tri, images, boundary_fixed=boundary_fixed)

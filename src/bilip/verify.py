@@ -67,13 +67,6 @@ def _jsonable(x):
     return x
 
 
-def _worst_pair_dict(pair):
-    if pair is None:
-        return None
-    x, y, ratio = pair
-    return {"x": _jsonable(x), "y": _jsonable(y), "ratio": float(ratio)}
-
-
 # =====================================================================
 # Scenario: radial extension bound
 # =====================================================================
@@ -107,7 +100,7 @@ def verify_radial_bound(phi, cfg, sphere_pairs=200_000):
         passed=passed,
         claimed=claimed,
         observed=est.lambda_lower,
-        worst=_worst_pair_dict(est.worst_pair),
+        worst=E.worst_pair_record(est.worst_pair),
         n_samples=est.n_pairs_used,
         seed=cfg.seed,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
@@ -146,7 +139,7 @@ def verify_replication_constant(g, cfg):
         passed=passed,
         claimed=float(claimed),
         observed=est.lambda_lower,
-        worst=_worst_pair_dict(est.worst_pair),
+        worst=E.worst_pair_record(est.worst_pair),
         n_samples=est.n_pairs_used,
         seed=cfg.seed,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
@@ -313,7 +306,7 @@ def verify_product_qi(f, f_params, g, g_params, cfg):
         passed=passed,
         claimed=float(nu),
         observed=float(nu if qi.passed else np.inf),
-        worst=_worst_pair_dict(qi.worst_pair),
+        worst=E.worst_pair_record(qi.worst_pair),
         n_samples=qi.n_pairs_used,
         seed=cfg.seed,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
@@ -378,7 +371,7 @@ def verify_spiral_bound(p, cfg):
         passed=passed,
         claimed=claimed,
         observed=est.lambda_lower,
-        worst=_worst_pair_dict(est.worst_pair),
+        worst=E.worst_pair_record(est.worst_pair),
         n_samples=est.n_pairs_used,
         seed=cfg.seed,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,

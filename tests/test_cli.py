@@ -104,6 +104,64 @@ def test_refused_value_is_usage_error(capsys, tmp_path, argv):
     assert_usage_error(capsys, *argv.format(**paths).split())
 
 
+_LATITUDE = "latitude(beta=0.5,axis=[0,1])"
+_INPUT_FILES = {
+    "id.map": b"identity(dim=2)\n",
+    # a part of the wrong family
+    "spiral.map": f"spiral(profile={_LATITUDE})\n".encode(),
+    "product.map": b"product(left=latitude(beta=0.5,axis=[1]),right=identity(dim=1))\n",
+    "pl.map": b"pl(map=identity(dim=2))\n",
+    "pl_disk.map": b"disk_replication(map=pl_disk(map=identity(dim=2)))\n",
+    "replication.map": f"disk_replication(map={_LATITUDE})\n".encode(),
+    "compose.map": f"compose(maps=[{_LATITUDE}])\n".encode(),
+    "radial.map": b"radial_extension(map=identity(dim=2))\n",
+    "translated.map": b"translated_replication(maps=[identity(dim=2)])\n",
+    "conjugated.map": (b"radial_extension(map=conjugated(rotation=[[0,1],[1,0]],"
+                       b"map=identity(dim=2)))\n"),
+    # files that cannot be read as text, and malformed point clouds
+    "latin1.cfg": b"pairs = 100\n# caf\xe9\n",
+    "latin1.csv": b"1,0\n0,1\n\xe9\n",
+    "word.csv": b"1,0\n0,x\n",
+    "ragged.csv": b"1,0\n0\n",
+    "empty.csv": b"",
+    "nan.csv": b"1,0\nnan,1\n",
+    "single.csv": b"1,0\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"estimate --map {name} --region ball:0,0:1 --pairs 100"
+      for name in _INPUT_FILES if name.endswith(".map") and name != "id.map"),
+    "verify matrix-norms --pairs 100 --config dir",
+    "estimate --map dir --region ball:0,0:1 --pairs 100",
+    "drift --map dir",
+    "pl-norm --plmap dir",
+    "geodesic --cloud dir",
+    "estimate --map id.map --region ball:0,0:1 --pairs 100 --out dir",
+    "estimate --map id.map --region ball:0,0:1 --pairs 100 --svg dir",
+    "verify matrix-norms --pairs 100 --config latin1.cfg",
+    *(f"geodesic --cloud {name} --pairs 10" for name in _INPUT_FILES if name.endswith(".csv")),
+])
+def test_unusable_input_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    """A map whose part is of the wrong family, an input that is a
+    directory or not UTF-8 text, an output path that is a directory and
+    a point cloud that is not at least 2 rows of equally many finite
+    numbers all exit 2 with one ``error:`` line. An output is written
+    after the record is printed, so only an input error leaves stdout
+    empty."""
+    for name, data in _INPUT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    if "--out" in argv or "--svg" in argv:
+        assert run_cli(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["op"] == "estimate"
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert_usage_error(capsys, *argv.split())
+
+
 class TestVerifyCommand:
     def test_spiral_scenario_passes(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -484,8 +542,8 @@ class TestDriftCommand:
 class TestPlNormCommand:
     def test_norm_of_twist(self, capsys, tmp_path):
         f = pl.pl_twist_example(2, 6, 0.3)
-        path = tmp_path / "twist.csv"
-        pl.save_plmap_csv(f, path)
+        path = tmp_path / "twist.map"
+        save_map(f, path)
         code, records = run(capsys, "pl-norm", "--plmap", str(path))
         assert code == 0
         rec = records[0]
@@ -496,29 +554,33 @@ class TestPlNormCommand:
             pl.pl_bilip_constant(f), rel=1e-12
         )
 
-
     @pytest.mark.parametrize("edit", [
-        ("dim,2", "dim,x"),                # bad header value
-        ("resolution,3", "resolution,0"),  # header the triangulation rejects
-        ("\n0,", "\nx,"),                  # row index that is not an integer
-        ("\n0,", "\n99,"),                 # row index out of range
-        ("\n0,", "\n-1,"),                 # negative row index
-        ("\n0,-1,", "\n0,"),               # short row
-        ("\n0,-1,-1", "\n0,-1,nan"),       # non-finite coordinate
-        ("\n0,-1,-1\n", "\n"),             # missing vertex row
+        ("images=[[-1,-1],", "images=["),                  # one image too few
+        ("resolution=3", "resolution=0"),                  # the triangulation rejects it
+        (",boundary_fixed=true", ""),                      # a missing field
+        ("images=[[-1,-1],", "images=[[-1],"),             # an image of the wrong dimension
+        ("images=[[-1,-1],", "images=[[-1,-1e999],"),      # a non-finite image
+        ("])\n", "]\n"),                                  # truncated text
+        ("plmap(", "pl(map=plmap("),                       # a pl node, not a plmap
+        (None, "identity(dim=2)\n"),                       # a map expression, not a plmap
     ])
-    def test_malformed_csv_is_usage_error(self, capsys, tmp_path, edit):
-        path = tmp_path / "twist.csv"
-        pl.save_plmap_csv(pl.pl_twist_example(2, 3, 0.2), path)
+    def test_malformed_plmap_is_usage_error(self, capsys, tmp_path, edit):
+        path = tmp_path / "twist.map"
+        save_map(pl.pl_twist_example(2, 3, 0.2), path)
         text = path.read_text()
-        assert edit[0] in text
-        path.write_text(text.replace(edit[0], edit[1], 1))
+        if edit[0] is None:
+            text = edit[1]
+        else:
+            assert edit[0] in text
+            text = text.replace(edit[0], edit[1], 1)
+        if edit[1].startswith("pl("):
+            text = text.rstrip() + ")\n"
+        path.write_text(text)
         assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
 
-
-    def test_non_utf8_csv_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "binary.csv"
-        path.write_bytes(b"dim,2\n\xff\xfe\n")
+    def test_non_utf8_plmap_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.map"
+        path.write_bytes(b"plmap(dim=2,\xff\xfe\n")
         assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
 
 
@@ -578,8 +640,8 @@ class TestColdStart:
         save_map(M.radial_extension(M.make_latitude_sphere_map(0.5, dim=2)), radial)
         rep = tmp_path / "rep.map"
         save_map(M.disk_replication(M.make_twist_disk_map(dim=2)), rep)
-        plmap = tmp_path / "twist.csv"
-        pl.save_plmap_csv(pl.pl_twist_example(2, 4, 0.2), plmap)
+        plmap = tmp_path / "twist.map"
+        save_map(pl.pl_twist_example(2, 4, 0.2), plmap)
         got = run_fresh(
             ["estimate", "--map", str(radial), "--region", "ball:0,0:10",
              "--pairs", "2000", "--seed", "3", "--claim", "3.0"],

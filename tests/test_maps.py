@@ -994,3 +994,36 @@ class TestExpressionAlgebra:
         assert s.lambda_claimed == pytest.approx(3.0)
         prod = M.product_map(f, s)
         assert prod.lambda_claimed == pytest.approx(3.0)
+
+
+_LATITUDE = M.make_latitude_sphere_map(0.5, dim=2)
+_IDENTITY = M.identity(2)
+
+
+@pytest.mark.parametrize("build, family", [
+    pytest.param(lambda: M.ConjugatedSphereMap(np.eye(2), _IDENTITY), "SphereMap",
+                 id="conjugated"),
+    pytest.param(lambda: M.ComposedSphereMap([_LATITUDE, _IDENTITY]), "SphereMap",
+                 id="sphere_compose"),
+    pytest.param(lambda: M.TwistDiskMap(_IDENTITY, (0, 1), 2), "CubicProfile", id="twist"),
+    pytest.param(lambda: M.PLDiskMap(_IDENTITY), "PLMap", id="pl_disk"),
+    pytest.param(lambda: M.ComposedDiskMap([_LATITUDE]), "DiskMap", id="disk_compose"),
+    pytest.param(lambda: M.CutoffRotationProfile(_IDENTITY, (0, 1), 2), "CubicProfile",
+                 id="cutoff_rotation"),
+    pytest.param(lambda: M.RadialExtensionMap(_IDENTITY), "SphereMap", id="radial_extension"),
+    pytest.param(lambda: M.DiskReplicationMap(_LATITUDE), "DiskMap", id="disk_replication"),
+    pytest.param(lambda: M.TranslatedReplicationMap([None, _IDENTITY]), "DiskMap",
+                 id="translated_replication-maps"),
+    pytest.param(lambda: M.TranslatedReplicationMap(uniform=_LATITUDE), "DiskMap",
+                 id="translated_replication-uniform"),
+    pytest.param(lambda: M.ProductMap(_IDENTITY, _LATITUDE), "MapExpr", id="product"),
+    pytest.param(lambda: M.SpiralMap(_LATITUDE), "SpiralProfile", id="spiral"),
+    pytest.param(lambda: M.PLHomeomorphismMap(_IDENTITY), "PLMap", id="pl"),
+    pytest.param(lambda: M.CompositionMap([_IDENTITY, _LATITUDE]), "MapExpr", id="compose"),
+    pytest.param(lambda: M.InverseMap(_LATITUDE), "MapExpr", id="inverse"),
+])
+def test_part_of_another_family_is_refused(build, family):
+    """Every constructor that takes a part checks it against its own
+    family and names that family."""
+    with pytest.raises(InvalidPointError, match=f"expected a {family} part"):
+        build()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bilip import pl
+from bilip.mapformat import load_map, save_map
 from bilip.errors import (
     DegenerateSimplexError,
     DisplacementTooLargeError,
@@ -439,20 +440,27 @@ class TestInverse:
                                    rtol=0, atol=1e-12)
 
 
-class TestCsvRoundTrip:
-    def test_exact_round_trip(self, tmp_path):
-        f = pl.pl_twist_example(2, 6, 0.3)
-        path = tmp_path / "twist.csv"
-        pl.save_plmap_csv(f, path)
-        g = pl.load_plmap_csv(path)
-        assert g.triangulation.dim == 2
-        assert g.triangulation.resolution == 6
+class TestMapTextRoundTrip:
+    """A PLMap is written and read as canonical ``plmap(...)`` map text."""
+
+    @staticmethod
+    def round_trip(f, path):
+        save_map(f, path)
+        g = load_map(path, pl.PLMap)
+        assert g.triangulation.dim == f.triangulation.dim
+        assert (g.triangulation.lo, g.triangulation.hi) == (f.triangulation.lo,
+                                                             f.triangulation.hi)
+        assert g.triangulation.resolution == f.triangulation.resolution
         assert g.boundary_fixed == f.boundary_fixed
         assert np.array_equal(g.vertex_images, f.vertex_images)
 
+    def test_exact_round_trip(self, tmp_path):
+        self.round_trip(pl.pl_twist_example(2, 6, 0.3), tmp_path / "twist.map")
+
     def test_three_dimensional(self, tmp_path):
-        f = pl.pl_twist_example(3, 2, 0.2)
-        path = tmp_path / "twist3.csv"
-        pl.save_plmap_csv(f, path)
-        g = pl.load_plmap_csv(path)
-        assert np.array_equal(g.vertex_images, f.vertex_images)
+        self.round_trip(pl.pl_twist_example(3, 2, 0.2), tmp_path / "twist3.map")
+
+    def test_free_boundary(self, tmp_path):
+        f = perturbed_linear_map(2, 4, seed=5)
+        assert not f.boundary_fixed
+        self.round_trip(f, tmp_path / "free.map")
