@@ -555,27 +555,23 @@ class TestPlNormCommand:
         )
 
     @pytest.mark.parametrize("edit", [
-        ("images=[[-1,-1],", "images=["),                  # one image too few
-        ("resolution=3", "resolution=0"),                  # the triangulation rejects it
-        (",boundary_fixed=true", ""),                      # a missing field
-        ("images=[[-1,-1],", "images=[[-1],"),             # an image of the wrong dimension
-        ("images=[[-1,-1],", "images=[[-1,-1e999],"),      # a non-finite image
-        ("])\n", "]\n"),                                  # truncated text
-        ("plmap(", "pl(map=plmap("),                       # a pl node, not a plmap
-        (None, "identity(dim=2)\n"),                       # a map expression, not a plmap
-    ])
+        lambda t: t.replace("images=[[-1,-1],", "images=["),        # one image too few
+        lambda t: t.replace("resolution=3", "resolution=0"),        # an empty grid
+        lambda t: t.replace(",boundary_fixed=true", ""),            # a missing field
+        lambda t: t.replace("images=[[-1,-1],", "images=[[-1],"),   # a 1-d image
+        lambda t: t.replace("images=[[-1,-1],", "images=[[-1,-1e999],"),  # not finite
+        lambda t: t[:len(t) // 2],                                  # truncated text
+        lambda t: f"pl(map={t.strip()})",                           # a pl node
+        lambda t: "identity(dim=2)",                                # a map expression
+    ], ids=["few-images", "resolution-0", "missing-field", "short-image", "non-finite",
+            "truncated", "pl-node", "identity-node"])
     def test_malformed_plmap_is_usage_error(self, capsys, tmp_path, edit):
+        """pl-norm reads one well-formed plmap(...) node and nothing else."""
         path = tmp_path / "twist.map"
         save_map(pl.pl_twist_example(2, 3, 0.2), path)
         text = path.read_text()
-        if edit[0] is None:
-            text = edit[1]
-        else:
-            assert edit[0] in text
-            text = text.replace(edit[0], edit[1], 1)
-        if edit[1].startswith("pl("):
-            text = text.rstrip() + ")\n"
-        path.write_text(text)
+        assert edit(text) != text
+        path.write_text(edit(text))
         assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
 
     def test_non_utf8_plmap_is_usage_error(self, capsys, tmp_path):
