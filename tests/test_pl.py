@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bilip import pl
-from bilip.mapformat import load_map, save_map
 from bilip.errors import (
     DegenerateSimplexError,
     DisplacementTooLargeError,
@@ -16,6 +15,7 @@ from bilip.errors import (
     OutOfDomainError,
     SupportViolationError,
 )
+from bilip.mapformat import load_map, save_map
 
 
 def brute_force_eval(f, x):
