@@ -22,33 +22,20 @@ Exit status:
 
 * 0: every report passed, every claim survived.
 * 1: a scenario failed or ``estimate --claim`` found a violating pair.
-* 2: usage error, before any sampling: a bad flag or config value (a
-  count below 1, a negative seed, a value a constructor refuses), a
-  config key no scenario knows, ``--svg`` on a scenario without a plot,
-  ``verify radial-bound --n 1`` (S^0 has no nondegenerate same-sphere
-  pair), ``verify homomorphism --kind radial --n 1`` (every latitude
-  map of S^0 is the identity), a ``drift --witnesses`` family other
-  than the three above, an input file (``--config``, ``--map``,
-  ``--plmap``, ``--cloud``) that is missing, a directory or not UTF-8
-  text, map text that cannot be parsed (nested too deep included), a
-  node whose part is of the wrong family (``spiral`` of a sphere map,
-  ``pl`` of an ``identity``), a ``--map`` that is not a map expression
-  or a ``--plmap`` that is not one ``plmap(...)``, an ``estimate``
-  region that is empty, not finite or too large for its squared
-  diameter to be a finite float (a radius above about 1e154), or whose
-  dimension is not the map's, ``--pairs`` below 1 or a ``--claim`` that
-  is not a finite number >= 1, a ``drift`` count ``-K`` below 1, a
-  ``drift --x0`` that is not the map's dimension in finite numbers, or
-  one outside the open unit ball for replication witnesses, ``drift``
-  witnesses that overflow (``-K`` or ``--x0`` too large), a
-  ``geodesic --cloud`` that is not rows of equally many finite numbers
-  or holds fewer than 2 points, an eps of ``geodesic`` or ``verify
-  metric-equivalence`` that is not a finite number > 0, or ``geodesic
-  --pairs`` below 1. Apart from argparse's own messages, a usage error
-  prints one ``error:`` line on stderr and nothing on stdout. An
-  ``--out`` or ``--svg`` that cannot be written (a directory, say)
-  also exits 2 with one ``error:`` line, but is found only after the
-  record has been printed.
+* 2: usage error. Each command runs in two phases. Its input phase
+  reads and checks every input: the flags, ``--config``, the
+  ``--map``/``--plmap``/``--cloud`` files, the region, the claim, the
+  drift witnesses, and the ``--out``/``--svg`` destinations, which are
+  opened for appending (an absent one is created empty). Any refusal
+  there (a ``ValueError``, which every refused value, malformed file
+  and text that is not UTF-8 raises, or an ``OSError``) exits 2 before
+  anything is sampled. Its run phase starts with the first sample or
+  evaluation; there a ``ConfigError`` or ``MapFormatError`` (a
+  scenario refusing its set-up before it samples, such as ``verify
+  radial-bound --n 1``) still exits 2, and any other library error
+  exits 1. Apart from argparse's own messages, a usage error prints one
+  ``error:`` line on stderr, and one found in the input phase prints
+  nothing on stdout.
 
 Non-finite numbers in a record (an infinite bound, a NaN ratio) are
 written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``, so every
@@ -75,7 +62,7 @@ from . import maps as M
 from . import pl as plmod
 from . import verify as V
 from .core import as_vector
-from .errors import BilipError, ConfigError, InvalidPointError, MapFormatError
+from .errors import BilipError, ConfigError, MapFormatError
 from .mapformat import load_map, map_to_text
 
 
@@ -90,11 +77,8 @@ def _default_seed():
 def parse_config_file(path):
     """Flat key-value config: ``key = value`` lines, # comments."""
     values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,6 +119,9 @@ def _emit(obj, out_path):
             fh.write(text + "\n")
 
 
+# Each _cmd_* function is a command's input phase: it checks every input
+# and returns the run phase, which returns the exit code.
+
 # =====================================================================
 # verify
 # =====================================================================
@@ -149,12 +136,15 @@ def _cmd_verify(args):
     params.update((key, getattr(args, key)) for key in V.KEYS
                   if getattr(args, key) is not None)
     run, subject = scenario.build(params)
-    reports = run()
-    for rep in reports:
-        _emit(rep.to_dict(), args.out)
-    if args.svg:
-        scenario.plot(subject, args.svg)
-    return 0 if all(rep.passed for rep in reports) else 1
+
+    def verify():
+        reports = run()
+        for rep in reports:
+            _emit(rep.to_dict(), args.out)
+        if args.svg:
+            scenario.plot(subject, args.svg)
+        return 0 if all(rep.passed for rep in reports) else 1
+    return verify
 
 
 # =====================================================================
@@ -166,53 +156,48 @@ def _cmd_estimate(args):
     region = parse_region(args.region, m.dim)
     if region.dim != m.dim:
         raise ConfigError(f"region dimension {region.dim} != map dimension {m.dim}")
-    try:
-        if args.claim is not None:
-            E.check_claim(args.claim)
-        cfg = E.SamplerConfig(seed=args.seed, region=region, n_pairs=args.pairs)
-    except InvalidPointError as exc:
-        raise ConfigError(str(exc)) from exc
-    t0 = time.perf_counter()
-    est = E.bilip_lower_bound(m, cfg)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    record = {"op": "estimate", "map": map_to_text(m), **est.record(), "elapsed_ms": elapsed}
-    code = 0
     if args.claim is not None:
-        # judged on the pairs that gave the bound: its worst pair is the
-        # first pair beyond the claim whenever the bound refutes it
-        violated = E.refutes(est.lambda_lower, args.claim)
-        record["claim"] = args.claim
-        record["violated"] = violated
-        if violated:
-            record["violation"] = record["worst_pair"]
-            code = 1
-    _emit(record, args.out)
-    if args.svg:
-        V._ratio_histogram((m, cfg, "sampled two-point ratios"), args.svg)
-    return code
+        E.check_claim(args.claim)
+    cfg = E.SamplerConfig(seed=args.seed, region=region, n_pairs=args.pairs)
+
+    def estimate():
+        t0 = time.perf_counter()
+        est = E.bilip_lower_bound(m, cfg)
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        record = {"op": "estimate", "map": map_to_text(m), **est.record(),
+                  "elapsed_ms": elapsed}
+        code = 0
+        if args.claim is not None:
+            # judged on the pairs that gave the bound: its worst pair is the
+            # first pair beyond the claim whenever the bound refutes it
+            violated = E.refutes(est.lambda_lower, args.claim)
+            record["claim"] = args.claim
+            record["violated"] = violated
+            if violated:
+                record["violation"] = record["worst_pair"]
+                code = 1
+        _emit(record, args.out)
+        if args.svg:
+            V._ratio_histogram((m, cfg, "sampled two-point ratios"), args.svg)
+        return code
+    return estimate
 
 
 def _parse_x0(text, dim):
     """The ``--x0`` base point: ``dim`` finite comma-separated numbers."""
-    try:
-        return as_vector([float(v) for v in text.split(",")], dim=dim)
-    except ValueError as exc:  # not a number, not finite or the wrong dimension
-        raise ConfigError(f"bad --x0 {text!r} for a {dim}-d map: {exc}") from exc
+    return as_vector([float(v) for v in text.split(",")], dim=dim)
 
 
 def _cmd_drift(args):
     if args.count < 1:
         raise ConfigError(f"-K must be at least 1, got {args.count}")
+    E.check_positive("threshold", args.threshold)
     m = load_map(args.map)
-    threshold = args.threshold
     if args.witnesses == "replication":
         if not isinstance(m, M.DiskReplicationMap):
             raise ConfigError("replication witnesses need a disk_replication map")
-        try:
-            wit = E.replication_drift_witnesses(m.disk_map, _parse_x0(args.x0, m.dim),
-                                                args.count)
-        except InvalidPointError as exc:  # x0 outside the open unit ball
-            raise ConfigError(f"bad --x0 {args.x0!r}: {exc}") from exc
+        wit = E.replication_drift_witnesses(m.disk_map, _parse_x0(args.x0, m.dim),
+                                            args.count)
     elif args.witnesses == "spiral":
         if not isinstance(m, M.SpiralMap):
             raise ConfigError("spiral witnesses need a spiral map")
@@ -222,47 +207,50 @@ def _cmd_drift(args):
     if not np.isfinite(wit).all():
         raise ConfigError(f"witnesses overflow at -K {args.count} from --x0 {args.x0!r}; "
                           "lower -K or the size of --x0")
-    rep = E.drift_profile(m, wit, threshold)
-    record = {
-        "op": "drift",
-        "map": map_to_text(m),
-        "witness_kind": args.witnesses,
-        "count": int(rep.drifts.shape[0]),
-        "threshold": threshold,
-        "drifts": [float(d) for d in rep.drifts],
-        "verdict": rep.verdict,
-    }
-    _emit(record, args.out)
-    if args.svg:
-        V._drift_figure(rep.drifts, "drift along witness sequence", args.svg)
-    if args.expect is not None:
-        want = E.VERDICT_EXCEEDS if args.expect == "exceeds" else E.VERDICT_BOUNDED
-        return 0 if rep.verdict == want else 1
-    return 0
+
+    def drift():
+        rep = E.drift_profile(m, wit, args.threshold)
+        record = {
+            "op": "drift",
+            "map": map_to_text(m),
+            "witness_kind": args.witnesses,
+            "count": int(rep.drifts.shape[0]),
+            "threshold": args.threshold,
+            "drifts": [float(d) for d in rep.drifts],
+            "verdict": rep.verdict,
+        }
+        _emit(record, args.out)
+        if args.svg:
+            V._drift_figure(rep.drifts, "drift along witness sequence", args.svg)
+        if args.expect is not None:
+            want = E.VERDICT_EXCEEDS if args.expect == "exceeds" else E.VERDICT_BOUNDED
+            return 0 if rep.verdict == want else 1
+        return 0
+    return drift
 
 
 def _cmd_pl_norm(args):
     f = load_map(args.plmap, plmod.PLMap)
-    norm, argmax = plmod.pl_differential_norm(f, with_argmax=True)
-    record = {
-        "op": "pl-norm",
-        "plmap": args.plmap,
-        "n_simplices": int(f.triangulation.n_simplices),
-        "differential_norm": norm,
-        "argmax_simplex": argmax,
-        "bilip_constant": plmod.pl_bilip_constant(f),
-    }
-    _emit(record, args.out)
-    return 0
+
+    def pl_norm():
+        norm, argmax = plmod.pl_differential_norm(f, with_argmax=True)
+        record = {
+            "op": "pl-norm",
+            "plmap": args.plmap,
+            "n_simplices": int(f.triangulation.n_simplices),
+            "differential_norm": norm,
+            "argmax_simplex": argmax,
+            "bilip_constant": plmod.pl_bilip_constant(f, forward_norm=norm),
+        }
+        _emit(record, args.out)
+        return 0
+    return pl_norm
 
 
 def _cmd_geodesic(args):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy's: an empty file
-            cloud = E.load_cloud_csv(args.cloud)
-    except ValueError as exc:  # not UTF-8, not numbers, ragged rows or not finite
-        raise ConfigError(f"bad --cloud {args.cloud}: {exc}") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's: an empty file
+        cloud = E.load_cloud_csv(args.cloud)
     n_points = cloud.shape[0]
     if n_points < 2:
         raise ConfigError(f"--cloud needs at least 2 points, got {n_points}")
@@ -272,25 +260,26 @@ def _cmd_geodesic(args):
     if args.pairs < 1:  # refused before a disconnected graph can exit 1
         raise ConfigError(f"n_pairs must be >= 1, got {args.pairs}")
     eps = E.default_eps(cloud) if args.eps is None else args.eps
-    try:
+    E.check_positive("eps", eps)
+
+    def geodesic():
         graph = E.neighbor_graph(cloud, eps)
-    except InvalidPointError as exc:  # an eps not finite and positive
-        raise ConfigError(str(exc)) from exc
-    ratio = E.metric_equivalence_ratio(cloud, eps, args.pairs, args.seed, graph=graph)
-    record = {
-        "op": "geodesic",
-        "cloud": args.cloud,
-        "n_points": n_points,
-        "eps": eps,
-        "max_ratio": ratio,
-    }
-    if args.pair is not None:
-        i, j = args.pair
-        geo = E.geodesic_estimate(cloud, eps, i, j, graph=graph)
-        chord = float(np.linalg.norm(cloud[i] - cloud[j]))
-        record["pair"] = {"i": i, "j": j, "graph_length": geo, "chord": chord}
-    _emit(record, args.out)
-    return 0
+        ratio = E.metric_equivalence_ratio(cloud, eps, args.pairs, args.seed, graph=graph)
+        record = {
+            "op": "geodesic",
+            "cloud": args.cloud,
+            "n_points": n_points,
+            "eps": eps,
+            "max_ratio": ratio,
+        }
+        if args.pair is not None:
+            i, j = args.pair
+            geo = E.geodesic_estimate(cloud, eps, i, j, graph=graph)
+            chord = float(np.linalg.norm(cloud[i] - cloud[j]))
+            record["pair"] = {"i": i, "j": j, "graph_length": geo, "chord": chord}
+        _emit(record, args.out)
+        return 0
+    return geodesic
 
 
 # =====================================================================
@@ -359,21 +348,26 @@ def _build_parser():
 def run_cli(argv=None):
     """Parse arguments and run one subcommand; returns the exit code
     (0 pass, 1 fail, 2 usage error)."""
+    usage = (ValueError, OSError)  # every refusal of the input phase
     try:
-        # the parser's seed defaults read BILIP_SEED, which may be malformed
-        args = _build_parser().parse_args(argv)
         # non-finite values are results (an infinite bound, a NaN ratio),
         # reported in the record, so numpy's warnings about them are noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return int(args.func(args))
+            # the parser's seed defaults read BILIP_SEED, which may be malformed
+            args = _build_parser().parse_args(argv)
+            run = args.func(args)
+            for path in (args.out, getattr(args, "svg", None)):
+                if path:  # opened as the run will write it
+                    open(path, "a", encoding="utf-8").close()
+            usage = (ConfigError, MapFormatError, OSError)  # the run phase's
+            return int(run())
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    except BilipError as exc:
+    except (BilipError, ValueError, OSError) as exc:
+        if not isinstance(exc, (BilipError, *usage)):
+            raise  # a fault of the program, not a refusal
         sys.stderr.write(f"error: {exc}\n")
-        return 2 if isinstance(exc, (ConfigError, MapFormatError)) else 1
-    except OSError as exc:  # a file that cannot be opened, read or written
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, usage) else 1
 
 
 def console_entry():

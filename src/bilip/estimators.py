@@ -584,9 +584,10 @@ def sphere_bilip_lower_bound(phi, seed, n_pairs):
 def _product_blocks(m):
     """Column blocks of the flattened product structure of ``m``.
 
-    The 'l1' metric sums Euclidean norms over these blocks, matching
-    the product norm ||(x, y)||_1 = ||x|| + ||y|| used to compose
-    quasi-isometry parameters; a non-product map is a single block.
+    The product-sum metric sums Euclidean norms over these blocks,
+    matching the product norm ||(x, y)||_1 = ||x|| + ||y|| used to
+    compose quasi-isometry parameters; a non-product map is a single
+    block, on which it is the Euclidean metric.
     """
     blocks = []
 
@@ -601,21 +602,6 @@ def _product_blocks(m):
     return blocks
 
 
-def _metric(blocks, metric):
-    if metric == "euclidean":
-        return lambda a, b: row_norms(a - b)
-    if metric != "l1":
-        raise InvalidPointError(f"unknown metric {metric!r}")
-
-    def l1(a, b):
-        total = np.zeros(a.shape[0])
-        for lo, hi in blocks:
-            total += row_norms(a[:, lo:hi] - b[:, lo:hi])
-        return total
-
-    return l1
-
-
 @dataclass
 class QiCheckResult:
     passed: bool
@@ -625,19 +611,26 @@ class QiCheckResult:
     seed: int
 
 
-def qi_embedding_check(m, lam, eps, metric, cfg, op_name="qi_embedding_check"):
+def qi_embedding_check(m, lam, eps, cfg, op_name="qi_embedding_check"):
     """Check (1/lam) d(x,y) - eps <= d(f x, f y) <= lam d(x,y) + eps on
     every sampled pair; fails on any violation beyond float slack and on
     any pair with non-finite images.
 
     ``lam`` must pass ``check_claim`` and ``eps`` be finite and >= 0.
-    ``metric`` is 'euclidean' or 'l1'; 'l1' sums Euclidean block norms
-    over the map's product structure; any other metric raises.
+    The metric d is the product-sum metric of ``_product_blocks``: the
+    sum of Euclidean block norms over the map's product structure, and
+    the Euclidean metric on a map that is not a product.
     """
     check_claim(lam)
     if not (np.isfinite(eps) and eps >= 0.0):
         raise InvalidPointError(f"eps is a finite number >= 0, got {eps}")
-    dist = _metric(_product_blocks(m), metric)
+    blocks = _product_blocks(m)
+
+    def dist(a, b):
+        total = np.zeros(a.shape[0])
+        for lo, hi in blocks:
+            total += row_norms(a[:, lo:hi] - b[:, lo:hi])
+        return total
 
     def chunks():
         # stat = -(relative margin), so the worst pair is the largest stat
@@ -837,10 +830,11 @@ def default_eps(cloud):
     return float(4.0 * d[:, 1].max())
 
 
-def _check_eps(eps):
-    """Refuse a graph eps that is not finite and > 0 (cKDTree takes r < 0 as no bound)."""
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise InvalidPointError(f"eps is a finite number > 0, got {eps}")
+def check_positive(name, value):
+    """Refuse a graph eps or a drift threshold that is not finite and >
+    0 (cKDTree takes r < 0 as no bound; no drift exceeds inf or nan)."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise InvalidPointError(f"{name} is a finite number > 0, got {value}")
 
 
 def neighbor_graph(cloud, eps):
@@ -852,7 +846,7 @@ def neighbor_graph(cloud, eps):
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
 
-    _check_eps(eps)
+    check_positive("eps", eps)
     pts = as_points(cloud)
     tree = cKDTree(pts)
     pairs = tree.query_pairs(r=eps, output_type="ndarray")

@@ -214,12 +214,9 @@ def parse_map(text, expect=M.MapExpr):
 def load_map(path, expect=M.MapExpr):
     """Read a canonical map text file (comments with # allowed) holding
     a node of class ``expect``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh
-                     if ln.strip() and not ln.lstrip().startswith("#")]
-    except UnicodeDecodeError as exc:
-        raise MapFormatError(f"map file is not UTF-8 text: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh
+                 if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise MapFormatError(f"no map expression found in {path}")
     return parse_map(" ".join(lines), expect)

@@ -374,17 +374,20 @@ def pl_differential_norm(f, with_argmax=False):
     return (float(norms[k]), k) if with_argmax else float(norms[k])
 
 
-def pl_bilip_constant(f):
+def pl_bilip_constant(f, forward_norm=None):
     """max(sup ||T_sigma f||, sup ||T_sigma f^-1||); a valid global
-    bi-Lipschitz constant on the (convex) box."""
+    bi-Lipschitz constant on the (convex) box. ``forward_norm``, if
+    given, is ``pl_differential_norm(f)``, which is then not computed
+    again."""
     dets = f.determinants()
     if np.any(dets <= 0.0):
         raise NotHomeomorphismError("differential determinant <= 0 somewhere")
     if np.any(np.abs(dets) < _DEGENERATE_TOL):
         raise DegenerateSimplexError("degenerate simplex in PL map")
-    fwd = largest_singular_values(f.differentials())
+    if forward_norm is None:
+        forward_norm = largest_singular_values(f.differentials()).max()
     inv = largest_singular_values(np.linalg.inv(f.differentials()))
-    return float(max(fwd.max(), inv.max()))
+    return float(max(forward_norm, inv.max()))
 
 
 class PLValidation:

@@ -279,8 +279,7 @@ def verify_product_qi(f, f_params, g, g_params, cfg):
     (lam, eps), (mu, delta) = f_params, g_params
     nu = max(lam, mu)
     h = M.product_map(f, g)
-    qi = E.qi_embedding_check(h, nu, eps + delta, "l1", cfg,
-                              op_name="verify_product_qi")
+    qi = E.qi_embedding_check(h, nu, eps + delta, cfg, op_name="verify_product_qi")
 
     # pointwise drift identity in the product-sum metric
     n = h.dim
@@ -506,7 +505,8 @@ KEYS = {"seed": int, "pairs": int, "n": int, "beta": float, "c": float,
 
 def _typed(key, value):
     """A flag value or config-file text as the type KEYS gives ``key``;
-    integers are counts (>= 1), except the seed (>= 0)."""
+    integers are counts (>= 1), except the seed (>= 0), and floats are
+    finite."""
     if key not in KEYS:
         raise ConfigError(f"unknown scenario parameter {key!r}")
     cast = KEYS[key]
@@ -517,6 +517,8 @@ def _typed(key, value):
     least = 0 if key == "seed" else 1
     if cast is int and typed < least:
         raise ConfigError(f"{key} must be >= {least}, got {typed}")
+    if cast is float and not np.isfinite(typed):
+        raise ConfigError(f"{key} must be finite, got {typed}")
     return typed
 
 
@@ -541,14 +543,11 @@ class Scenario:
     def build(self, params=None, **fixed):
         """Cast ``params`` (flag or config values) by KEYS, keep those the
         scenario reads, apply the already typed ``fixed`` values and
-        build. An unknown parameter, a value of the wrong type or one a
-        constructor refuses raises ConfigError."""
+        build. An unknown parameter or a value of the wrong type raises
+        ConfigError, and a value a constructor refuses its ValueError."""
         p = {**{k: _typed(k, v) for k, v in (params or {}).items()}, **fixed}
         reads = inspect.signature(self.make).parameters
-        try:
-            return self.make(**{k: v for k, v in p.items() if k in reads})
-        except ValueError as exc:  # a constructor refused a parameter value
-            raise ConfigError(str(exc)) from exc
+        return self.make(**{k: v for k, v in p.items() if k in reads})
 
 
 def _ratio_histogram(subject, path):
@@ -595,6 +594,7 @@ def _replication_constant(seed=7, pairs=100_000, n=2, kind="twist", radius=300.0
 
 
 def _replication_drift(n=2, amplitude=0.8, count=40, threshold=1e6):
+    E.check_positive("threshold", threshold)
     g = M.make_twist_disk_map(dim=n, amplitude=amplitude)
     x0 = np.zeros(n)
     x0[:2] = 0.3125, -0.25
@@ -638,12 +638,16 @@ def _spiral_bound(seed=7, pairs=100_000, n=2, profile="log", c=1.0, angle=1.0):
 
 
 def _matrix_norms(seed=7, count=1000, max_dim=8):
+    if max_dim > 16:  # the dimensions core's linear algebra is meant for
+        raise ConfigError(f"max_dim must be <= 16, got {max_dim}")
     return (lambda: [verify_matrix_norms(seed, count, max_dim)]), None
 
 
 def _metric_equivalence(seed=7, pairs=100_000, cloud="circle", points=10_000, eps=None):
+    if points < 2:
+        raise ConfigError(f"points must be >= 2, got {points}")
     eps = _cloud_kind(cloud)[1] if eps is None else eps
-    E._check_eps(eps)
+    E.check_positive("eps", eps)
     return (lambda: [verify_metric_equivalence(cloud, points, eps, pairs, seed)]), None
 
 

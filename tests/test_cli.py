@@ -88,19 +88,33 @@ class TestUsage:
     "drift --map {identity} --witnesses ray --x0 1,0 -K 1024",
     "drift --map {replication} --witnesses replication -K 600",
     "drift --map {identity} --witnesses ray --x0 1e300,0",
+    "drift --map {replication} --witnesses replication --x0 0,0",  # g fixes x0
+    "drift --map {cutoff} --witnesses spiral",  # the identity far out
+    "drift --map {identity} --witnesses ray --x0 1,0 --threshold nan --expect exceeds",
+    "drift --map {identity} --witnesses ray --x0 1,0 --threshold -1",
+    "drift --map {identity} --witnesses ray --x0 1,0 --threshold 0",
+    "verify replication-drift --threshold inf",
+    "verify replication-drift --threshold -1",
+    "verify radial-bound --beta nan --pairs 100",
+    "verify matrix-norms --max-dim 17",
+    "verify metric-equivalence --points 1 --pairs 10",
 ])
 def test_refused_value_is_usage_error(capsys, tmp_path, argv):
-    """A claim that is not a finite constant, a graph eps that is not
-    finite and positive, a pair count below 1, a radial bound on S^0
-    (where no pair can be sampled), a radial homomorphism on S^0 (where
-    every latitude map is the identity) and drift witnesses that
-    overflow are usage errors, not a result or a failed check."""
+    """A claim that is not a finite constant, a graph eps or a drift
+    threshold that is not finite and positive, a float parameter that is
+    not finite, a pair count below 1, a radial bound on S^0 (where no
+    pair can be sampled), a radial homomorphism on S^0 (where every
+    latitude map is the identity), drift witnesses that overflow or
+    cannot be built, matrices larger than 16 x 16 and a cloud of one
+    point are usage errors, not a result or a failed check."""
     paths = {name: tmp_path / name for name in
-             ("affine", "cloud", "identity", "replication")}
+             ("affine", "cloud", "identity", "replication", "cutoff")}
     save_map(M.affine([[1000.0, 0.0], [0.0, 1.0]]), paths["affine"])
     est.save_cloud_csv(est.circle_cloud(200), paths["cloud"])
     save_map(M.identity(2), paths["identity"])
     save_map(M.disk_replication(M.make_twist_disk_map(dim=2)), paths["replication"])
+    save_map(M.spiral_map(M.CutoffRotationProfile(bump_profile(1.0, 1.0, 3.0), (0, 1), 2)),
+             paths["cutoff"])
     assert_usage_error(capsys, *argv.format(**paths).split())
 
 
@@ -139,6 +153,9 @@ _INPUT_FILES = {
     "geodesic --cloud dir",
     "estimate --map id.map --region ball:0,0:1 --pairs 100 --out dir",
     "estimate --map id.map --region ball:0,0:1 --pairs 100 --svg dir",
+    "verify all --out dir",
+    "verify replication-drift --svg dir",
+    "drift --map id.map --x0 1,0 --out dir",
     "verify matrix-norms --pairs 100 --config latin1.cfg",
     *(f"geodesic --cloud {name} --pairs 10" for name in _INPUT_FILES if name.endswith(".csv")),
 ])
@@ -146,20 +163,18 @@ def test_unusable_input_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     """A map whose part is of the wrong family, an input that is a
     directory or not UTF-8 text, an output path that is a directory and
     a point cloud that is not at least 2 rows of equally many finite
-    numbers all exit 2 with one ``error:`` line. An output is written
-    after the record is printed, so only an input error leaves stdout
-    empty."""
+    numbers are all refused before the run: exit 2 with one ``error:``
+    line and nothing on stdout. No pair is drawn."""
     for name, data in _INPUT_FILES.items():
         (tmp_path / name).write_bytes(data)
     (tmp_path / "dir").mkdir()
     monkeypatch.chdir(tmp_path)
-    if "--out" in argv or "--svg" in argv:
-        assert run_cli(argv.split()) == 2
-        captured = capsys.readouterr()
-        assert json.loads(captured.out)["op"] == "estimate"
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    else:
-        assert_usage_error(capsys, *argv.split())
+
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(est, "_pair_chunks", no_pairs)
+    assert_usage_error(capsys, *argv.split())
 
 
 class TestVerifyCommand:

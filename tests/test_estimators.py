@@ -226,7 +226,7 @@ class TestReadAhead:
 
     @pytest.mark.parametrize("run", [
         lambda m, c: est.bilip_lower_bound(m, c),
-        lambda m, c: est.qi_embedding_check(m, 4.0, 0.0, "euclidean", c),
+        lambda m, c: est.qi_embedding_check(m, 4.0, 0.0, c),
         lambda m, c: est.sphere_bilip_lower_bound(M.make_latitude_sphere_map(0.5, dim=2),
                                                   c.seed, c.n_pairs),
     ], ids=["bilip", "qi", "sphere"])
@@ -499,12 +499,12 @@ class TestSphereLowerBound:
 
 class TestQiEmbeddingCheck:
     def test_identity_passes_trivially(self):
-        r = est.qi_embedding_check(M.identity(2), 1.0, 0.0, "euclidean", cfg())
+        r = est.qi_embedding_check(M.identity(2), 1.0, 0.0, cfg())
         assert r.passed
 
     def test_undersized_params_fail_with_witness(self):
         m = M.affine([[3.0, 0.0], [0.0, 1.0]])
-        r = est.qi_embedding_check(m, 2.0, 0.0, "euclidean", cfg(n_pairs=50_000))
+        r = est.qi_embedding_check(m, 2.0, 0.0, cfg(n_pairs=50_000))
         assert not r.passed
         assert r.worst_pair is not None
 
@@ -512,16 +512,20 @@ class TestQiEmbeddingCheck:
         f = M.affine([[2.0, 0.0], [0.0, 1.0]])
         g = M.affine([[1.0, 0.0], [0.0, 3.0]])
         h = M.product_map(f, g)
-        r = est.qi_embedding_check(h, 3.0, 0.0, "l1", cfg(dim=4, n_pairs=50_000))
+        r = est.qi_embedding_check(h, 3.0, 0.0, cfg(dim=4, n_pairs=50_000))
         assert r.passed
 
     @pytest.mark.parametrize("lam, eps, metric", [
-        (0.5, 0.0, "euclidean"), (1.0, -1.0, "l1"), (1.0, 0.0, "manhattan"),
+        (0.5, 0.0, "euclidean"), (1.0, -1.0, "l1"),
         (np.inf, 0.0, "euclidean"), (np.nan, 0.0, "euclidean"),
         (1.0, np.inf, "euclidean"), (1.0, np.nan, "l1")])
     def test_check_refuses_what_qi_params_refuse(self, lam, eps, metric):
+        # the check measures a map that is not a product in the Euclidean
+        # metric and a product in the sum of its factors' metrics (l1)
+        m = (M.identity(2) if metric == "euclidean"
+             else M.product_map(M.identity(1), M.identity(1)))
         with pytest.raises(InvalidPointError):
-            est.qi_embedding_check(M.identity(2), lam, eps, metric, cfg())
+            est.qi_embedding_check(m, lam, eps, cfg())
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -544,8 +548,7 @@ class TestNonFiniteRatios:
         assert not np.isfinite(self.huge(np.stack(e.worst_pair[:2]))).all()
 
     def test_qi_check_fails(self):
-        r = est.qi_embedding_check(self.huge, 2.0, 0.0, "euclidean",
-                                   cfg(seed=1, radius=100.0))
+        r = est.qi_embedding_check(self.huge, 2.0, 0.0, cfg(seed=1, radius=100.0))
         assert not r.passed
         assert r.worst_margin == -np.inf
 
