@@ -95,18 +95,17 @@ class TestUsage:
     "drift --map {identity} --witnesses ray --x0 1,0 --threshold 0",
     "verify replication-drift --threshold inf",
     "verify replication-drift --threshold -1",
-    "verify radial-bound --beta nan --pairs 100",
     "verify matrix-norms --max-dim 17",
     "verify metric-equivalence --points 1 --pairs 10",
 ])
 def test_refused_value_is_usage_error(capsys, tmp_path, argv):
     """A claim that is not a finite constant, a graph eps or a drift
-    threshold that is not finite and positive, a float parameter that is
-    not finite, a pair count below 1, a radial bound on S^0 (where no
-    pair can be sampled), a radial homomorphism on S^0 (where every
-    latitude map is the identity), drift witnesses that overflow or
-    cannot be built, matrices larger than 16 x 16 and a cloud of one
-    point are usage errors, not a result or a failed check."""
+    threshold that is not finite and positive, a pair count below 1, a
+    radial bound on S^0 (where no pair can be sampled), a radial
+    homomorphism on S^0 (where every latitude map is the identity),
+    drift witnesses that overflow or cannot be built, matrices larger
+    than 16 x 16 and a cloud of one point are usage errors, not a result
+    or a failed check."""
     paths = {name: tmp_path / name for name in
              ("affine", "cloud", "identity", "replication", "cutoff")}
     save_map(M.affine([[1000.0, 0.0], [0.0, 1.0]]), paths["affine"])
