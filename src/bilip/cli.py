@@ -185,7 +185,10 @@ def _cmd_estimate(args):
 
 def _parse_x0(text, dim):
     """The ``--x0`` base point: ``dim`` finite comma-separated numbers."""
-    return as_vector([float(v) for v in text.split(",")], dim=dim)
+    try:
+        return as_vector([float(v) for v in text.split(",")], dim=dim)
+    except ValueError as exc:
+        raise ConfigError(f"--x0 {text!r}: {exc}") from exc
 
 
 def _cmd_drift(args):
@@ -231,6 +234,9 @@ def _cmd_drift(args):
 
 def _cmd_pl_norm(args):
     f = load_map(args.plmap, plmod.PLMap)
+    report = plmod.pl_validate(f)
+    if not report.ok:
+        raise ConfigError(f"--plmap {args.plmap} is not a PL homeomorphism: {report!r}")
 
     def pl_norm():
         norm, argmax = plmod.pl_differential_norm(f, with_argmax=True)

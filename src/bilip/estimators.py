@@ -43,6 +43,7 @@ import numpy as np
 from . import maps as M
 from .core import as_points, as_vector, row_dots, row_norms
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     DisconnectedCloudError,
     EmptyRegionError,
@@ -938,5 +939,8 @@ def save_cloud_csv(cloud, path):
 
 
 def load_cloud_csv(path):
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
-    return as_points(pts)
+    """The rows of the ``--cloud`` file: comma-separated finite numbers."""
+    try:
+        return as_points(np.loadtxt(path, delimiter=",", ndmin=2))
+    except ValueError as exc:
+        raise ConfigError(f"--cloud {path}: {exc}") from exc

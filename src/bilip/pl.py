@@ -26,6 +26,7 @@ _MAX_DIM = 6
 _MAX_RESOLUTION = 64
 _BARY_TOL = 1e-12
 _DEGENERATE_TOL = 1e-12
+_BLOCK = 8192  # rows per pl_eval block: a block's column temporaries stay in cache
 
 
 class Triangulation:
@@ -190,37 +191,40 @@ class PLMap:
         return self._dets
 
 
-def _locate(tri, pts):
-    """Cube index, descending coordinate order and barycentric weights
-    for points inside the box. Ties in the coordinate order resolve to
-    the lexicographically smallest permutation (stable argsort)."""
-    u = (pts - tri.lo) / tri.cell
-    u = np.clip(u, 0.0, float(tri.resolution))
-    cube = np.minimum(u.astype(np.int64), tri.resolution - 1)
-    loc = np.clip(u - cube, 0.0, 1.0)
-    order = np.argsort(-loc, axis=1, kind="stable")
-    s = np.take_along_axis(loc, order, axis=1)
-    n = tri.dim
-    w = np.empty((pts.shape[0], n + 1))
-    w[:, 0] = 1.0 - s[:, 0]
-    if n > 1:
-        w[:, 1:n] = s[:, : n - 1] - s[:, 1:]
-    w[:, n] = s[:, n - 1]
-    np.clip(w, 0.0, None, out=w)  # absorb -1e-17 rounding residue
-    return cube, order, w
-
-
-def _path_vertex_indices(tri, cube, order):
-    """Flat lattice indices of the simplex path v0..vn for each row: the
-    cube's corner, then one unit step along axis order[k] at a time, so
-    a running sum of the corner and the C-order strides of the steps."""
-    stride = (tri.resolution + 1) ** np.arange(tri.dim - 1, -1, -1)
-    return np.cumsum(np.column_stack([cube @ stride, stride[order]]), axis=1)
-
-
 def _outside_mask(tri, pts):
     tol = _BARY_TOL * max(1.0, abs(tri.lo), abs(tri.hi))
     return ((pts < tri.lo - tol) | (pts > tri.hi + tol)).any(axis=1)
+
+
+def _interpolate(f, p):
+    """PL images of the in-box rows ``p`` (see ``pl_eval``)."""
+    tri = f.triangulation
+    n, res = tri.dim, tri.resolution
+    stride = n * (res + 1) ** np.arange(n - 1, -1, -1)  # C order, in image entries
+    out = np.empty_like(p)
+    for i in range(0, p.shape[0], _BLOCK):
+        t = np.zeros((n + 2, min(_BLOCK, p.shape[0] - i)))  # 1, coordinates, 0
+        t[0] = 1.0
+        np.clip((p[i:i + _BLOCK].T - tri.lo) / tri.cell, 0.0, res, out=t[1:-1])
+        cube = np.minimum(np.floor(t[1:-1]), res - 1)
+        t[1:-1] -= cube  # the in-cube coordinates, exact, in [0, 1]
+        flat = np.empty((n + 1, t.shape[1]), dtype=np.int64)
+        flat[0], flat[1:] = stride @ cube, stride[:, None]
+        for r in range(n if n > 2 else n - 1):  # odd-even transposition sort;
+            a, b = slice(1 + r % 2, n, 2), slice(2 + r % 2, n + 1, 2)
+            swap = t[b] > t[a]  # n rounds, one for n = 2; a tie never swaps
+            t[a], t[b] = np.maximum(t[a], t[b]), np.minimum(t[a], t[b])
+            step = (flat[b] - flat[a]) * swap
+            flat[a] += step
+            flat[b] -= step
+        for k in range(n):
+            flat[k + 1] += flat[k]
+        w = t[:-1] - t[1:]
+        for d in range(n):
+            g = f.vertex_images.ravel()[d:].take(flat)
+            g *= w
+            out[i:i + _BLOCK, d] = np.add.reduce(g, axis=0, initial=0.0)
+    return out
 
 
 def pl_eval(f, pts):
@@ -230,19 +234,23 @@ def pl_eval(f, pts):
     barycentric weights of their containing Kuhn simplex. Points
     outside pass through unchanged when ``boundary_fixed``, otherwise
     an out-of-domain error is raised.
+
+    In-box rows go in blocks of ``_BLOCK`` rows, sliced when no row is
+    outside, one coordinate column at a time. Adjacent-column comparisons
+    sort the in-cube coordinates to s_0 >= ... >= s_{n-1}, a tie keeping
+    the lower axis first, with their axes' strides, whose running sums from
+    the cube corner index the simplex's vertices. Each output column sums,
+    from 0.0 in vertex order, weights 1 - s_0, ..., s_{n-1} times images.
     """
     tri = f.triangulation
     pts = as_points(pts, tri.dim)
     outside = _outside_mask(tri, pts)
-    if outside.any() and not f.boundary_fixed:
+    if not outside.any():
+        return _interpolate(f, pts)
+    if not f.boundary_fixed:
         raise OutOfDomainError("point outside the triangulated box")
     out = pts.copy()
-    inside = ~outside
-    if inside.any():
-        p_in = pts[inside]
-        cube, order, w = _locate(tri, p_in)
-        flat = _path_vertex_indices(tri, cube, order)
-        out[inside] = np.einsum("nk,nkd->nd", w, f.vertex_images[flat])
+    out[~outside] = _interpolate(f, pts[~outside])
     return out
 
 
@@ -310,6 +318,8 @@ def _first_containing(index, y, cube):
     found = np.zeros(y.shape[0], dtype=bool)
     for k in range(int(count.max(initial=0))):
         rows = np.flatnonzero(~found & (count > k))
+        if rows.size == 0:  # every row is resolved or out of candidates
+            break
         s = simplices[start[rows] + k]
         w_rest = np.einsum("pij,pj->pi", e_inv[s], y[rows] - first[s])
         w = np.concatenate([1.0 - w_rest.sum(axis=1, keepdims=True), w_rest], axis=1)

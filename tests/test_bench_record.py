@@ -125,3 +125,13 @@ class TestUsage:
         assert summary["usage"] == {"median": {"minflt": 300, "sys_s": 0.2},
                                     "runs": {"minflt": [900, 100, 300],
                                              "sys_s": [0.5, 0.1, 0.2]}}
+        assert summary["job_s.p50_by_kind"] == {"median": {}, "runs": {}}
+
+    def test_summary_keeps_each_job_kind(self):
+        results = [{"metrics": {"job_s.p50": {"value": 0.2}}, "attempted": 6, "failed": 0}] * 3
+        usages = [{"minflt": 100, "sys_s": 0.1}] * 3
+        by_kind = [{"2d": 0.02, "3d": 0.05}, {"2d": 0.01, "3d": 0.04}, {"2d": 0.03, "3d": 0.06}]
+        summary = bench_record.summarise(results, usages, by_kind)
+        assert summary["job_s.p50_by_kind"] == {
+            "median": {"2d": 0.02, "3d": 0.05},
+            "runs": {"2d": [0.02, 0.01, 0.03], "3d": [0.05, 0.04, 0.06]}}

@@ -176,6 +176,19 @@ def test_unusable_input_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     assert_usage_error(capsys, *argv.split())
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("drift --map id.map --witnesses ray --x0 a,b", "--x0"),
+    ("geodesic --cloud pl.map --pairs 10", "--cloud"),
+])
+def test_refusal_names_its_flag(capsys, tmp_path, monkeypatch, argv, flag):
+    """An --x0 that is not numbers and a --cloud that is not a CSV of
+    numbers are refused with a message that names the flag."""
+    for name, data in _INPUT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert flag in assert_usage_error(capsys, *argv.split())
+
+
 class TestVerifyCommand:
     def test_spiral_scenario_passes(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -587,6 +600,34 @@ class TestPlNormCommand:
         assert edit(text) != text
         path.write_text(edit(text))
         assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
+
+    @staticmethod
+    def free_map(path, edit):
+        """The map on the resolution-2 grid of [-1, 1]^2, not boundary-fixed,
+        whose vertex images are the vertices after ``edit``, saved to path."""
+        tri = pl.kuhn_triangulation(2, (-1.0, 1.0), 2)
+        images = tri.vertices.copy()
+        edit(images)
+        save_map(pl.PLMap(tri, images, boundary_fixed=False), path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda v: v.__setitem__((slice(None), 0), -v[:, 0]),  # a reflection
+        lambda v: v.__setitem__(4, v[0]),                     # centre onto a corner
+    ], ids=["reflection", "collapsed-centre"])
+    def test_non_homeomorphism_is_usage_error(self, capsys, tmp_path, edit):
+        """A map that is not a PL homeomorphism has no bi-Lipschitz constant
+        to check; it is refused before the run, not a failed check."""
+        path = tmp_path / "bad.map"
+        self.free_map(path, edit)
+        err = assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
+        assert "not a PL homeomorphism" in err
+
+    def test_rotation_by_pi_passes(self, capsys, tmp_path):
+        path = tmp_path / "minus.map"
+        self.free_map(path, lambda v: np.negative(v, out=v))  # x -> -x keeps orientation
+        code, records = run(capsys, "pl-norm", "--plmap", str(path))
+        assert code == 0
+        assert records[0]["bilip_constant"] == pytest.approx(1.0, rel=1e-12)
 
     def test_non_utf8_plmap_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "binary.map"

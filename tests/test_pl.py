@@ -464,3 +464,92 @@ class TestMapTextRoundTrip:
         f = perturbed_linear_map(2, 4, seed=5)
         assert not f.boundary_fixed
         self.round_trip(f, tmp_path / "free.map")
+
+
+def jittered_fixed_map(dim, res):
+    """A boundary-fixed map whose interior vertices each move by at most
+    a tenth of a cell, so every simplex keeps its orientation."""
+    tri = pl.kuhn_triangulation(dim, (-1.0, 1.0), res)
+    rng = np.random.default_rng(100 + dim)
+    images = tri.vertices.copy()
+    inner = ~tri.boundary_vertex_mask()
+    images[inner] += rng.uniform(-0.1, 0.1, size=(int(inner.sum()), dim)) * tri.cell
+    return pl.PLMap(tri, images)
+
+
+def mixed_batch(tri, seed):
+    """Rows in shuffled order: uniform over a box past [-1, 1]^n (so
+    some rows lie outside), every lattice point, and rows whose in-cube
+    coordinates tie, drawn from {0, 1/4, 1/2, 1}."""
+    rng = np.random.default_rng(seed)
+    n = tri.dim
+    cube = rng.integers(0, tri.resolution, size=(6000, n))
+    tied = tri.lo + tri.cell * (cube + rng.choice([0.0, 0.25, 0.5, 1.0], size=(6000, n)))
+    rows = np.concatenate([rng.uniform(-1.25, 1.25, size=(20000, n)), tri.vertices, tied])
+    return rows[rng.permutation(rows.shape[0])]
+
+
+class TestPinnedBits:
+    """``pl_eval`` and ``pl_eval_inverse`` keep their output bits.
+
+    ``tests/data/pl_eval_digests.jsonl`` holds, per case, the sha256 of
+    the output bytes on ``mixed_batch`` (forward and inverse) and of the
+    forward output on its in-box rows alone, written by the commit
+    before the column-wise ``pl_eval`` kernel.
+    """
+
+    CASES = ((2, 16), (3, 4), (4, 2))
+
+    @staticmethod
+    def digests(dim, res):
+        import hashlib
+
+        f = jittered_fixed_map(dim, res)
+        x = mixed_batch(f.triangulation, seed=dim)
+        inside = x[np.all(np.abs(x) <= 1.0, axis=1)]
+        outputs = (pl.pl_eval(f, x), pl.pl_eval(f, inside), pl.pl_eval_inverse(f, x))
+        return {"case": f"dim={dim},res={res}", "rows": [len(x), len(inside)],
+                "sha256": [hashlib.sha256(out.tobytes()).hexdigest() for out in outputs]}
+
+    def test_digests_match_pinned_lines(self):
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).parent / "data" / "pl_eval_digests.jsonl"
+        lines = [json.dumps(self.digests(dim, res), sort_keys=True) for dim, res in self.CASES]
+        assert lines == path.read_text().splitlines()
+
+
+class TestBlocks:
+    """``pl_eval`` works in blocks of ``pl._BLOCK`` rows, by slices when
+    every row lies in the box; no row depends on another."""
+
+    @pytest.mark.parametrize("dim, res", [(1, 16), (2, 16), (3, 4)])
+    def test_uneven_split_matches_whole_batch(self, dim, res):
+        f = jittered_fixed_map(dim, res)
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(-1.1, 1.1, size=(3 * pl._BLOCK + 1234, dim))
+        assert 0 < np.sum(np.any(np.abs(x) > 1.0, axis=1)) < len(x)
+        cuts = [0, 1, 777, pl._BLOCK + 5, 2 * pl._BLOCK, 2 * pl._BLOCK + 2, len(x)]
+        parts = [pl.pl_eval(f, x[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), pl.pl_eval(f, x))
+
+    def test_in_box_rows_alone_match_a_mixed_batch(self):
+        f = jittered_fixed_map(2, 16)
+        x = np.random.default_rng(5).uniform(-1.1, 1.1, size=(2 * pl._BLOCK, 2))
+        inside = np.all(np.abs(x) <= 1.0, axis=1)
+        assert np.array_equal(pl.pl_eval(f, x[inside]), pl.pl_eval(f, x)[inside])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_empty_batch(self, dim):
+        f = jittered_fixed_map(dim, 2)
+        out = pl.pl_eval(f, np.empty((0, dim)))
+        assert out.shape == (0, dim) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_single_row(self, dim):
+        f = jittered_fixed_map(dim, 3)
+        x = mixed_batch(f.triangulation, seed=dim)[:50]
+        whole = pl.pl_eval(f, x)
+        for row, want in zip(x, whole):
+            assert np.array_equal(pl.pl_eval(f, row), want[None, :])

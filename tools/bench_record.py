@@ -17,7 +17,8 @@ holds for each side the commit and, per workload, the median of every
 end-to-end metric over the seeds, the per-run values, the attempted
 and failed job counts, and each run's minor page faults and system CPU
 seconds (``usage``: the ``getrusage(RUSAGE_CHILDREN)`` delta over the
-run, its set-up probes included) with their medians. The machine
+run, its set-up probes included) and the median job time of each job
+kind (``job_s.p50_by_kind``), each with their medians. The machine
 facts (cores, CPU, Python, numpy, scipy, BLAS and its threads) come
 from the runs' provenance lines; the script refuses to write a record
 whose runs disagree on them, and to start on a checkout with
@@ -33,7 +34,8 @@ where the metric is unresolved: the parent's own runs spread wider
 than the bound allows, so the record cannot tell a change of that size
 from noise, unless every run of the change is better than every run of
 the parent. Then one line per workload gives the median page faults
-and system CPU seconds of a run on each side.
+and system CPU seconds of a run on each side, and one line per job
+kind its median job time on each side.
 
 A run takes about ``run_seconds`` plus a few seconds of set-up probes.
 This script is not part of the test suite.
@@ -70,21 +72,25 @@ def run_counted(cmd, checkout):
 
 
 def run_bench(checkout, workload, seed, seconds):
-    """One untraced run; returns (provenance, result line, usage)."""
+    """One untraced run; returns (details line, result line, usage)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done, usage = run_counted(cmd, checkout)
     details, result = (json.loads(line) for line in done.stdout.splitlines()[-2:])
-    return details["provenance"], result, usage
+    return details, result, usage
 
 
-def summarise(results, usages):
-    """Medians and per-run values of each metric and of each usage
-    field, plus job counts."""
+def summarise(results, usages, by_kind=()):
+    """Medians and per-run values of each metric, of each usage field
+    and of each job kind's median job time (``by_kind``: one
+    ``job_s.p50_by_kind`` details entry per run), plus job counts."""
     names = list(results[0]["metrics"])
     runs = {name: [r["metrics"][name]["value"] for r in results] for name in names}
     usage = {key: [u[key] for u in usages] for key in usages[0]}
+    kinds = {kind: [run[kind] for run in by_kind] for kind in (by_kind or [{}])[0]}
     return {
+        "job_s.p50_by_kind": {"median": {k: statistics.median(v) for k, v in kinds.items()},
+                              "runs": kinds},
         "median": {name: statistics.median(values) for name, values in runs.items()},
         "runs": runs,
         "attempted": sum(r["attempted"] for r in results),
@@ -143,13 +149,16 @@ def main(argv=None):
                      f"under src/ or bench/")
     results = {side: {w: [] for w in workloads} for side in sides}
     usages = {side: {w: [] for w in workloads} for side in sides}
+    by_kind = {side: {w: [] for w in workloads} for side in sides}
     commits = {}
     machines = set()
     for workload in workloads:
         for k, seed in enumerate(args.seeds):
             order = list(sides) if k % 2 == 0 else list(reversed(sides))
             for side in order:
-                prov, result, usage = run_bench(sides[side], workload, seed, seconds)
+                details, result, usage = run_bench(sides[side], workload, seed, seconds)
+                prov = details["provenance"]
+                by_kind[side][workload].append(details["job_s.p50_by_kind"])
                 commits[side] = prov["commit"]
                 machines.add(json.dumps({key: prov[key] for key in MACHINE}, sort_keys=True))
                 results[side][workload].append(result)
@@ -169,7 +178,8 @@ def main(argv=None):
     }
     for side in sides:
         record[side] = {"commit": commits[side],
-                        "workloads": {w: summarise(results[side][w], usages[side][w])
+                        "workloads": {w: summarise(results[side][w], usages[side][w],
+                                                   by_kind[side][w])
                                       for w in workloads}}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
@@ -187,6 +197,11 @@ def main(argv=None):
         print(f"{workload:<10} per run: minor faults parent {parent['minflt']:.0f} "
               f"change {change['minflt']:.0f}, system CPU parent {parent['sys_s']:.2f} s "
               f"change {change['sys_s']:.2f} s")
+        parent, change = (record[side]["workloads"][workload]["job_s.p50_by_kind"]["median"]
+                          for side in ("parent", "change"))
+        for kind in sorted(set(parent) & set(change)):
+            print(f"{workload:<10} job kind {kind}: job_s.p50 parent {parent[kind]:.4f} s "
+                  f"change {change[kind]:.4f} s")
     return 0
 
 
