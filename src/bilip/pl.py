@@ -211,12 +211,12 @@ def _interpolate(f, p):
         flat = np.empty((n + 1, t.shape[1]), dtype=np.int64)
         flat[0], flat[1:] = stride @ cube, stride[:, None]
         for r in range(n if n > 2 else n - 1):  # odd-even transposition sort;
-            a, b = slice(1 + r % 2, n, 2), slice(2 + r % 2, n + 1, 2)
-            swap = t[b] > t[a]  # n rounds, one for n = 2; a tie never swaps
-            t[a], t[b] = np.maximum(t[a], t[b]), np.minimum(t[a], t[b])
-            step = (flat[b] - flat[a]) * swap
-            flat[a] += step
-            flat[b] -= step
+            ta, tb = t[1 + r % 2:n:2], t[2 + r % 2:n + 1:2]  # n rounds, one for n = 2
+            fa, fb = flat[1 + r % 2:n:2], flat[2 + r % 2:n + 1:2]
+            step = (fb - fa) * (tb > ta)  # a tie never swaps: the lower axis stays first
+            ta[...], tb[...] = np.maximum(ta, tb), np.minimum(ta, tb)
+            fa += step
+            fb -= step
         for k in range(n):
             flat[k + 1] += flat[k]
         w = t[:-1] - t[1:]

@@ -1,7 +1,10 @@
 """Tests for Kuhn triangulations and piecewise-linear homeomorphisms."""
 
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,8 +505,6 @@ class TestPinnedBits:
 
     @staticmethod
     def digests(dim, res):
-        import hashlib
-
         f = jittered_fixed_map(dim, res)
         x = mixed_batch(f.triangulation, seed=dim)
         inside = x[np.all(np.abs(x) <= 1.0, axis=1)]
@@ -512,9 +513,6 @@ class TestPinnedBits:
                 "sha256": [hashlib.sha256(out.tobytes()).hexdigest() for out in outputs]}
 
     def test_digests_match_pinned_lines(self):
-        import json
-        from pathlib import Path
-
         path = Path(__file__).parent / "data" / "pl_eval_digests.jsonl"
         lines = [json.dumps(self.digests(dim, res), sort_keys=True) for dim, res in self.CASES]
         assert lines == path.read_text().splitlines()
