@@ -566,6 +566,9 @@ class TestDriftCommand:
         assert code == 1
 
 
+_GRID = pl.kuhn_triangulation(2, (-1.0, 1.0), 2).vertices  # 3 x 3, the centre is row 4
+
+
 class TestPlNormCommand:
     def test_norm_of_twist(self, capsys, tmp_path):
         f = pl.pl_twist_example(2, 6, 0.3)
@@ -602,29 +605,27 @@ class TestPlNormCommand:
         assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
 
     @staticmethod
-    def free_map(path, edit):
-        """The map on the resolution-2 grid of [-1, 1]^2, not boundary-fixed,
-        whose vertex images are the vertices after ``edit``, saved to path."""
-        tri = pl.kuhn_triangulation(2, (-1.0, 1.0), 2)
-        images = tri.vertices.copy()
-        edit(images)
-        save_map(pl.PLMap(tri, images, boundary_fixed=False), path)
+    def free_map(path, images):
+        """Save the map with these vertex images on the resolution-2 grid
+        of [-1, 1]^2 (``_GRID``), not boundary-fixed, to path."""
+        save_map(pl.PLMap(pl.kuhn_triangulation(2, (-1.0, 1.0), 2), images,
+                          boundary_fixed=False), path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda v: v.__setitem__((slice(None), 0), -v[:, 0]),  # a reflection
-        lambda v: v.__setitem__(4, v[0]),                     # centre onto a corner
+    @pytest.mark.parametrize("images", [
+        _GRID * [-1.0, 1.0],                            # a reflection
+        np.vstack([_GRID[:4], _GRID[:1], _GRID[5:]]),  # the centre onto a corner
     ], ids=["reflection", "collapsed-centre"])
-    def test_non_homeomorphism_is_usage_error(self, capsys, tmp_path, edit):
+    def test_non_homeomorphism_is_usage_error(self, capsys, tmp_path, images):
         """A map that is not a PL homeomorphism has no bi-Lipschitz constant
         to check; it is refused before the run, not a failed check."""
         path = tmp_path / "bad.map"
-        self.free_map(path, edit)
+        self.free_map(path, images)
         err = assert_usage_error(capsys, "pl-norm", "--plmap", str(path))
         assert "not a PL homeomorphism" in err
 
     def test_rotation_by_pi_passes(self, capsys, tmp_path):
         path = tmp_path / "minus.map"
-        self.free_map(path, lambda v: np.negative(v, out=v))  # x -> -x keeps orientation
+        self.free_map(path, -_GRID)  # x -> -x in 2-d keeps every orientation
         code, records = run(capsys, "pl-norm", "--plmap", str(path))
         assert code == 0
         assert records[0]["bilip_constant"] == pytest.approx(1.0, rel=1e-12)
