@@ -201,7 +201,7 @@ def _interpolate(f, p):
     tri = f.triangulation
     n, res = tri.dim, tri.resolution
     stride = n * (res + 1) ** np.arange(n - 1, -1, -1)  # C order, in image entries
-    out = np.empty_like(p)
+    out = np.empty(p.shape)  # C order, whatever the order of p
     for i in range(0, p.shape[0], _BLOCK):
         t = np.zeros((n + 2, min(_BLOCK, p.shape[0] - i)))  # 1, coordinates, 0
         t[0] = 1.0

@@ -538,6 +538,12 @@ class TestBlocks:
         inside = np.all(np.abs(x) <= 1.0, axis=1)
         assert np.array_equal(pl.pl_eval(f, x[inside]), pl.pl_eval(f, x)[inside])
 
+    def test_fortran_ordered_input(self):
+        f = jittered_fixed_map(3, 4)
+        x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(100, 3))
+        out = pl.pl_eval(f, np.asfortranarray(x))
+        assert out.flags.c_contiguous and np.array_equal(out, pl.pl_eval(f, x))
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_empty_batch(self, dim):
         f = jittered_fixed_map(dim, 2)
