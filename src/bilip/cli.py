@@ -10,8 +10,7 @@ Subcommands::
 
 Every command prints one JSON object per result (newline-delimited when
 batched) and optionally writes it to --out; --svg emits a plot (drift
-vs k on a log scale, or a histogram of sampled two-point ratios). The
-environment variable BILIP_SEED overrides the default seed.
+vs k on a log scale, or a histogram of sampled two-point ratios).
 
 ``estimate --claim L`` judges the claim on the same pairs as
 ``lambda_lower``, drawn and evaluated once: ``violated`` is
@@ -50,7 +49,6 @@ scenarios, their parameters and their plots are the registry
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
@@ -64,14 +62,6 @@ from . import verify as V
 from .core import as_vector
 from .errors import BilipError, ConfigError, MapFormatError
 from .mapformat import load_map, map_to_text
-
-
-def _default_seed():
-    env = os.environ.get("BILIP_SEED")
-    try:
-        return int(env) if env else 7
-    except ValueError as exc:
-        raise ConfigError(f"BILIP_SEED must be an integer, got {env!r}") from exc
 
 
 def parse_config_file(path):
@@ -130,9 +120,7 @@ def _cmd_verify(args):
     scenario = V.SCENARIOS[args.scenario]
     if args.svg and scenario.plot is None:
         raise ConfigError(f"scenario {scenario.name} has no plot for --svg")
-    params = {"seed": _default_seed()}
-    if args.config:
-        params.update(parse_config_file(args.config))
+    params = parse_config_file(args.config) if args.config else {}
     params.update((key, getattr(args, key)) for key in V.KEYS
                   if getattr(args, key) is not None)
     run, subject = scenario.build(params)
@@ -246,7 +234,7 @@ def _cmd_pl_norm(args):
             "n_simplices": int(f.triangulation.n_simplices),
             "differential_norm": norm,
             "argmax_simplex": argmax,
-            "bilip_constant": plmod.pl_bilip_constant(f, forward_norm=norm),
+            "bilip_constant": plmod.pl_bilip_constant(f),
         }
         _emit(record, args.out)
         return 0
@@ -312,7 +300,7 @@ def _build_parser():
     p.add_argument("--region", required=True,
                    help="ball:cx,..:R | box:lo,..:hi,.. | annulus:rin:rout")
     p.add_argument("--pairs", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--claim", type=float,
                    help="judge this claimed constant on the sampled pairs")
     p.add_argument("--out")
@@ -344,7 +332,7 @@ def _build_parser():
     p.add_argument("--cloud", required=True, help="CSV of row points")
     p.add_argument("--pairs", type=int, default=200)
     p.add_argument("--eps", type=float)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_geodesic)
@@ -359,7 +347,6 @@ def run_cli(argv=None):
         # non-finite values are results (an infinite bound, a NaN ratio),
         # reported in the record, so numpy's warnings about them are noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # the parser's seed defaults read BILIP_SEED, which may be malformed
             args = _build_parser().parse_args(argv)
             run = args.func(args)
             for path in (args.out, getattr(args, "svg", None)):

@@ -14,10 +14,17 @@ No constructor is named here. Every node class declares its
 constructor name (``tag``) and its ordered ``(keyword, attribute)``
 pairs (``fields``), as described in :mod:`bilip.maps`, and both the
 writer and the parser read only those declarations.
+
+The parser splits the text into tokens in one pass and reads them
+with one recursive reader. A number starts with a digit after an
+optional sign; it is an int when all digits (``-0`` is the float -0.0).
+An undeclared or repeated keyword, any character outside the grammar
+and nesting over 100 deep are format errors.
 """
 
 import inspect
 import re
+import string
 from operator import attrgetter
 
 import numpy as np
@@ -83,131 +90,109 @@ _CONSTRUCTORS = _constructors((M.MapExpr, M.SphereMap, M.DiskMap, M.SpiralProfil
                                CubicProfile, plmod.PLMap))
 
 
-def _build(name, kw):
+def _build(name, args):
     """Call the constructor tagged ``name`` with its declared fields in
-    order; a missing keyword takes the constructor's default. A value
-    the constructor refuses (a TypeError or ValueError, the library's own
-    value errors included) is a format error that names the node."""
+    order, given ``args``, the (keyword, value) pairs of the text; a
+    missing keyword takes the constructor's default, and an undeclared
+    or repeated one is refused. A value the constructor refuses (a
+    TypeError or ValueError, the library's own value errors included)
+    is a format error that names the node."""
     if name not in _CONSTRUCTORS:
         raise MapFormatError(f"unknown constructor {name!r}")
     fields, make, params = _CONSTRUCTORS[name]
-    args = []
-    for (key, _), param in zip(fields, params):
+    kw = {}
+    for key, value in args:
         if key in kw:
-            args.append(kw[key])
-        elif param.default is not param.empty:
-            args.append(param.default)
-        else:
+            raise MapFormatError(f"{name} repeats argument {key!r}")
+        kw[key] = value
+    for key in kw.keys() - {key for key, _ in fields}:
+        raise MapFormatError(f"{name} has no argument {key!r}")
+    for (key, _), param in zip(fields, params):
+        if key not in kw and param.default is param.empty:
             raise MapFormatError(f"{name} needs argument {key!r}")
     try:
-        return make(*args)
+        return make(*(kw.get(key, param.default) for (key, _), param in zip(fields, params)))
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"{name}: {exc}") from exc
 
 
 _MAX_NESTING = 100  # deeper text would exhaust the stack of the recursive parser or writer
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[-+]?[0-9][^,()\[\]\s]*|[(),=\[\]])")
+# a name, a number, a delimiter, or any other character, which no rule reads
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[-+]?[0-9][^,()\[\]\s]*|[(),=\[\]]|\S")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NUMBER_START = frozenset("+-0123456789")
+_INT = re.compile(r"[-+]?[0-9]+")
+_WORDS = {"true": True, "false": False, "none": None}
+_DEPTH = np.zeros(256, dtype=np.int64)  # nesting step of each byte
+_DEPTH[[ord("("), ord("[")]], _DEPTH[[ord(")"), ord("]")]] = 1, -1
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            mobj = _TOKEN.match(text, pos)
-            if mobj is None:
-                if text[pos:].strip():
-                    raise MapFormatError(f"bad token at {text[pos:pos + 20]!r}")
-                break
-            self.tokens.append(mobj.group(1))
-            pos = mobj.end()
-        self.i = 0
+def _refuse(tok, wanted):
+    """Refuse the token ``tok`` where ``wanted`` belongs."""
+    raise MapFormatError(f"expected {wanted}, got {tok!r}" if tok
+                         else "unexpected end of input")
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise MapFormatError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise MapFormatError(f"expected {tok!r}, got {got!r}")
-
-    def parse_value(self):
-        tok = self.peek()
-        if tok == "[":
-            return self.parse_list()
-        if re.match(r"^[A-Za-z_]", tok or ""):
-            name = self.next()
-            if self.peek() == "(":
-                return self.parse_call(name)
-            if name == "true":
-                return True
-            if name == "false":
-                return False
-            if name == "none":
-                return None
-            raise MapFormatError(f"unknown bare word {name!r}")
-        tok = self.next()
+def _read(toks, i):
+    """The value whose first token is ``toks[i]`` and the index of the
+    token after it. ``toks`` ends in an empty token, which no value
+    reads past."""
+    tok = toks[i]
+    if tok[:1] in _NUMBER_START:
         try:
             # -0 is how the writer spells the float -0.0
-            if re.fullmatch(r"[-+]?[0-9]+", tok) and tok != "-0":
-                return int(tok)
-            return float(tok)
+            return int(tok) if _INT.fullmatch(tok) and tok != "-0" else float(tok), i + 1
         except ValueError as exc:
             raise MapFormatError(f"bad number {tok!r}") from exc
+    if tok == "[":
+        return _sequence(toks, i + 1, "]", _read)
+    if tok[:1] in _NAME_START:
+        if toks[i + 1] == "(":
+            args, i = _sequence(toks, i + 2, ")", _keyword)
+            return _build(tok, args), i
+        if tok in _WORDS:
+            return _WORDS[tok], i + 1
+        raise MapFormatError(f"unknown bare word {tok!r}")
+    _refuse(tok, "a value")
 
-    def parse_list(self):
-        self.expect("[")
-        items = []
-        if self.peek() == "]":
-            self.next()
-            return items
-        while True:
-            items.append(self.parse_value())
-            tok = self.next()
-            if tok == "]":
-                return items
-            if tok != ",":
-                raise MapFormatError(f"expected ',' or ']' in list, got {tok!r}")
 
-    def parse_call(self, name):
-        self.expect("(")
-        kwargs = {}
-        if self.peek() == ")":
-            self.next()
-        else:
-            while True:
-                key = self.next()
-                self.expect("=")
-                kwargs[key] = self.parse_value()
-                tok = self.next()
-                if tok == ")":
-                    break
-                if tok != ",":
-                    raise MapFormatError(f"expected ',' or ')', got {tok!r}")
-        return _build(name, kwargs)
+def _keyword(toks, i):
+    """The (keyword, value) pair whose keyword is ``toks[i]``."""
+    if toks[i][:1] not in _NAME_START:
+        _refuse(toks[i], "a keyword")
+    if toks[i + 1] != "=":
+        _refuse(toks[i + 1], "'='")
+    value, j = _read(toks, i + 2)
+    return (toks[i], value), j
+
+
+def _sequence(toks, i, close, item):
+    """The items that ``item`` reads from ``toks[i]`` on, separated by
+    commas up to the token ``close``, and the index after ``close``."""
+    items = []
+    while toks[i] != close:
+        if items:
+            if toks[i] != ",":
+                _refuse(toks[i], f"',' or {close!r}")
+            i += 1
+        value, i = item(toks, i)
+        items.append(value)
+    return items, i + 1
 
 
 def parse_map(text, expect=M.MapExpr):
     """Parse canonical map text back into a node of class ``expect``
     (a map expression unless told otherwise, e.g. ``pl.PLMap``)."""
-    parser = _Parser(text)
-    depth = np.cumsum([(t in ("(", "[")) - (t in (")", "]")) for t in parser.tokens])
+    depth = np.cumsum(_DEPTH[np.frombuffer(text.encode("utf-8", "replace"), np.uint8)])
     if depth.max(initial=0) > _MAX_NESTING:
         raise MapFormatError(f"map text nests calls and lists over {_MAX_NESTING} deep")
-    name = parser.next()
-    value = parser.parse_call(name)
-    if parser.peek() is not None:
-        raise MapFormatError(f"trailing input after expression: {parser.peek()!r}")
+    toks = _TOKEN.findall(text) + [""]
+    value, i = _read(toks, 0)
+    if toks[i]:
+        raise MapFormatError(f"trailing input after expression: {toks[i]!r}")
     if not isinstance(value, expect):
-        raise MapFormatError(f"{name!r} is not a {expect.__name__}")
+        raise MapFormatError(f"{toks[0]!r} is not a {expect.__name__}")
     return value
 
 
@@ -215,8 +200,7 @@ def load_map(path, expect=M.MapExpr):
     """Read a canonical map text file (comments with # allowed) holding
     a node of class ``expect``."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh
-                 if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = [ln.strip() for ln in fh if ln.strip()[:1] not in ("", "#")]
     if not lines:
         raise MapFormatError(f"no map expression found in {path}")
     return parse_map(" ".join(lines), expect)

@@ -28,8 +28,10 @@ from the inverses of its parts, and ``_eval_inverse`` evaluates that
 node, except in the replication nodes, which invert only the disk maps
 of the disks holding rows. The three compositions share one
 constructor, one right-to-left ``apply`` and one ``inverse``
-(``_Composition``); the two replication nodes share one per-disk
-transport (``_Replication``). Each replication family places its disks
+(``_Composition``); the two PL nodes share one constructor, one
+choice of forward or inverse evaluation and one ``inverse``
+(``_PLNode``); the two replication nodes share one per-disk transport
+(``_Replication``). Each replication family places its disks
 by one vectorised similarity, ``_disk(j)`` (centre offset along e1 and
 scale per row), which the transport, the locators and the samplers all
 read, and the transport applies each distinct disk map once per call.
@@ -153,6 +155,30 @@ class _Composition:
         inv = type(self)([m.inverse() for m in reversed(self.maps)])
         inv.lambda_claimed = self.lambda_claimed  # not the product in reverse order
         return inv
+
+
+class _PLNode:
+    """A boundary-fixed PLMap, or with ``inverted`` its inverse, which has
+    the same constant; the claim is the map's exact PL constant, which the
+    PLMap computes once. ``inverted`` is True or None, so the text leaves
+    it out when false."""
+
+    fields = (("map", "plmap"), ("inverted", "inverted"))
+
+    def __init__(self, plmap, inverted=False):
+        if not _part(plmap, plmod.PLMap).boundary_fixed:
+            raise SupportViolationError(f"{self.tag} needs a boundary-fixed PLMap")
+        self.plmap = plmap
+        self.dim = plmap.dim
+        self.inverted = True if inverted else None
+        self.lambda_claimed = plmod.pl_bilip_constant(plmap)
+
+    def _pl_eval(self, pts):
+        fn = plmod.pl_eval_inverse if self.inverted else plmod.pl_eval
+        return fn(self.plmap, pts)
+
+    def inverse(self):
+        return type(self)(self.plmap, not self.inverted)
 
 
 # =====================================================================
@@ -431,47 +457,32 @@ class TwistDiskMap(DiskMap):
         return TwistDiskMap(-self.profile, self.plane, self.dim)
 
 
-class PLDiskMap(DiskMap):
+class PLDiskMap(_PLNode, DiskMap):
     """A boundary-fixed PLMap conjugated by a similarity into the unit
-    ball (the box lands inside radius 0.95). Conjugation by a
-    similarity preserves the bi-Lipschitz constant, so the claim is the
-    exact PL constant of the underlying map. With ``inverted`` the node
-    is the inverse map, which has the same constant."""
+    ball (the box lands inside radius 0.95), or with ``inverted`` its
+    inverse. Conjugation by a similarity preserves the bi-Lipschitz
+    constant, so the claim is the exact PL constant of the underlying
+    map."""
 
     tag = "pl_disk"
-    fields = (("map", "plmap"), ("inverted", "inverted"))
     _FIT_RADIUS = 0.95
 
     def __init__(self, plmap, inverted=False):
-        if not _part(plmap, plmod.PLMap).boundary_fixed:
-            raise SupportViolationError("disk embedding needs a boundary-fixed PLMap")
+        super().__init__(plmap, inverted)
         tri = plmap.triangulation
-        self.plmap = plmap
-        self.dim = tri.dim
         half = 0.5 * (tri.hi - tri.lo)
         self.center = 0.5 * (tri.hi + tri.lo)
         self.scale = self._FIT_RADIUS / (np.sqrt(tri.dim) * half)
-        self.inverted = bool(inverted)
-        self.lambda_claimed = plmod.pl_bilip_constant(plmap)
 
     def apply(self, pts):
         tri = self.plmap.triangulation
         u = pts / self.scale + self.center
-        tol = 0.0  # strict: anything outside the box passes through exactly
-        inside = ((u > tri.lo + tol) & (u < tri.hi - tol)).all(axis=1)
+        # strict: anything outside the open box passes through exactly
+        inside = ((u > tri.lo) & (u < tri.hi)).all(axis=1)
         out = pts.copy()
         if inside.any():
-            fn = plmod.pl_eval_inverse if self.inverted else plmod.pl_eval
-            fu = fn(self.plmap, u[inside])
-            out[inside] = (fu - self.center) * self.scale
+            out[inside] = (self._pl_eval(u[inside]) - self.center) * self.scale
         return out
-
-    def inverse(self):
-        # a copy keeps the claim: the exact constant is a full sweep
-        # over the simplices and does not change under inversion
-        inv = copy.copy(self)
-        inv.inverted = not self.inverted
-        return inv
 
 
 class ComposedDiskMap(_Composition, DiskMap):
@@ -1016,32 +1027,14 @@ class SpiralMap(MapExpr):
         return SpiralMap(self.profile.inverse())
 
 
-class PLHomeomorphismMap(MapExpr):
-    """A boundary-fixed PLMap as a self-map of R^n (identity outside);
-    with ``inverted`` its inverse, which has the same constant."""
+class PLHomeomorphismMap(_PLNode, MapExpr):
+    """A boundary-fixed PLMap as a self-map of R^n (identity outside),
+    or with ``inverted`` its inverse."""
 
     tag = "pl"
-    fields = (("map", "plmap"), ("inverted", "inverted"))
-
-    def __init__(self, plmap, inverted=False):
-        if not _part(plmap, plmod.PLMap).boundary_fixed:
-            raise SupportViolationError(
-                "a PL node must be boundary-fixed to act on all of R^n"
-            )
-        self.plmap = plmap
-        self.dim = plmap.dim
-        self.inverted = True if inverted else None  # None: the text omits it
-        self.lambda_claimed = plmod.pl_bilip_constant(plmap)
 
     def _eval(self, pts):
-        fn = plmod.pl_eval_inverse if self.inverted else plmod.pl_eval
-        return fn(self.plmap, pts)
-
-    def inverse(self):
-        # a copy keeps the claim, as PLDiskMap.inverse does
-        inv = copy.copy(self)
-        inv.inverted = None if self.inverted else True
-        return inv
+        return self._pl_eval(pts)
 
 
 class CompositionMap(_Composition, MapExpr):

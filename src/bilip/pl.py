@@ -128,8 +128,8 @@ class PLMap:
 
     With ``boundary_fixed`` the map is extended by the identity outside
     the box; boundary vertices must then map to themselves exactly.
-    Internal caches (differentials, inverse lookup buckets) are built
-    lazily and never mutated afterwards.
+    Internal caches (differentials, their norms, inverse lookup buckets)
+    are built lazily and never mutated afterwards.
     """
 
     tag = "plmap"
@@ -168,6 +168,7 @@ class PLMap:
         self.boundary_fixed = bool(boundary_fixed)
         self._diffs = None
         self._dets = None
+        self._norms = None
         self._inverse = None
 
     @property
@@ -189,6 +190,16 @@ class PLMap:
         if self._dets is None:
             self._dets = np.linalg.det(self.differentials())
         return self._dets
+
+    def norms(self):
+        """Operator norms of the differentials (row 0) and of their
+        inverses (row 1), shape (2, S): one batched SVD of both stacks.
+        Needs every differential invertible."""
+        if self._norms is None:
+            diffs = self.differentials()
+            both = np.concatenate([diffs, np.linalg.inv(diffs)])
+            self._norms = largest_singular_values(both).reshape(2, -1)
+        return self._norms
 
 
 def _outside_mask(tri, pts):
@@ -373,31 +384,26 @@ def pl_eval_inverse(f, pts):
 def pl_differential_norm(f, with_argmax=False):
     """sup over simplices of the operator norm of the affine differential.
 
-    Exact to the rounding of one batched SVD. With
+    Exact to the rounding of one batched SVD (``PLMap.norms``). With
     ``with_argmax`` also returns the index of the realizing simplex.
     """
-    diffs = f.differentials()
     if np.any(np.abs(f.determinants()) < _DEGENERATE_TOL):
         raise DegenerateSimplexError("triangulation image has a degenerate simplex")
-    norms = largest_singular_values(diffs)
+    norms = f.norms()[0]
     k = int(np.argmax(norms))
     return (float(norms[k]), k) if with_argmax else float(norms[k])
 
 
-def pl_bilip_constant(f, forward_norm=None):
+def pl_bilip_constant(f):
     """max(sup ||T_sigma f||, sup ||T_sigma f^-1||); a valid global
-    bi-Lipschitz constant on the (convex) box. ``forward_norm``, if
-    given, is ``pl_differential_norm(f)``, which is then not computed
-    again."""
+    bi-Lipschitz constant on the (convex) box, from the map's cached
+    ``norms``."""
     dets = f.determinants()
     if np.any(dets <= 0.0):
         raise NotHomeomorphismError("differential determinant <= 0 somewhere")
     if np.any(np.abs(dets) < _DEGENERATE_TOL):
         raise DegenerateSimplexError("degenerate simplex in PL map")
-    if forward_norm is None:
-        forward_norm = largest_singular_values(f.differentials()).max()
-    inv = largest_singular_values(np.linalg.inv(f.differentials()))
-    return float(max(forward_norm, inv.max()))
+    return float(f.norms().max())
 
 
 class PLValidation:

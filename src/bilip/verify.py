@@ -603,7 +603,7 @@ def _replication_drift(n=2, amplitude=0.8, count=40, threshold=1e6):
 
 
 def _homomorphism(seed=7, pairs=100_000, n=2, kind="disk_replication", radius=70.0,
-                  beta=0.5, n_points=None):
+                  beta=0.5):
     if kind == "radial":
         g = M.make_latitude_sphere_map(beta, dim=n)
         h = M.make_latitude_sphere_map(-0.3, dim=n)
@@ -611,8 +611,7 @@ def _homomorphism(seed=7, pairs=100_000, n=2, kind="disk_replication", radius=70
         g = M.make_twist_disk_map(dim=n, amplitude=0.8)
         h = M.make_twist_disk_map(dim=n, amplitude=-0.5)
     cfg = E.SamplerConfig(seed=seed, region=E.ball((0.0,) * n, radius), n_pairs=pairs)
-    n_points = min(pairs, 10_000) if n_points is None else n_points
-    return (lambda: [verify_homomorphism(kind, g, h, cfg, n_points=n_points)]), None
+    return (lambda: [verify_homomorphism(kind, g, h, cfg, n_points=min(pairs, 10_000))]), None
 
 
 def _product_qi(seed=7, pairs=100_000, n=2, beta=0.5, c=1.0):
@@ -673,7 +672,7 @@ SUITE = (
     ("replication-constant", {}),
     ("replication-constant", {"kind": "pl"}),
     ("replication-drift", {}),
-    ("homomorphism", {"n_points": 10_000}),
+    ("homomorphism", {}),
     ("product-qi", {}),
     ("spiral-bound", {}),
     ("spiral-bound", {"profile": "cutoff"}),

@@ -198,14 +198,15 @@ class TestInverseNodes:
         assert inv.lambda_claimed == m.lambda_claimed
 
     def test_pl_inverse_reuses_the_constant(self, monkeypatch):
-        calls = []
-        exact = bilip.pl.pl_bilip_constant
-        monkeypatch.setattr(bilip.pl, "pl_bilip_constant",
-                            lambda plmap: calls.append(plmap) or exact(plmap))
+        sweeps = []
+        svd = bilip.pl.largest_singular_values
+        monkeypatch.setattr(bilip.pl, "largest_singular_values",
+                            lambda mats: sweeps.append(len(mats)) or svd(mats))
         m = M.pl_homeomorphism(pl_twist_example(2, 4, 0.3))
         inv = m.inverse()
+        assert inv.inverse().lambda_claimed == m.lambda_claimed
         M.evaluate_inverse_points(m, [[0.1, 0.2]])
-        assert len(calls) == 1
+        assert sweeps == [2 * 32]  # the 32 differentials and their inverses, once
         assert "inverted" not in map_to_text(m)
         assert map_to_text(inv).endswith(",inverted=true)")
         assert not inv.inverse().inverted

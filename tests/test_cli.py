@@ -300,7 +300,12 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("text", ["identity(dim=2", "identity(dim=[2])",
                                       "identity()", "nosuch(dim=2)",
-                                      "identity(dim=2.5)"])
+                                      "identity(dim=2.5)", "identity(dim=.5)",
+                                      "identity(dim=+.5)", "identity(dim=--1)",
+                                      "identity(dim=0x10)", "identity(dim=2) #",
+                                      'identity(dim="2")',
+                                      "affine(matrix=[[2,0],[0,1]],ofset=[5,5])",
+                                      "identity(dim=2,dim=3)"])
     def test_malformed_map_text_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.map"
         path.write_text(text + "\n")
@@ -584,6 +589,17 @@ class TestPlNormCommand:
             pl.pl_bilip_constant(f), rel=1e-12
         )
 
+    def test_one_singular_value_sweep(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "twist.map"
+        save_map(pl.pl_twist_example(2, 6, 0.3), path)
+        sweeps = []
+        svd = pl.largest_singular_values
+        monkeypatch.setattr(pl, "largest_singular_values",
+                            lambda mats: sweeps.append(len(mats)) or svd(mats))
+        code, _ = run(capsys, "pl-norm", "--plmap", str(path))
+        assert code == 0
+        assert sweeps == [2 * 72]  # the 72 differentials and their inverses, once
+
     @pytest.mark.parametrize("edit", [
         lambda t: t.replace("images=[[-1,-1],", "images=["),        # one image too few
         lambda t: t.replace("resolution=3", "resolution=0"),        # an empty grid
@@ -732,16 +748,3 @@ class TestConfigHelpers:
             parse_region("cube:1:2", 2)
         with pytest.raises(ConfigError):
             parse_region("ball:1,2", 2)
-
-    def test_seed_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BILIP_SEED", "123")
-        code, records = run(capsys, "verify", "matrix-norms", "--pairs", "100")
-        assert code == 0
-        assert records[0]["seed"] == 123
-
-    def test_malformed_seed_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BILIP_SEED", "abc")
-        assert run_cli(["verify", "matrix-norms", "--pairs", "100"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "BILIP_SEED" in captured.err and "Traceback" not in captured.err

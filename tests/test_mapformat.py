@@ -61,9 +61,10 @@ class TestRoundTrip:
         m = parse_map("affine(matrix=[[2,0],[0,1]])")
         assert np.array_equal(m.offset, [0.0, 0.0])
         text = map_to_text(M.disk_replication(M.pl_disk_map(pl_twist_example(2, 4, 0.3))))
-        assert ",inverted=false" in text
-        g = parse_map(text.replace(",inverted=false", "")).disk_map
-        assert g.inverted is False
+        assert "inverted" not in text  # written only when true
+        g = parse_map(text[:-2] + ",inverted=false))").disk_map
+        assert g.inverted is None
+        assert map_to_text(M.disk_replication(g)) == text
 
     def test_inverted_pl_disk_parses_with_one_constant_sweep(self, monkeypatch):
         text = map_to_text(M.disk_replication(
@@ -101,11 +102,32 @@ class TestParseErrors:
             "affine(matrix=[[1,0],[0,1]], offset=[0,)",
             "latitude(beta=0.5)",  # missing axis
             "cubic(knots=[0,1])",  # not a map expression
+            "affine(matrix=[[1,0],[0,1]],offset=[.5,0])",
+            "affine(matrix=[[1,0],[0,1]],offset=[+.5,0])",
+            "affine(matrix=[[1,0],[0,1]],offset=[--1,0])",
+            "affine(matrix=[[1,0],[0,1]],offset=[0x10,0])",
+            "identity(dim=2)#",
+            'identity(dim="2")',
+            "affine(matrix=[[2,0],[0,1]],ofset=[5,5])",  # misspelled key
+            "identity(dim=2,dim=3)",  # repeated key
+            "identity(dim=2.0)",  # a float where an int belongs
         ],
     )
     def test_rejected(self, text):
         with pytest.raises(MapFormatError):
             parse_map(text)
+
+    @pytest.mark.parametrize("written, value", [
+        ("-0.0", -0.0), ("5e-324", 5e-324),
+        ("1.7976931348623157e308", 1.7976931348623157e308),
+        ("+5", 5.0), ("2", 2.0), ("2.0", 2.0),
+    ])
+    def test_numbers_round_trip_bit_exactly(self, written, value):
+        m = parse_map(f"affine(matrix=[[1,0],[0,1]],offset=[{written},0])")
+        bits = np.array([value]).view(np.int64)
+        assert np.array_equal(m.offset[:1].view(np.int64), bits)
+        m2 = parse_map(map_to_text(m))
+        assert np.array_equal(m2.offset[:1].view(np.int64), bits)
 
     def test_seventeen_digits_round_trip_exactly(self):
         value = 1.0 / 3.0
