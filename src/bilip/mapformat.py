@@ -24,7 +24,6 @@ and nesting over 100 deep are format errors.
 
 import inspect
 import re
-import string
 from operator import attrgetter
 
 import numpy as np
@@ -120,7 +119,7 @@ _MAX_NESTING = 100  # deeper text would exhaust the stack of the recursive parse
 
 # a name, a number, a delimiter, or any other character, which no rule reads
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[-+]?[0-9][^,()\[\]\s]*|[(),=\[\]]|\S")
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
 _NUMBER_START = frozenset("+-0123456789")
 _INT = re.compile(r"[-+]?[0-9]+")
 _WORDS = {"true": True, "false": False, "none": None}

@@ -748,3 +748,8 @@ class TestConfigHelpers:
             parse_region("cube:1:2", 2)
         with pytest.raises(ConfigError):
             parse_region("ball:1,2", 2)
+
+    def test_default_seed_is_seven(self, capsys):
+        code, records = run(capsys, "verify", "matrix-norms", "--pairs", "100")
+        assert code == 0
+        assert records[0]["seed"] == 7
