@@ -38,7 +38,7 @@ cfg = est.SamplerConfig(seed=7, region=est.ball((0.0,) * 4, 50.0),
                         n_pairs=100_000)
 report = verify.verify_product_qi(f, (3.0, 0.0), g, (3.0, 0.0), cfg)
 print("\nquasi-isometry check with (max(3,3), 0+0):")
-print(f"  worst margin          : {report.details['worst_margin']:.3e}")
+print(f"  sampled constant      : {report.observed:.6f}  (claimed {report.claimed})")
 print(f"  drift identity error  : {report.details['drift_identity_error']:.2e}")
 print(f"  covering radius f     : {report.details['c_density_left']:.3f}")
 print(f"  covering radius g     : {report.details['c_density_right']:.3f}")

@@ -56,7 +56,6 @@ from .errors import (
 _CHUNK = 32768  # rows per chunk of a pair stream: a chunk's arrays stay in cache
 _DRAW_ROWS = 4096  # rows of uniforms per draw (see _uniform_block)
 _DEGENERATE_PAIR = 1e-12
-_RELATIVE_SLACK = 1e-9  # float headroom on proven inequalities
 REFUTATION_SLACK = 1e-6  # a sampled ratio refutes a claim only beyond this, relative
 
 
@@ -473,28 +472,33 @@ def worst_pair_record(pair):
     return {"x": [float(v) for v in x], "y": [float(v) for v in y], "ratio": float(ratio)}
 
 
-def _two_point_stats(f, x, y):
-    """Distance ratios of the point map ``f`` on one chunk of pairs;
+def _two_point_stats(f, x, y, norms=row_norms, eps=0.0):
+    """Two-point stats of the point map ``f`` on one chunk of pairs, in
+    the norm ``norms`` of a row difference and at additive ``eps``;
     pairs closer than 1e-12 are dropped. Returns (keep_count, stats,
-    ratios, x, y) filtered, with stat = max(r, 1/r).
+    ratios, x, y) filtered. With d and df the distances of a pair and
+    of its images, ratio = df/d and stat = max((df - eps)/d,
+    d/(df + eps)): the smallest lambda with d/lambda - eps <= df <=
+    lambda d + eps. At eps 0 it is max(r, 1/r) bit for bit, +inf for
+    df = 0; a NaN df gives a NaN stat.
 
     x - y is freed before ``f`` runs, since ``f`` makes the chunk's
-    largest temporaries; the ratios and stats are formed in place.
-    x, y and the images of ``f`` are only read.
+    largest temporaries. x, y and the images of ``f`` are only read.
     """
-    d = row_norms(x - y)
+    d = norms(x - y)
     keep = d >= _DEGENERATE_PAIR
     kept = int(np.count_nonzero(keep))
     if kept == 0:
         return 0, None, None, None, None
     if kept < d.shape[0]:  # usually every pair is kept: no copies then
         x, y, d = x[keep], y[keep], d[keep]
-    ratio = row_norms(f(x) - f(y))
+    df = norms(f(x) - f(y))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio /= d
-        stat = np.divide(1.0, ratio)
-    stat[~(ratio > 0)] = np.inf
-    np.maximum(ratio, stat, out=stat)
+        hi = (df - eps) / d
+        stat = (df + eps) / d
+        np.divide(1.0, stat, out=stat)
+        ratio = hi if eps == 0.0 else df / d
+    np.maximum(hi, stat, out=stat)
     return kept, stat, ratio, x, y
 
 
@@ -528,6 +532,17 @@ def _running_max(chunks):
     return best, pair, kept
 
 
+def _lower_bound(f, pairs, seed, norms=row_norms, eps=0.0):
+    """The BilipEstimate of the (x, y) chunks ``pairs`` under the point
+    map ``f``: the ordered running maximum of their two-point stats
+    (see _two_point_stats), clamped at 1."""
+    best, pair, used = _running_max(_two_point_stats(f, x, y, norms, eps)
+                                    for x, y in pairs)
+    if used == 0:
+        raise InsufficientSamplesError("all sampled pairs were degenerate")
+    return BilipEstimate(max(best, 1.0), pair, used, seed)
+
+
 def bilip_lower_bound(m, cfg, op_name="bilip_lower_bound"):
     """Largest sampled two-point distortion max(r, 1/r) of ``m``.
 
@@ -535,11 +550,7 @@ def bilip_lower_bound(m, cfg, op_name="bilip_lower_bound"):
     for a fixed seed (prefix property of the sample stream). A pair
     with non-finite images gives an infinite bound.
     """
-    best, pair, used = _running_max(_two_point_stats(m._eval, x, y)
-                                    for x, y in _pair_chunks(m, cfg, op_name))
-    if used == 0:
-        raise InsufficientSamplesError("all sampled pairs were degenerate")
-    return BilipEstimate(max(best, 1.0), pair, used, cfg.seed)
+    return _lower_bound(m._eval, _pair_chunks(m, cfg, op_name), cfg.seed)
 
 
 def check_claim(lam):
@@ -571,42 +582,28 @@ def sphere_bilip_lower_bound(phi, seed, n_pairs):
                                          10.0 ** (-1.0 - 3.0 * hraw[local]))
         return xu, yu
 
-    best, pair, used = _running_max(_two_point_stats(phi.apply, x, y)
-                                    for x, y in _read_ahead(draw, n_pairs))
-    if used == 0:
-        raise InsufficientSamplesError("all sampled sphere pairs were degenerate")
-    return BilipEstimate(max(best, 1.0), pair, used, seed)
+    return _lower_bound(phi.apply, _read_ahead(draw, n_pairs), seed)
 
 
 # =====================================================================
 # Quasi-isometry checks
 # =====================================================================
 
-def _product_blocks(m):
-    """Column blocks of the flattened product structure of ``m``.
-
-    The product-sum metric sums Euclidean norms over these blocks,
-    matching the product norm ||(x, y)||_1 = ||x|| + ||y|| used to
-    compose quasi-isometry parameters; a non-product map is a single
-    block, on which it is the Euclidean metric.
-    """
-    blocks = []
-
-    def walk(node, offset):
-        if isinstance(node, M.ProductMap):
-            walk(node.left, offset)
-            walk(node.right, offset + node.left.dim)
-        else:
-            blocks.append((offset, offset + node.dim))
-
-    walk(m, 0)
-    return blocks
+def _product_norms(m):
+    """The product-sum norm of (N, n) row differences over the product
+    structure of ``m``: ||(x, y)||_1 = ||x|| + ||y|| for a product, the
+    norm in which quasi-isometry parameters compose, nested through its
+    factors; on a map that is not a product, the Euclidean norm."""
+    if not isinstance(m, M.ProductMap):
+        return row_norms
+    left, right, k = _product_norms(m.left), _product_norms(m.right), m.left.dim
+    return lambda v: left(v[:, :k]) + right(v[:, k:])
 
 
 @dataclass
 class QiCheckResult:
     passed: bool
-    worst_margin: float
+    lambda_lower: float
     worst_pair: tuple | None
     n_pairs_used: int
     seed: int
@@ -614,46 +611,20 @@ class QiCheckResult:
 
 def qi_embedding_check(m, lam, eps, cfg, op_name="qi_embedding_check"):
     """Check (1/lam) d(x,y) - eps <= d(f x, f y) <= lam d(x,y) + eps on
-    every sampled pair; fails on any violation beyond float slack and on
-    any pair with non-finite images.
+    the sampled pairs, d the metric of ``_product_norms``.
 
-    ``lam`` must pass ``check_claim`` and ``eps`` be finite and >= 0.
-    The metric d is the product-sum metric of ``_product_blocks``: the
-    sum of Euclidean block norms over the map's product structure, and
-    the Euclidean metric on a map that is not a product.
+    ``lambda_lower`` is the smallest lam that every sampled pair allows
+    at this eps, and the check passes unless it ``refutes`` lam, so a
+    pair with non-finite images fails it. ``lam`` must pass
+    ``check_claim`` and ``eps`` be finite and >= 0.
     """
     check_claim(lam)
     if not (np.isfinite(eps) and eps >= 0.0):
         raise InvalidPointError(f"eps is a finite number >= 0, got {eps}")
-    blocks = _product_blocks(m)
-
-    def dist(a, b):
-        total = np.zeros(a.shape[0])
-        for lo, hi in blocks:
-            total += row_norms(a[:, lo:hi] - b[:, lo:hi])
-        return total
-
-    def chunks():
-        # stat = -(relative margin), so the worst pair is the largest stat
-        for x, y in _pair_chunks(m, cfg, op_name):
-            d = dist(x, y)
-            keep = d >= _DEGENERATE_PAIR
-            if not keep.any():
-                continue
-            x, y, d = x[keep], y[keep], d[keep]
-            df = dist(m._eval(x), m._eval(y))
-            up = (lam * d + eps) - df
-            low = df - (d / lam - eps)
-            margin = np.minimum(up, low)
-            slack = _RELATIVE_SLACK * (d + df + eps)
-            rel = margin / np.maximum(slack / _RELATIVE_SLACK, 1e-300)
-            yield int(keep.sum()), -rel, df / d, x, y
-
-    neg_worst, worst_pair, used = _running_max(chunks())
-    if used == 0:
-        raise InsufficientSamplesError("all sampled pairs were degenerate")
-    worst = -neg_worst
-    return QiCheckResult(worst >= -_RELATIVE_SLACK, worst, worst_pair, used, cfg.seed)
+    e = _lower_bound(m._eval, _pair_chunks(m, cfg, op_name), cfg.seed,
+                     _product_norms(m), eps)
+    return QiCheckResult(not refutes(e.lambda_lower, lam), e.lambda_lower,
+                         e.worst_pair, e.n_pairs_used, e.seed)
 
 
 # =====================================================================

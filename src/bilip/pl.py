@@ -144,8 +144,7 @@ class PLMap:
         return cls(kuhn_triangulation(dim, (lo, hi), resolution), vertex_images,
                    boundary_fixed=boundary_fixed)
 
-    def __init__(self, triangulation, vertex_images, boundary_fixed=True,
-                 validate=True):
+    def __init__(self, triangulation, vertex_images, boundary_fixed=True):
         tri = triangulation
         images = np.asarray(vertex_images, dtype=float)
         if images.shape != tri.vertices.shape:
@@ -155,9 +154,7 @@ class PLMap:
             )
         if not np.all(np.isfinite(images)):
             raise InvalidPointError("vertex images must be finite")
-        if boundary_fixed and validate:
-            # pl_validate() can still report the violation on an
-            # unvalidated map; the default construction path refuses it
+        if boundary_fixed:
             mask = tri.boundary_vertex_mask()
             if not np.array_equal(images[mask], tri.vertices[mask]):
                 raise SupportViolationError(
@@ -409,43 +406,34 @@ def pl_bilip_constant(f):
 class PLValidation:
     """Outcome of the homeomorphism checks for a PLMap."""
 
-    def __init__(self, ok, n_simplices, min_det, negative, degenerate,
-                 boundary_violations):
+    def __init__(self, ok, n_simplices, min_det, negative, degenerate):
         self.ok = ok
         self.n_simplices = n_simplices
         self.min_det = min_det
         self.negative_simplices = negative
         self.degenerate_simplices = degenerate
-        self.boundary_violations = boundary_violations
 
     def __repr__(self):
         return (
             f"PLValidation(ok={self.ok}, n_simplices={self.n_simplices}, "
             f"min_det={self.min_det:.3e}, "
             f"negative={len(self.negative_simplices)}, "
-            f"degenerate={len(self.degenerate_simplices)}, "
-            f"boundary_violations={len(self.boundary_violations)})"
+            f"degenerate={len(self.degenerate_simplices)})"
         )
 
 
 def pl_validate(f):
-    """Report determinant signs, degeneracies and boundary fixity.
+    """Report determinant signs and degeneracies; ``PLMap`` already
+    refuses a boundary-fixed map that moves a boundary vertex.
 
     Never raises; failures are carried in the report.
     """
     dets = f.determinants()
     negative = np.flatnonzero(dets <= 0.0)
     degenerate = np.flatnonzero(np.abs(dets) < _DEGENERATE_TOL)
-    tri = f.triangulation
-    mask = tri.boundary_vertex_mask()
-    if f.boundary_fixed:
-        bad = ~np.all(f.vertex_images[mask] == tri.vertices[mask], axis=1)
-        violations = np.flatnonzero(mask)[bad]
-    else:
-        violations = np.empty(0, dtype=np.int64)
-    ok = negative.size == 0 and degenerate.size == 0 and violations.size == 0
-    return PLValidation(ok, tri.n_simplices, float(dets.min()), negative,
-                        degenerate, violations)
+    ok = negative.size == 0 and degenerate.size == 0
+    return PLValidation(ok, f.triangulation.n_simplices, float(dets.min()),
+                        negative, degenerate)
 
 
 # =====================================================================

@@ -304,14 +304,13 @@ def verify_product_qi(f, f_params, g, g_params, cfg):
         scenario="product-qi",
         passed=passed,
         claimed=float(nu),
-        observed=float(nu if qi.passed else np.inf),
+        observed=qi.lambda_lower,
         worst=E.worst_pair_record(qi.worst_pair),
         n_samples=qi.n_pairs_used,
         seed=cfg.seed,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
         details={
             "eps_combined": float(eps + delta),
-            "worst_margin": qi.worst_margin,
             "drift_identity_error": drift_err,
             "c_density_left": c_f,
             "c_density_right": c_g,

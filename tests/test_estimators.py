@@ -515,6 +515,16 @@ class TestQiEmbeddingCheck:
         r = est.qi_embedding_check(h, 3.0, 0.0, cfg(dim=4, n_pairs=50_000))
         assert r.passed
 
+    def test_additive_eps_absorbs_the_stretch_of_short_pairs(self):
+        # 2x moves a pair at distance d <= 2 by 2d <= 1.5 d + 1, so
+        # (1.5, 1) holds on the unit ball while (1.5, 0) does not
+        m, c = M.affine([[2.0, 0.0], [0.0, 2.0]]), cfg(radius=1.0, n_pairs=20_000)
+        r = est.qi_embedding_check(m, 1.5, 1.0, c)
+        assert r.passed and 1.0 <= r.lambda_lower <= 1.5
+        r = est.qi_embedding_check(m, 1.5, 0.0, c)
+        assert not r.passed
+        assert r.lambda_lower == pytest.approx(2.0, rel=1e-12)
+
     @pytest.mark.parametrize("lam, eps, metric", [
         (0.5, 0.0, "euclidean"), (1.0, -1.0, "l1"),
         (np.inf, 0.0, "euclidean"), (np.nan, 0.0, "euclidean"),
@@ -550,7 +560,7 @@ class TestNonFiniteRatios:
     def test_qi_check_fails(self):
         r = est.qi_embedding_check(self.huge, 2.0, 0.0, cfg(seed=1, radius=100.0))
         assert not r.passed
-        assert r.worst_margin == -np.inf
+        assert r.lambda_lower == np.inf
 
     def test_sphere_lower_bound_is_infinite(self):
         class NanOnCap(M.SphereMap):

@@ -234,6 +234,20 @@ class TestProductScenario:
                                   small_cfg(dim=4, radius=20.0))
         assert not rep.passed
 
+    def test_undersized_claims_report_the_sampled_constant(self):
+        # the scenario's maps, each with constant 2 < 3, claimed at 1.5
+        f = M.radial_extension(M.make_latitude_sphere_map(0.5, dim=2))
+        g = M.spiral_map(M.LogSpiralProfile(1.0, (0, 1), 2))
+        rep = V.verify_product_qi(f, (1.5, 0.0), g, (1.5, 0.0),
+                                  small_cfg(dim=4, radius=50.0))
+        assert not rep.passed
+        assert np.isfinite(rep.observed) and rep.observed > 1.5
+
+    def test_default_suite_reads_below_the_claim(self):
+        run, _ = V.SCENARIOS["product-qi"].build({"seed": 3})
+        [rep] = run()
+        assert rep.passed and rep.observed < rep.claimed
+
 
 class TestSpiralScenario:
     def spiral_cfg(self, seed=7, n_pairs=20_000, dim=2):
