@@ -490,26 +490,51 @@ def mixed_batch(tri, seed):
 class TestPinnedBits:
     """``pl_eval`` and ``pl_eval_inverse`` keep their output bits.
 
-    ``tests/data/pl_eval_digests.jsonl`` holds, per case, the sha256 of
-    the output bytes on ``mixed_batch`` (forward and inverse) and of the
-    forward output on its in-box rows alone, written by the commit
-    before the column-wise ``pl_eval`` kernel.
+    ``tests/data/pl_eval_digests.jsonl`` holds one line per case with the
+    sha256 of each output's bytes. The first three cases, written by the
+    commit before the column-wise ``pl_eval`` kernel, hash the forward
+    map on ``mixed_batch`` and on its in-box rows alone, and the inverse
+    on ``mixed_batch``, of jittered boundary-fixed maps. The last two,
+    written by the commit before the walking inverse, hash the inverse on
+    the paths those miss: a free-boundary map (forward on the in-box rows,
+    inverse on their images) and a near-isometric 3-d twist (forward and
+    inverse on ``mixed_batch``, inverse on its forward images).
     """
 
     CASES = ((2, 16), (3, 4), (4, 2))
 
     @staticmethod
-    def digests(dim, res):
+    def line(case, rows, outputs):
+        return json.dumps({"case": case, "rows": rows, "sha256": [
+            hashlib.sha256(out.tobytes()).hexdigest() for out in outputs]}, sort_keys=True)
+
+    @classmethod
+    def digests(cls, dim, res):
         f = jittered_fixed_map(dim, res)
         x = mixed_batch(f.triangulation, seed=dim)
         inside = x[np.all(np.abs(x) <= 1.0, axis=1)]
         outputs = (pl.pl_eval(f, x), pl.pl_eval(f, inside), pl.pl_eval_inverse(f, x))
-        return {"case": f"dim={dim},res={res}", "rows": [len(x), len(inside)],
-                "sha256": [hashlib.sha256(out.tobytes()).hexdigest() for out in outputs]}
+        return cls.line(f"dim={dim},res={res}", [len(x), len(inside)], outputs)
+
+    @classmethod
+    def free_boundary_digests(cls):
+        f = perturbed_linear_map(3, 4, seed=27)
+        x = mixed_batch(f.triangulation, seed=27)
+        y = pl.pl_eval(f, x[np.all(np.abs(x) <= 1.0, axis=1)])
+        return cls.line("free,dim=3,res=4", [len(y)], (y, pl.pl_eval_inverse(f, y)))
+
+    @classmethod
+    def twist_digests(cls):
+        f = pl.pl_twist_example(3, 4, 0.1)
+        x = mixed_batch(f.triangulation, seed=28)
+        y = pl.pl_eval(f, x)
+        outputs = (y, pl.pl_eval_inverse(f, x), pl.pl_eval_inverse(f, y))
+        return cls.line("twist,dim=3,res=4,disp=0.1", [len(x)], outputs)
 
     def test_digests_match_pinned_lines(self):
         path = Path(__file__).parent / "data" / "pl_eval_digests.jsonl"
-        lines = [json.dumps(self.digests(dim, res), sort_keys=True) for dim, res in self.CASES]
+        lines = [self.digests(dim, res) for dim, res in self.CASES]
+        lines += [self.free_boundary_digests(), self.twist_digests()]
         assert lines == path.read_text().splitlines()
 
 
