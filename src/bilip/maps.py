@@ -273,11 +273,18 @@ class LatitudeSphereMap(SphereMap):
         # the whole array: f' = c >= 0.1 and f'' = -beta*sin(a), so the
         # first denominator 2c^2 + (beta sin t)^2 is positive. Every row
         # takes the same steps, so its bits do not depend on its batch.
+        # A step is a -= 2 f c / (2 c^2 + f s) with s = beta sin a and
+        # c = 1 + beta cos a, evaluated in that order in four buffers.
         a = target.copy()
+        s, c, f, fs = (np.empty_like(a) for _ in range(4))
         for _ in range(4):
-            s, c = self.beta * np.sin(a), 1.0 + self.beta * np.cos(a)
-            f = a + s - target
-            a -= 2.0 * f * c / (2.0 * c * c + f * s)
+            np.multiply(np.sin(a, out=s), self.beta, out=s)
+            np.add(np.multiply(np.cos(a, out=c), self.beta, out=c), 1.0, out=c)
+            np.subtract(np.add(a, s, out=f), target, out=f)
+            np.multiply(f, s, out=fs)
+            np.multiply(np.multiply(f, 2.0, out=f), c, out=f)  # 2 f c
+            np.multiply(np.multiply(c, 2.0, out=s), c, out=s)  # 2 c^2
+            a -= np.divide(f, np.add(s, fs, out=s), out=f)
         return np.clip(a, 0.0, np.pi, out=a)
 
     def _polar(self, units):

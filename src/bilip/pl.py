@@ -7,7 +7,10 @@ per simplex and the global PL norm sup ||T_sigma f|| is an exact finite
 maximum rather than an estimate.
 """
 
+import functools
 import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,8 @@ _MAX_DIM = 6
 _MAX_RESOLUTION = 64
 _BARY_TOL = 1e-12
 _DEGENERATE_TOL = 1e-12
+_CONTAIN_TOL = 1e-9  # barycentric slack of the inverse's containment test
+_WALK_STEPS = 4  # Newton steps of the inverse walk before the search
 _BLOCK = 8192  # rows per pl_eval block: a block's column temporaries stay in cache
 
 
@@ -66,8 +71,6 @@ class Triangulation:
 
     def simplex_volume(self):
         """Volume of each simplex (they are all congruent)."""
-        import math
-
         return self.cell ** self.dim / math.factorial(self.dim)
 
 
@@ -128,8 +131,9 @@ class PLMap:
 
     With ``boundary_fixed`` the map is extended by the identity outside
     the box; boundary vertices must then map to themselves exactly.
-    Internal caches (differentials, their norms, inverse lookup buckets)
-    are built lazily and never mutated afterwards.
+    Internal caches (differentials, their norms, the inverse's
+    per-simplex table and, once a point needs the search, its bucket
+    index) are built lazily and never mutated afterwards.
     """
 
     tag = "plmap"
@@ -167,6 +171,7 @@ class PLMap:
         self._dets = None
         self._norms = None
         self._inverse = None
+        self._buckets = None
 
     @property
     def dim(self):
@@ -266,19 +271,50 @@ def pl_eval(f, pts):
 # Inverse evaluation
 # =====================================================================
 
+class _InverseTable(NamedTuple):
+    """Per-simplex data of the inverse: inverse image-edge matrices
+    (S, n, n), first image vertices (S, n), source vertices (S, n+1, n),
+    the norm of each barycentric gradient in the image (S, n+1), and
+    ``reach``, (n+1) * _CONTAIN_TOL * D with D the largest diagonal of an
+    image simplex's bounding box."""
+
+    e_inv: np.ndarray
+    first: np.ndarray
+    src: np.ndarray
+    scale: np.ndarray
+    reach: float
+
+
+def _inverse_table(f):
+    """The map's cached ``_InverseTable``."""
+    if f._inverse is None:
+        tri = f.triangulation
+        img = f.vertex_images[tri.simplices]  # (S, n+1, n)
+        e_inv = np.linalg.inv((img[:, 1:, :] - img[:, :1, :]).transpose(0, 2, 1))
+        grads = np.concatenate([-e_inv.sum(axis=1, keepdims=True), e_inv], axis=1)
+        diag = np.sqrt(np.square(img.max(axis=1) - img.min(axis=1)).sum(axis=1)).max()
+        f._inverse = _InverseTable(e_inv, img[:, 0], tri.vertices[tri.simplices],
+                                   np.sqrt(np.square(grads).sum(axis=2)),
+                                   (tri.dim + 1) * _CONTAIN_TOL * float(diag))
+    return f._inverse
+
+
 def _build_buckets(f):
     """CSR index of the image simplices by grid cube.
 
     The candidates of flat cube c are ``simplices[indptr[c]:indptr[c + 1]]``,
     in ascending simplex order: every simplex whose image bounding box,
-    padded by 1e-9 cells, touches c. The image of an orientation-positive
-    boundary-fixed map is the box itself, so the source grid doubles as a
-    spatial index for inverse queries. Returns (indptr, simplices).
+    padded by the table's ``reach``, touches c. Every point whose weights
+    in a simplex are all >= -_CONTAIN_TOL lies within ``reach`` of that
+    simplex, so its own cube lists every simplex that can contain it. The
+    image of an orientation-positive boundary-fixed map is the box itself,
+    so the source grid doubles as a spatial index for inverse queries.
+    Returns (indptr, simplices).
     """
     tri = f.triangulation
     n, res = tri.dim, tri.resolution
     img = f.vertex_images[tri.simplices]  # (S, n+1, n)
-    pad = 1e-9 * tri.cell
+    pad = _inverse_table(f).reach
     lo_box = (img.min(axis=1) - tri.lo - pad) / tri.cell
     hi_box = (img.max(axis=1) - tri.lo + pad) / tri.cell
     lo_idx = np.clip(np.floor(lo_box).astype(np.int64), 0, res - 1)
@@ -301,38 +337,100 @@ def _build_buckets(f):
     return indptr, owner[order]
 
 
-def _inverse_index(f):
-    """Cached bucket arrays, inverse image-edge matrices, first image
-    vertices and source vertices of every simplex."""
-    if f._inverse is None:
-        tri = f.triangulation
-        img = f.vertex_images[tri.simplices]
-        e_inv = np.linalg.inv((img[:, 1:, :] - img[:, :1, :]).transpose(0, 2, 1))
-        f._inverse = (*_build_buckets(f), e_inv, img[:, 0], tri.vertices[tri.simplices])
-    return f._inverse
+def _pull_back(table, y, s):
+    """Barycentric weights (N, n+1) of the rows ``y`` in the image of
+    simplex ``s`` of each row, and the points with the same weights in
+    the source simplices."""
+    w_rest = np.einsum("pij,pj->pi", table.e_inv[s], y - table.first[s])
+    w = np.concatenate([1.0 - w_rest.sum(axis=1, keepdims=True), w_rest], axis=1)
+    return w, np.einsum("pk,pkd->pd", w, table.src[s])
 
 
-def _first_containing(index, y, cube):
-    """Pull each row of ``y`` back through the first candidate of its
-    flat ``cube`` whose barycentric weights are all >= -1e-9.
+@functools.cache
+def _path_ranks(n):
+    """Lexicographic rank of each axis order of n axes, indexed by its
+    comparison bits: bit i is set when axis b comes before axis a, for
+    the i-th pair a < b of ``itertools.combinations``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    ranks = np.zeros(1 << len(pairs), dtype=np.int64)
+    for r, perm in enumerate(itertools.permutations(range(n))):
+        ranks[sum(1 << i for i, (a, b) in enumerate(pairs) if perm.index(b) < perm.index(a))] = r
+    ranks.flags.writeable = False  # shared by every caller
+    return ranks
+
+
+def _kuhn_locate(tri, x):
+    """Index of the Kuhn simplex of each row of ``x`` (clipped to the box).
+
+    The cube is the one ``_interpolate`` picks; in it, the in-cube
+    coordinates sorted in descending order give the order of the path's
+    axes, a tie keeping the lower axis first, and the simplex is the
+    cube's simplex of that order.
+    """
+    n, res = tri.dim, tri.resolution
+    t = np.empty((n, x.shape[0]))  # coordinate columns, in cells
+    np.subtract(x.T, tri.lo, out=t)
+    t /= tri.cell
+    np.clip(t, 0.0, res, out=t)
+    cube = np.minimum(np.floor(t), res - 1)
+    t -= cube
+    code = np.zeros(x.shape[0], dtype=np.int64)
+    for i, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        code += (t[b] > t[a]) * (1 << i)
+    flat = (res ** np.arange(n - 1, -1, -1)) @ cube
+    return flat.astype(np.int64) * math.factorial(n) + _path_ranks(n)[code]
+
+
+def _walk(tri, table, y):
+    """Certified pull-backs of the rows ``y`` of a boundary-fixed map.
+
+    From x = y, each step locates x's Kuhn simplex, takes y's weights w
+    in its image and moves x to the point with weights w (a Newton step),
+    for at most ``_WALK_STEPS`` steps. A row is certified when it lies
+    farther than 10 ``reach`` from every facet of the image simplex
+    (w_k / |grad w_k| > 10 reach). Returns (x, certified); x is
+    undefined where certified is False.
+    """
+    out = np.empty_like(y)
+    done = np.zeros(y.shape[0], dtype=bool)
+    rows, x = np.arange(y.shape[0]), y
+    eps = 10.0 * table.reach
+    for _ in range(_WALK_STEPS):
+        if rows.size == 0:
+            break
+        s = _kuhn_locate(tri, x)
+        w, x = _pull_back(table, y[rows], s)
+        ok = (w > eps * table.scale[s]).all(axis=1)
+        out[rows[ok]] = x[ok]
+        done[rows[ok]] = True
+        rows, x = rows[~ok], x[~ok]
+    return out, done
+
+
+def _first_containing(f, y):
+    """Pull each row of ``y`` back through the first simplex listed for
+    its grid cube whose barycentric weights are all >= -_CONTAIN_TOL.
 
     Step k tests every unresolved row against the k-th candidate of its
     cube. Returns (x, found); x is undefined where found is False.
     """
-    indptr, simplices, e_inv, first, src = index
-    start = indptr[cube]
-    count = indptr[cube + 1] - start
+    tri = f.triangulation
+    if f._buckets is None:
+        f._buckets = _build_buckets(f)
+    indptr, simplices = f._buckets
+    flat = _kuhn_locate(tri, y) // math.factorial(tri.dim)  # each row's grid cube
+    start = indptr[flat]
+    count = indptr[flat + 1] - start
+    table = _inverse_table(f)
     x = np.empty_like(y)
     found = np.zeros(y.shape[0], dtype=bool)
     for k in range(int(count.max(initial=0))):
         rows = np.flatnonzero(~found & (count > k))
         if rows.size == 0:  # every row is resolved or out of candidates
             break
-        s = simplices[start[rows] + k]
-        w_rest = np.einsum("pij,pj->pi", e_inv[s], y[rows] - first[s])
-        w = np.concatenate([1.0 - w_rest.sum(axis=1, keepdims=True), w_rest], axis=1)
-        ok = (w >= -1e-9).all(axis=1)
-        x[rows[ok]] = np.einsum("pk,pkd->pd", w[ok], src[s[ok]])
+        w, back = _pull_back(table, y[rows], simplices[start[rows] + k])
+        ok = (w >= -_CONTAIN_TOL).all(axis=1)
+        x[rows[ok]] = back[ok]
         found[rows[ok]] = True
     return x, found
 
@@ -340,36 +438,41 @@ def _first_containing(index, y, cube):
 def pl_eval_inverse(f, pts):
     """Evaluate the inverse PL map at row points.
 
-    Requires a positively oriented map. Each query point is matched to
-    the first image simplex of its grid cube that contains it (via
-    barycentric coordinates in the image) and pulled back with the same
-    weights. Points that no simplex of their own cube contains are
-    tried against the simplices of the 3^n neighbouring cubes. Outside
-    the box a boundary-fixed map is the identity; on any other map the
-    edge cubes list the simplices whose images reach past the box.
+    Requires a positively oriented map. Outside the box a boundary-fixed
+    map is the identity; on any other map the edge cubes list the
+    simplices whose images reach past the box.
+
+    Each point y is pulled back through the first image simplex, in
+    simplex order among those its grid cube lists, whose barycentric
+    weights are all >= -1e-9, with those weights. On a boundary-fixed map
+    a walk (``_walk``) finds that simplex first: Newton steps over the
+    Kuhn simplices from x = y, at most four. It certifies a row lying
+    more than 10 (n+1) 1e-9 D from every facet of its image simplex,
+    where D is the largest diagonal of an image simplex's bounding box.
+    Such a map is injective, and every point that passes the 1e-9 test of
+    a simplex lies within (n+1) 1e-9 D of it, so no other simplex passes
+    it at a certified row and the walk's weights give the same bits as
+    the search. The rows the walk leaves, and every row of a free-boundary
+    map, go to the search over the cube's candidates (``_first_containing``),
+    whose index is built on first use.
     """
     tri = f.triangulation
     pts = as_points(pts, tri.dim)
     if np.any(f.determinants() <= 0.0):
         raise NotHomeomorphismError("map is not orientation-positive")
-    index = _inverse_index(f)
-    outside = _outside_mask(tri, pts) if f.boundary_fixed else np.zeros(len(pts), bool)
     out = pts.copy()
-    inside = np.flatnonzero(~outside)
-    y = pts[inside]
-    u = np.clip((y - tri.lo) / tri.cell, 0.0, float(tri.resolution))
-    cube = np.minimum(u.astype(np.int64), tri.resolution - 1)
-    cubes = (tri.resolution,) * tri.dim
-    x, found = _first_containing(index, y, np.ravel_multi_index(tuple(cube.T), cubes))
-    for delta in itertools.product((-1, 0, 1), repeat=tri.dim):
-        pending = np.flatnonzero(~found)
-        if pending.size == 0:
-            break
-        near = np.clip(cube[pending] + delta, 0, tri.resolution - 1)
-        x[pending], found[pending] = _first_containing(
-            index, y[pending], np.ravel_multi_index(tuple(near.T), cubes))
-    if not found.all():
-        raise OutOfDomainError(f"no image simplex contains point {y[~found][0]!r}")
+    if f.boundary_fixed:
+        inside = np.flatnonzero(~_outside_mask(tri, pts))
+        x, found = _walk(tri, _inverse_table(f), pts[inside])
+    else:
+        inside = np.arange(pts.shape[0])
+        x, found = np.empty_like(pts), np.zeros(pts.shape[0], dtype=bool)
+    rest = np.flatnonzero(~found)
+    if rest.size:
+        y = pts[inside[rest]]
+        x[rest], hit = _first_containing(f, y)
+        if not hit.all():
+            raise OutOfDomainError(f"no image simplex contains point {y[~hit][0]!r}")
     out[inside] = x
     return out
 

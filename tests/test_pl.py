@@ -306,6 +306,29 @@ def perturbed_linear_map(dim, res, seed):
 
 
 _TWISTS = {2: (4, 0.3), 3: (3, 0.25)}
+_JITTERED = {1: 16, 2: 6, 3: 3, 4: 2}  # resolution of the jittered map per dimension
+
+
+def face_offset_rows(f, rng, count, offsets):
+    """``count`` points on random facets of random image simplices, each
+    also moved by every one of ``offsets`` to either side along the
+    facet's normal; only the rows inside the box are kept."""
+    tri = f.triangulation
+    n = tri.dim
+    s = rng.integers(0, tri.n_simplices, size=count)
+    drop = rng.integers(0, n + 1, size=count)
+    w = rng.dirichlet(np.ones(n + 1), size=count)
+    w[np.arange(count), drop] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
+    img = f.vertex_images[tri.simplices[s]]
+    on_face = np.einsum("pk,pkd->pd", w, img)
+    grads = np.linalg.inv((img[:, 1:] - img[:, :1]).transpose(0, 2, 1))
+    grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+    normal = grads[np.arange(count), drop]
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    rows = [on_face + sign * d * normal for d in offsets for sign in (-1.0, 1.0)]
+    rows = np.concatenate(rows)
+    return rows[np.all(np.abs(rows) <= 1.0, axis=1)]
 
 
 class TestInverse:
@@ -343,13 +366,65 @@ class TestInverse:
         back = pl.pl_eval_inverse(f, pl.pl_eval(f, x))
         np.testing.assert_allclose(back, x, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_matches_brute_force_oracle(self, dim):
-        f = pl.pl_twist_example(dim, *_TWISTS[dim])
-        y = np.random.default_rng(8).uniform(-1, 1, size=(150, dim))
+        # uniform rows, which the walk certifies, and rows on and near
+        # shared image faces, which it leaves to the search
+        f = jittered_fixed_map(dim, _JITTERED[dim])
+        rng = np.random.default_rng(8)
+        y = np.concatenate([rng.uniform(-1, 1, size=(150, dim)),
+                            face_offset_rows(f, rng, 40, (0.0, 1e-12, 1e-10, 1e-8))])
+        _, certified = pl._walk(f.triangulation, pl._inverse_table(f), y)
+        assert 100 <= certified.sum() < len(y) - 50
         got = pl.pl_eval_inverse(f, y)
         for yi, g in zip(y, got):
             np.testing.assert_allclose(g, brute_force_inverse(f, yi), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_walk_gives_the_search_bits(self, dim):
+        # a certified row is one the search pulls back through the same
+        # simplex, with the same arithmetic
+        f = jittered_fixed_map(dim, _JITTERED[dim])
+        rng = np.random.default_rng(9)
+        y = np.concatenate([rng.uniform(-1, 1, size=(2000, dim)),
+                            face_offset_rows(f, rng, 500, (0.0, 1e-12, 1e-10, 1e-8, 1e-6))])
+        walked, certified = pl._walk(f.triangulation, pl._inverse_table(f), y)
+        searched, found = pl._first_containing(f, y)
+        assert found.all() and 0 < certified.sum() < len(y)
+        assert np.array_equal(walked[certified], searched[certified])
+        assert np.array_equal(pl.pl_eval_inverse(f, y), searched)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_kuhn_locate_matches_brute_force(self, dim):
+        # of the simplices containing a point, the one in the cube that
+        # pl_eval picks with the lowest index: ties keep the lower axis
+        # first, which is the lexicographically first axis order; the
+        # cells are powers of two, so the tied rows tie exactly
+        tri = pl.kuhn_triangulation(dim, (-1.0, 1.0), {1: 16, 2: 8, 3: 4, 4: 2}[dim])
+        x = mixed_batch(tri, seed=dim)
+        x = np.concatenate([tri.vertices, x[np.all(np.abs(x) <= 1.0, axis=1)][:400]])
+        verts = tri.vertices[tri.simplices]
+        e_inv = np.linalg.inv((verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1))
+        cube = np.minimum(np.floor((x - tri.lo) / tri.cell), tri.resolution - 1)
+        got = pl._kuhn_locate(tri, x)
+        for xi, ci, g in zip(x, cube, got):
+            w_rest = np.einsum("sij,sj->si", e_inv, xi - verts[:, 0])
+            w = np.concatenate([1.0 - w_rest.sum(axis=1, keepdims=True), w_rest], axis=1)
+            containing = np.flatnonzero(np.all(w >= -1e-12, axis=1))
+            in_cube = containing[np.all(verts[containing, 0] == tri.lo + ci * tri.cell, axis=1)]
+            assert g == in_cube[0]
+
+    @pytest.mark.parametrize("dim, res", [(2, 16), (3, 4)])
+    def test_walk_covers_the_twists_of_the_benchmark(self, dim, res, monkeypatch):
+        def unexpected(f):
+            raise AssertionError("the bucket index was built")
+
+        monkeypatch.setattr(pl, "_build_buckets", unexpected)
+        f = pl.pl_twist_example(dim, res, 0.1)
+        x = np.random.default_rng(11).uniform(-0.95, 0.95, size=(1000, dim))
+        np.testing.assert_allclose(pl.pl_eval_inverse(f, pl.pl_eval(f, x)), x,
+                                   rtol=0, atol=1e-12)
+        assert f._buckets is None
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_buckets_list_touching_boxes_in_simplex_order(self, dim):
@@ -357,7 +432,8 @@ class TestInverse:
         tri = f.triangulation
         indptr, simplices = pl._build_buckets(f)
         img = f.vertex_images[tri.simplices]
-        pad = 1e-9 * tri.cell
+        diag = np.linalg.norm(img.max(axis=1) - img.min(axis=1), axis=1).max()
+        pad = (dim + 1) * 1e-9 * diag
         lo = np.clip(np.floor((img.min(axis=1) - tri.lo - pad) / tri.cell),
                      0, tri.resolution - 1)
         hi = np.clip(np.floor((img.max(axis=1) - tri.lo + pad) / tri.cell),
@@ -368,16 +444,16 @@ class TestInverse:
             assert simplices[indptr[c]:indptr[c + 1]].tolist() == touching.tolist()
         assert indptr[-1] == simplices.size
 
-    def test_neighbour_cube_pass(self):
+    def test_own_cube_lists_the_tolerance_region(self):
         # on [0, 3] with three cells the image of the last cell is
-        # [0.002, 2 - 1.5e-9]; its padded bounding box ends in cube 1,
-        # so y = 2 finds no candidate in its own cube 2, and only the
-        # neighbour pass accepts it (barycentric weight -7.5e-10)
+        # [0.002, 2 - 1.5e-9], and y = 2 passes its test (barycentric
+        # weight -7.5e-10); the box, padded by 2e-9 times its length,
+        # reaches y's own cube 2, which so lists the last simplex alone
         tri = pl.kuhn_triangulation(1, (0.0, 3.0), 3)
         f = pl.PLMap(tri, [[0.0], [0.001], [0.002], [2.0 - 1.5e-9]],
                      boundary_fixed=False)
-        indptr, _ = pl._build_buckets(f)
-        assert indptr[3] == indptr[2]  # cube 2 has no candidates
+        indptr, simplices = pl._build_buckets(f)
+        assert simplices[indptr[2]:indptr[3]].tolist() == [2]
         back = pl.pl_eval_inverse(f, [[2.0]])
         assert back[0, 0] == pytest.approx(3.0, abs=1e-8)
         assert brute_force_inverse(f, np.array([2.0])) == pytest.approx(back[0])
