@@ -274,15 +274,17 @@ def pl_eval(f, pts):
 class _InverseTable(NamedTuple):
     """Per-simplex data of the inverse: inverse image-edge matrices
     (S, n, n), first image vertices (S, n), source vertices (S, n+1, n),
-    the norm of each barycentric gradient in the image (S, n+1), and
     ``reach``, (n+1) * _CONTAIN_TOL * D with D the largest diagonal of an
-    image simplex's bounding box."""
+    image simplex's bounding box, and each barycentric weight's ``margin``
+    (S, n+1), 10 ``reach`` times the norm of its gradient in the image:
+    a weight above its margin puts the point farther than 10 ``reach``
+    from that facet."""
 
     e_inv: np.ndarray
     first: np.ndarray
     src: np.ndarray
-    scale: np.ndarray
     reach: float
+    margin: np.ndarray
 
 
 def _inverse_table(f):
@@ -293,9 +295,9 @@ def _inverse_table(f):
         e_inv = np.linalg.inv((img[:, 1:, :] - img[:, :1, :]).transpose(0, 2, 1))
         grads = np.concatenate([-e_inv.sum(axis=1, keepdims=True), e_inv], axis=1)
         diag = np.sqrt(np.square(img.max(axis=1) - img.min(axis=1)).sum(axis=1)).max()
-        f._inverse = _InverseTable(e_inv, img[:, 0], tri.vertices[tri.simplices],
-                                   np.sqrt(np.square(grads).sum(axis=2)),
-                                   (tri.dim + 1) * _CONTAIN_TOL * float(diag))
+        reach = (tri.dim + 1) * _CONTAIN_TOL * float(diag)
+        f._inverse = _InverseTable(e_inv, img[:, 0], tri.vertices[tri.simplices], reach,
+                                   10.0 * reach * np.sqrt(np.square(grads).sum(axis=2)))
     return f._inverse
 
 
@@ -386,25 +388,25 @@ def _walk(tri, table, y):
 
     From x = y, each step locates x's Kuhn simplex, takes y's weights w
     in its image and moves x to the point with weights w (a Newton step),
-    for at most ``_WALK_STEPS`` steps. A row is certified when it lies
-    farther than 10 ``reach`` from every facet of the image simplex
-    (w_k / |grad w_k| > 10 reach). Returns (x, certified); x is
-    undefined where certified is False.
+    for at most ``_WALK_STEPS`` steps. A row is certified when every
+    weight exceeds its ``margin``, so that it lies farther than 10
+    ``reach`` from every facet of the image simplex. The first step runs
+    on every row, each later one on the rows left. Returns (x,
+    certified); x is undefined where certified is False.
     """
-    out = np.empty_like(y)
-    done = np.zeros(y.shape[0], dtype=bool)
-    rows, x = np.arange(y.shape[0]), y
-    eps = 10.0 * table.reach
-    for _ in range(_WALK_STEPS):
+    s = _kuhn_locate(tri, y)
+    w, x = _pull_back(table, y, s)
+    done = (w > table.margin[s]).all(axis=1)
+    rows = np.flatnonzero(~done)
+    for _ in range(_WALK_STEPS - 1):
         if rows.size == 0:
             break
-        s = _kuhn_locate(tri, x)
-        w, x = _pull_back(table, y[rows], s)
-        ok = (w > eps * table.scale[s]).all(axis=1)
-        out[rows[ok]] = x[ok]
+        s = _kuhn_locate(tri, x[rows])
+        w, x[rows] = _pull_back(table, y[rows], s)
+        ok = (w > table.margin[s]).all(axis=1)
         done[rows[ok]] = True
-        rows, x = rows[~ok], x[~ok]
-    return out, done
+        rows = rows[~ok]
+    return x, done
 
 
 def _first_containing(f, y):
@@ -435,6 +437,21 @@ def _first_containing(f, y):
     return x, found
 
 
+def _pull_back_rows(f, y):
+    """Inverse images of the rows ``y``: the walk's where it certifies a
+    row (on a boundary-fixed map), the search's elsewhere."""
+    if f.boundary_fixed:
+        x, found = _walk(f.triangulation, _inverse_table(f), y)
+    else:
+        x, found = np.empty_like(y), np.zeros(y.shape[0], dtype=bool)
+    rest = np.flatnonzero(~found)
+    if rest.size:
+        x[rest], hit = _first_containing(f, y[rest])
+        if not hit.all():
+            raise OutOfDomainError(f"no image simplex contains point {y[rest[~hit][0]]!r}")
+    return x
+
+
 def pl_eval_inverse(f, pts):
     """Evaluate the inverse PL map at row points.
 
@@ -460,20 +477,13 @@ def pl_eval_inverse(f, pts):
     pts = as_points(pts, tri.dim)
     if np.any(f.determinants() <= 0.0):
         raise NotHomeomorphismError("map is not orientation-positive")
+    if not f.boundary_fixed:
+        return _pull_back_rows(f, pts)
+    outside = _outside_mask(tri, pts)
+    if not outside.any():
+        return _pull_back_rows(f, pts)
     out = pts.copy()
-    if f.boundary_fixed:
-        inside = np.flatnonzero(~_outside_mask(tri, pts))
-        x, found = _walk(tri, _inverse_table(f), pts[inside])
-    else:
-        inside = np.arange(pts.shape[0])
-        x, found = np.empty_like(pts), np.zeros(pts.shape[0], dtype=bool)
-    rest = np.flatnonzero(~found)
-    if rest.size:
-        y = pts[inside[rest]]
-        x[rest], hit = _first_containing(f, y)
-        if not hit.all():
-            raise OutOfDomainError(f"no image simplex contains point {y[~hit][0]!r}")
-    out[inside] = x
+    out[~outside] = _pull_back_rows(f, pts[~outside])
     return out
 
 
