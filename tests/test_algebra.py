@@ -232,3 +232,46 @@ class TestInverseNodes:
         batch = phi.apply(u)
         one = np.vstack([phi.apply(u[i : i + 1]) for i in range(500)])
         assert np.array_equal(one, batch[:500])
+
+
+def _layout_nodes():
+    """Every zoo entry, and one node of each constructor in n = 1 to 5
+    (affine alone in n = 1, PL in n = 2 and 3), with their inverses."""
+    nodes = list(map_zoo())
+    for dim in range(1, 6):
+        turn = rotation_matrix((0, 1), 0.7, dim) if dim > 1 else np.eye(1)
+        nodes.append(M.affine(turn @ np.diag(np.linspace(0.5, 2.0, dim)),
+                              np.linspace(-1.0, 1.0, dim)))
+        if dim == 1:
+            continue
+        twist = M.make_twist_disk_map(dim=dim, amplitude=0.6)
+        nodes += [M.radial_extension(M.make_latitude_sphere_map(0.6, dim=dim)),
+                  M.disk_replication(twist), M.translated_replication(uniform=twist),
+                  M.spiral_map(M.LogSpiralProfile(1.0, (0, 1), dim)),
+                  M.product_map(M.identity(1), M.affine(np.eye(dim - 1) * 2.0)),
+                  M.compose(M.disk_replication(twist),
+                            M.spiral_map(M.LogSpiralProfile(-0.5, (0, 1), dim)))]
+        if dim in (2, 3):
+            nodes.append(M.pl_homeomorphism(pl_twist_example(dim, 4 if dim == 2 else 2,
+                                                             0.2)))
+    return [node for m in nodes for node in (m, m.inverse())]
+
+
+LAYOUT_NODES = _layout_nodes()
+
+
+class TestMemoryLayout:
+    """A node's bits do not depend on the memory order of its rows: a
+    column-major batch, as the pair stream yields, evaluates as its
+    C-ordered copy does, in batches of many rows and of one."""
+
+    @pytest.mark.parametrize("idx", range(len(LAYOUT_NODES)))
+    def test_column_major_rows_evaluate_as_c_ordered(self, idx):
+        m = LAYOUT_NODES[idx]
+        rng = np.random.default_rng(idx)
+        pts = rng.normal(size=(SCALES.size, m.dim)) * SCALES[:, None]
+        for rows in (pts, pts[:1], pts[-1:]):
+            cols = np.asfortranarray(rows)
+            assert rows.flags.c_contiguous and cols.flags.f_contiguous
+            assert np.array_equal(m._eval(cols), m._eval(rows))
+            assert np.array_equal(m._displacement(cols), m._displacement(rows))

@@ -1,8 +1,11 @@
 """Tests for sampled bi-Lipschitz bounds, QI checks, covering radii,
 drift witnesses and graph length metrics."""
 
+import hashlib
+import json
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +385,81 @@ class TestPairFamilies:
             worst, ratios = est.distortion(lambda p: p, xs, ys)
             assert worst == 1.0 and np.all(ratios == 1.0)
             assert np.array_equal(xs, before[0]) and np.array_equal(ys, before[1])
+
+
+class TestPinnedStream:
+    """The sampled pair families keep their bits.
+
+    ``tests/data/pair_stream_digests.jsonl`` holds one line per case: the
+    sha256 of the C-ordered bytes of each output, over 2 _CHUNK + 100
+    pairs (three chunks of a stream), written by the commit before the
+    column-major pair chunks. The stream cases cover every witness rule
+    and both region kinds in n = 1 to 5; the others are the sphere-pair
+    draw, the equal-radius pairs and the cross-disk pairs.
+    """
+
+    N_PAIRS = 2 * est._CHUNK + 100
+    STREAMS = (
+        ("identity,box,n=1", lambda: M.identity(1), est.box((-2.0,), (3.0,))),
+        ("twist-replication,ball,n=2",
+         lambda: M.disk_replication(M.make_twist_disk_map(dim=2, amplitude=0.7)),
+         est.ball((0.0, 0.0), 300.0)),
+        ("radial,ball,n=3",
+         lambda: M.radial_extension(M.make_latitude_sphere_map(0.6, dim=3)),
+         est.ball((0.0,) * 3, 100.0)),
+        ("product,box,n=4",
+         lambda: M.product_map(M.radial_extension(M.make_latitude_sphere_map(0.5, dim=2)),
+                               M.spiral_map(M.LogSpiralProfile(1.0, (0, 1), 2))),
+         est.box((-3.0, -2.0, -1.0, 0.5), (1.0, 2.0, 4.0, 6.0))),
+        ("affine,ball,n=5",
+         lambda: M.affine(np.eye(5) + 0.1 * np.arange(25.0).reshape(5, 5) / 25.0,
+                          np.arange(5.0)),
+         est.ball((1.0, 0.0, -1.0, 0.0, 2.0), 7.0)),
+        ("log-spiral,annulus,n=2", lambda: M.spiral_map(M.LogSpiralProfile(1.0, (0, 1), 2)),
+         est.annulus((0.0, 0.0), 1e-3, 1e4)),
+    )
+
+    @staticmethod
+    def line(case, outputs):
+        """The JSON line of ``case``: the row count of the first output and
+        the sha256 of each output's C-ordered bytes; an output is an
+        array or a sequence of row chunks."""
+        digests, rows = [], None
+        for out in outputs:
+            parts = [out] if isinstance(out, np.ndarray) else list(out)
+            h = hashlib.sha256()
+            for part in parts:
+                h.update(part.tobytes())  # C order whatever the layout
+            digests.append(h.hexdigest())
+            rows = rows if rows is not None else sum(len(p) for p in parts)
+        return json.dumps({"case": case, "rows": rows, "sha256": digests}, sort_keys=True)
+
+    def stream_lines(self):
+        for case, build, region in self.STREAMS:
+            c = est.SamplerConfig(seed=5, region=region, n_pairs=self.N_PAIRS)
+            chunks = list(est._pair_chunks(build(), c, "pinned_stream"))
+            yield self.line(case, ([x for x, _ in chunks], [y for _, y in chunks]))
+
+    def sphere_line(self, monkeypatch):
+        # the chunks the sphere bound would reduce, collected instead
+        monkeypatch.setattr(est, "_lower_bound", lambda f, pairs, seed: list(pairs))
+        chunks = est.sphere_bilip_lower_bound(M.make_latitude_sphere_map(0.5, dim=3), 5,
+                                              self.N_PAIRS)
+        return self.line("sphere-pairs,n=3", ([x for x, _ in chunks], [y for _, y in chunks]))
+
+    def family_lines(self):
+        for n in (2, 3):
+            yield self.line(f"equal-radius,n={n}", est.equal_radius_pairs(
+                5, "pinned_equal_radius", n, self.N_PAIRS, np.log(0.1), np.log(3000.0)))
+        for n, n_disks in ((2, 5), (3, 2)):
+            m = M.disk_replication(M.make_twist_disk_map(dim=n))
+            yield self.line(f"cross-disk,n={n},disks={n_disks}", est.cross_disk_pairs(
+                5, "pinned_cross_disk", m, n_disks, self.N_PAIRS))
+
+    def test_digests_match_pinned_lines(self, monkeypatch):
+        path = Path(__file__).parent / "data" / "pair_stream_digests.jsonl"
+        lines = [*self.stream_lines(), *self.family_lines(), self.sphere_line(monkeypatch)]
+        assert lines == path.read_text().splitlines()
 
 
 class TestBilipLowerBound:
