@@ -5,12 +5,16 @@ global state, safe to call concurrently. Intended for dimensions up to
 about 16; there is no sparse or large-scale path.
 
 The row kernels (``row_dots``, ``row_norms``, ``row_broadcast``,
-``row_shift``) serve the (N, n) chunks of the pair streams, where n is
-small and N large. They work column by column, since numpy's reductions
-and broadcasts along a 2- or 3-wide axis run their inner loop once per
-row, and they reuse the arrays they allocate, since glibc returns a
-freed multi-megabyte temporary to the system and the next chunk faults
-its pages in again. Both change no bit of any result.
+``row_shift``, ``row_take``, ``row_put``) serve the (N, n) chunks of the
+pair streams, where n is small and N large. They work column by column,
+since numpy's reductions and broadcasts along a 2- or 3-wide axis run
+their inner loop once per row, and they reuse the arrays they allocate,
+since glibc returns a freed multi-megabyte temporary to the system and
+the next chunk faults its pages in again. They keep the memory order of
+their input: the pair streams yield column-major chunks, one contiguous
+array per coordinate, where a column is one pass over memory, and a
+result in the other order would be a transposing copy. None of this
+changes a bit of any result.
 """
 
 import numpy as np
@@ -103,19 +107,20 @@ def row_broadcast(op, v, s, out=None):
     """``op(v, s[:, None])`` for a binary ufunc ``op``, an (N, n) array
     or (n,) row ``v`` and an (N,) column ``s``, bit for bit, into
     ``out`` when given (an (N, n) array, which may be ``v``) or else a
-    fresh array.
+    fresh array in the memory order of an (N, n) ``v`` (C order for a
+    row).
 
     Against ``s[:, None]`` numpy runs its inner loop once per row over
-    only n elements; with 2 or 3 columns that costs 3 to 5 times one
-    pass per column over all N rows, which is what this does. ``out``
-    lets a caller write into an array it allocated itself: a chunk's
-    temporaries are a few MB, and glibc hands freed blocks of that size
-    back to the system, so every fresh one faults its pages in again.
-    Being elementwise, writing in place or by column changes no bit.
+    only n elements of a C-ordered array; with 2 or 3 columns that costs
+    3 to 5 times one pass per column over all N rows, which is what this
+    does. ``out`` lets a caller write into an array it allocated itself:
+    a chunk's temporaries are a few MB, and glibc hands freed blocks of
+    that size back to the system, so every fresh one faults its pages in
+    again. Being elementwise, writing in place or by column changes no bit.
     """
     n = v.shape[-1]
     if out is None:
-        out = np.empty((s.shape[0], n), dtype=np.result_type(v, s))
+        out = np.empty_like(v, dtype=np.result_type(v, s), shape=(s.shape[0], n))
     for i in range(n):
         op(v[..., i], s, out=out[:, i])
     return out
@@ -133,6 +138,26 @@ def row_shift(op, rows, s, w):
         np.multiply(s, wi, out=term)
         op(rows[:, i], term, out=rows[:, i])
     return rows
+
+
+def row_take(v, rows):
+    """``v[rows]`` for an (N, n) array ``v`` and an index array ``rows``,
+    bit for bit, in the memory order of ``v``: a column-major ``v``
+    gathers each column, where ``v[rows]`` would return C-ordered rows,
+    a transposing copy several times slower."""
+    if v.flags.f_contiguous:
+        return np.take(v.T, rows, axis=1).T
+    return np.take(v, rows, axis=0)
+
+
+def row_put(out, rows, v):
+    """``out[rows] = v`` for an (N, n) array ``out``, an index array
+    ``rows`` and (len(rows), n) rows ``v``, one column at a time: a 1-d
+    scatter per column is 2 to 3 times faster than a scatter of rows
+    whatever the memory order, and the copy changes no bit."""
+    for col, vals in zip(out.T, v.T):
+        col[rows] = vals
+    return out
 
 
 # =====================================================================

@@ -22,14 +22,24 @@ cross-disk pairs) and reduced by ``_running_max`` under one
 degenerate-pair floor; ``verify`` draws and reduces none itself.
 Witness rows follow one rule per construction and stay in the region.
 
+Points are column-major: a sampler builds its (N, n) points as one
+contiguous array per coordinate (``order="F"``, the transposed view of
+an (n, N) array), writes each family's rows into them one coordinate at
+a time (``core.row_put``) and gathers rows the same way
+(``core.row_take``). The nodes keep their input's memory order, so no
+chunk is copied into rows and back. Every step is elementwise or per
+row, so the layout changes no bit.
+
 The chunked samplers (the pair stream and the sphere pairs) read ahead:
 one worker thread draws chunk i + 1 while the caller evaluates and
-reduces chunk i (``_read_ahead``). The worker only draws (uniforms,
-directions, region points, witness rows) and never calls a node's
-``_eval`` or ``apply``; evaluation and reduction stay on the calling
-thread. Values and order cannot change: the worker runs one draw at a
-time, in chunk order, so the generator advances row after row exactly as
-a single thread would, and the chunk size moves no row.
+reduces chunk i (``_read_ahead``). The worker only draws: uniforms,
+directions and region points, and for the pair stream the global and
+local rows and the gathered uniforms of the witness rows. It touches no
+node. The caller computes the witness rows, which read a node's
+construction, before it evaluates and reduces the chunk. Values and
+order cannot change: the worker runs one draw at a time, in chunk order,
+so the generator advances row after row exactly as a single thread
+would, and the chunk size moves no row.
 
 scipy is imported on first use, by ``c_density`` and the graph metrics
 only, so the rest of the package loads and runs on numpy alone.
@@ -41,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import maps as M
-from .core import as_points, as_vector, row_dots, row_norms
+from .core import as_points, as_vector, row_dots, row_norms, row_put, row_take
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -78,6 +88,8 @@ def _normals(u):
 
 
 def _unit_rows(v):
+    """The rows of ``v`` divided by their norms (a zero row stays zero),
+    in the memory order of ``v``."""
     nrm = row_norms(v)
     nrm = np.where(nrm == 0.0, 1.0, nrm)
     return v / nrm[:, None]
@@ -91,7 +103,8 @@ def _direction_width(n):
 def _directions(u, n):
     """Unit directions in R^n, uniform on the sphere, one per column of
     the uniform block ``u`` (shape (k, count), k >= _direction_width(n);
-    only the first _direction_width(n) rows are read).
+    only the first _direction_width(n) rows are read), as the (count, n)
+    view of an (n, count) array: one contiguous array per coordinate.
 
     n = 1: the sign of u0 - 1/2. n = 2: the angle pi (2 u0 - 1). n = 3:
     Archimedes' projection, z = 2 u0 - 1 and the angle pi (2 u1 - 1).
@@ -99,7 +112,7 @@ def _directions(u, n):
     normalised.
     """
     if n == 1:
-        return np.where(u[0] < 0.5, -1.0, 1.0)[:, None]
+        return np.where(u[0] < 0.5, -1.0, 1.0)[None].T
     if n > 3:
         return _unit_rows(_normals(u[: n + n % 2])[:n].T)
     out = np.empty((n, u.shape[1]))  # filled by coordinate, returned transposed
@@ -159,8 +172,8 @@ class BoxRegion:
         return float((np.asarray(self.hi) - np.asarray(self.lo)).max() / 2.0)
 
     def sample(self, u):
-        """Points from a block of uniform columns (one point per column):
-        coordinate i is uniform on [lo_i, hi_i] from row i."""
+        """Points from a block of uniform columns (one point per column,
+        column-major): coordinate i is uniform on [lo_i, hi_i] from row i."""
         lo, hi = np.asarray(self.lo), np.asarray(self.hi)
         return lo + u[: self.dim].T * (hi - lo)
 
@@ -195,9 +208,9 @@ class AnnulusRegion:
         return float(self.outer)
 
     def sample(self, u):
-        """Points from a block of uniform columns (one point per column):
-        a unit direction from the leading rows, the radius (uniform in
-        volume between the radii) from the last."""
+        """Points from a block of uniform columns (one point per column,
+        column-major): a unit direction from the leading rows, the radius
+        (uniform in volume between the radii) from the last."""
         n = self.dim
         q = (self.inner / self.outer) ** n  # never forms outer ** n, which may overflow
         r = self.outer * (q + u[-1] * (1.0 - q)) ** (1.0 / n)
@@ -287,7 +300,10 @@ def equal_radius_pairs(seed, op_name, dim, count, log_lo, log_span):
 
 def cross_disk_pairs(seed, op_name, m, n_disks, count):
     """Pairs of the stream ``op_name``, one point uniform in disk i and the
-    other in disk j != i, among the first ``n_disks`` disks of node ``m``."""
+    other in disk j != i, among the first ``n_disks`` disks of node ``m``;
+    fewer than two disks hold no such pair and are refused."""
+    if n_disks < 2:
+        raise InvalidPointError(f"cross-disk pairs need two disks or more, got {n_disks}")
     n = m.dim
     k = _direction_width(n) + 1
     u = _uniform_block(_op_rng(seed, op_name), count, 2 * k + 2)
@@ -346,8 +362,8 @@ def _witness_pairs(m, region, a, b, w1, w2):
         offset = np.zeros_like(x)
         left = np.flatnonzero(w1 < 0.5)
         right = np.flatnonzero(w1 >= 0.5)
-        offset[left, :k] = _directions(b[:, left], k)
-        offset[right, k:] = _directions(b[:, right], n - k)
+        row_put(offset[:, :k], left, _directions(b[:, left], k))
+        row_put(offset[:, k:], right, _directions(b[:, right], n - k))
         return x, x + h[:, None] * offset
     # default: multi-scale local pairs
     x = region.sample(a)
@@ -381,21 +397,23 @@ def _read_ahead(draw, total):
 
 def _pair_chunks(m, cfg, op_name):
     """Yield (x, y) chunks of the deterministic pair stream, each drawn
-    one chunk ahead on a worker thread (see _read_ahead).
+    one chunk ahead on a worker thread (see _read_ahead), as (N, n)
+    column-major arrays.
 
     Pair i reads row i of a fixed-width block of uniforms: the family
     selector, the blocks of its two points (k = _direction_width(n) + 1
     uniforms each, which ``region.sample`` reads), then three free
     uniforms. Global, local and witness pairs are each computed on
-    their own rows only, from a gather of the uniforms they read. A
-    witness pair with a point outside the region is replaced by the
-    global pair of its own row, so every witness pair lies in the region.
+    their own rows only, from a gather of the uniforms they read, and
+    written into x and y one coordinate at a time. A witness pair with a
+    point outside the region is replaced by the global pair of its own
+    row, so every witness pair lies in the region.
 
-    The rule for ``draw``, which runs on the worker: it only draws
-    (uniforms, directions, ``region.sample`` and ``contains``, and
-    ``_witness_pairs``, which reads a node's disk geometry through
-    ``disk_count`` and ``disk_points``) and calls no node's ``_eval`` or
-    ``apply``, so every evaluation, and every span a caller-side tracer
+    The worker draws the uniforms and the global and local rows, and
+    hands over the witness rows' gathered uniforms; the caller computes
+    the witness rows (``_witness_pairs``, which reads the node's
+    construction) and their region fallback. So the worker touches no
+    node, and every node call, and every span a caller-side tracer
     opens, stays on the calling thread. The stream's one generator
     advances in row order whatever the chunk size, so values and order
     are those of a single-threaded draw.
@@ -415,30 +433,33 @@ def _pair_chunks(m, cfg, op_name):
         # no family reads the last column; it keeps global and local rows as they were
         u = _uniform_block(rng, count, 1 + 2 * k + 3)
         cat = u[0]
-        x = np.empty((count, n))
-        y = np.empty((count, n))
+        x = np.empty((count, n), order="F")
+        y = np.empty((count, n), order="F")
 
         rows = np.flatnonzero(cat < g_frac)
         v = np.take(u[1 : 1 + 2 * k], rows, axis=1)
-        x[rows] = region.sample(v[a])
-        y[rows] = region.sample(v[b])
+        row_put(x, rows, region.sample(v[a]))
+        row_put(y, rows, region.sample(v[b]))
 
         rows = np.flatnonzero((cat >= g_frac) & (cat < g_frac + l_frac))
         v = np.take(u[1 : 2 + 2 * k], rows, axis=1)
-        x[rows] = xl = region.sample(v[a])
+        xl = region.sample(v[a])
+        row_put(x, rows, xl)
         h = _LOCAL_SCALE * region.scale * (0.5 + v[-1])
-        y[rows] = xl + h[:, None] * _directions(v[b], n)
+        row_put(y, rows, xl + h[:, None] * _directions(v[b], n))
 
         rows = np.flatnonzero(cat >= g_frac + l_frac)
-        v = np.take(u[1:], rows, axis=1)
-        xw, yw = _witness_pairs(m, region, v[a], v[b], v[-3], v[-2])
-        out = np.flatnonzero(~(region.contains(xw) & region.contains(yw)))
-        xw[out] = region.sample(v[a][:, out])
-        yw[out] = region.sample(v[b][:, out])
-        x[rows], y[rows] = xw, yw
-        return x, y
+        return x, y, rows, np.take(u[1:], rows, axis=1)
 
-    yield from _read_ahead(draw, cfg.n_pairs)
+    for x, y, rows, v in _read_ahead(draw, cfg.n_pairs):
+        xw, yw = _witness_pairs(m, region, v[a], v[b], v[-3], v[-2])
+        row_put(x, rows, xw)
+        row_put(y, rows, yw)
+        out = np.flatnonzero(~(region.contains(xw) & region.contains(yw)))
+        if out.size:
+            row_put(x, rows[out], region.sample(v[a][:, out]))
+            row_put(y, rows[out], region.sample(v[b][:, out]))
+        yield x, y
 
 
 # =====================================================================
@@ -576,10 +597,11 @@ def sphere_bilip_lower_bound(phi, seed, n_pairs):
 
     def draw(count):
         xu, yu, sel, hraw = _direction_pairs(rng, phi.dim, count)
-        local = sel < 0.5
+        local = np.flatnonzero(sel < 0.5)
         # tangential offsets from 1e-1 to 1e-4 on half the pairs
-        _, yu[local] = _tangential_pairs(xu[local], yu[local], 1.0,
-                                         10.0 ** (-1.0 - 3.0 * hraw[local]))
+        _, yl = _tangential_pairs(row_take(xu, local), row_take(yu, local), 1.0,
+                                  10.0 ** (-1.0 - 3.0 * hraw[local]))
+        row_put(yu, local, yl)
         return xu, yu
 
     return _lower_bound(phi.apply, _read_ahead(draw, n_pairs), seed)

@@ -64,7 +64,9 @@ from .core import (
     row_broadcast,
     row_dots,
     row_norms,
+    row_put,
     row_shift,
+    row_take,
 )
 from .errors import (
     DimensionMismatchError,
@@ -114,14 +116,17 @@ def _row_products(pts, matrix):
 
 def _rows_where(mask):
     """A row mask as an index: a slice when it holds every row, so that
-    gathers and scatters through it are views, not copies."""
-    return slice(None) if mask.all() else mask
+    gathers and scatters through it are views, not copies, and else the
+    index of its rows, which gathers faster than the mask."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
-def _rotate_columns(out, i, j, cos_a, sin_a):
-    """Rotate coordinate columns (i, j) in place by per-row angles."""
-    xi, xj = out[:, i], out[:, j]
-    out[:, i], out[:, j] = cos_a * xi - sin_a * xj, sin_a * xi + cos_a * xj
+def _rotate_columns(out, i, j, cos_a, sin_a, rows=slice(None)):
+    """Rotate coordinate columns (i, j) of the rows ``rows`` (a slice or
+    an index) in place by per-row angles: only those two columns are
+    gathered and scattered, one coordinate at a time."""
+    xi, xj = out[rows, i], out[rows, j]
+    out[rows, i], out[rows, j] = cos_a * xi - sin_a * xj, sin_a * xi + cos_a * xj
 
 
 class _Composition:
@@ -295,7 +300,8 @@ class LatitudeSphereMap(SphereMap):
         # summed per row, so a row's bits do not depend on its batch
         c = row_dots(units, self._unit)
         np.clip(c, -1.0, 1.0, out=c)
-        tang = row_broadcast(np.multiply, self._unit, c)  # c times the axis
+        tang = row_broadcast(np.multiply, self._unit, c,  # c times the axis
+                             out=np.empty_like(units))
         np.subtract(units, tang, out=tang)
         s = row_norms(tang)
         polar = s < 1e-12
@@ -450,14 +456,12 @@ class TwistDiskMap(DiskMap):
     def apply(self, pts):
         r = row_norms(pts)
         ang = self.profile(r)
-        out = pts.copy()
+        out = pts.copy(order="K")
         active = ang != 0.0
         if active.any():
             active = _rows_where(active)
-            i, j = self.plane
-            sub = out[active]
-            _rotate_columns(sub, i, j, np.cos(ang[active]), np.sin(ang[active]))
-            out[active] = sub
+            ang = ang[active]
+            _rotate_columns(out, *self.plane, np.cos(ang), np.sin(ang), active)
         return out
 
     def inverse(self):
@@ -486,7 +490,7 @@ class PLDiskMap(_PLNode, DiskMap):
         u = pts / self.scale + self.center
         # strict: anything outside the open box passes through exactly
         inside = ((u > tri.lo) & (u < tri.hi)).all(axis=1)
-        out = pts.copy()
+        out = pts.copy(order="K")
         if inside.any():
             out[inside] = (self._pl_eval(u[inside]) - self.center) * self.scale
         return out
@@ -586,9 +590,8 @@ class _PlaneAngleProfile(SpiralProfile):
 
     def rotate(self, radii, pts):
         ang = self.angle(radii)
-        out = pts.copy()
-        i, j = self.plane
-        _rotate_columns(out, i, j, np.cos(ang), np.sin(ang))
+        out = pts.copy(order="K")
+        _rotate_columns(out, *self.plane, np.cos(ang), np.sin(ang))
         return out
 
     def matrix(self, t):
@@ -709,7 +712,7 @@ class IdentityMap(MapExpr):
         self.lambda_claimed = 1.0
 
     def _eval(self, pts):
-        return pts.copy()
+        return pts.copy(order="K")
 
     def _displacement(self, pts):
         return np.zeros_like(pts)
@@ -776,11 +779,12 @@ class RadialExtensionMap(MapExpr):
         if nz.all():  # the usual case: the image rows are the whole result
             u = row_broadcast(np.divide, pts, r)
             return self._scaled_image(u, r, displacement)
-        out = np.zeros_like(pts) if displacement else pts.copy()
+        out = np.zeros_like(pts) if displacement else pts.copy(order="K")
         if nz.any():
-            u, rn = pts[nz], r[nz]
+            rows = np.flatnonzero(nz)
+            u, rn = row_take(pts, rows), r[rows]
             row_broadcast(np.divide, u, rn, out=u)
-            out[nz] = self._scaled_image(u, rn, displacement)
+            row_put(out, rows, self._scaled_image(u, rn, displacement))
         return out
 
     def _scaled_image(self, u, r, displacement):
@@ -820,25 +824,26 @@ class _Replication(MapExpr):
         the disk's unit coordinates (x - c e1) / s, one call per disk
         map; other rows pass through. With ``displacement`` the image
         minus the input, computed at the disk's own scale. The gathered
-        rows are a copy, which holds each step's result in turn."""
+        rows are a copy in the memory order of ``pts``, which holds each
+        step's result in turn."""
         j = self._locate(pts)
         e1 = unit_axis(self.dim)
-        out = np.zeros_like(pts) if displacement else pts.copy()
+        out = np.zeros_like(pts) if displacement else pts.copy(order="K")
         for g, rows in self._groups(j):
             if rows.size == 0:
                 continue
             if inverse:
                 g = g.inverse()
             c, s = self._disk(j[rows])
-            local = row_shift(np.subtract, pts[rows], c, e1)
+            local = row_shift(np.subtract, row_take(pts, rows), c, e1)
             row_broadcast(np.divide, local, s, out=local)
             moved = g.apply(local)
             if displacement:
-                out[rows] = row_broadcast(
-                    np.multiply, np.subtract(moved, local, out=local), s, out=local)
+                row_put(out, rows, row_broadcast(
+                    np.multiply, np.subtract(moved, local, out=local), s, out=local))
             else:
-                out[rows] = row_shift(
-                    np.add, row_broadcast(np.multiply, moved, s, out=local), c, e1)
+                row_put(out, rows, row_shift(
+                    np.add, row_broadcast(np.multiply, moved, s, out=local), c, e1))
         return out
 
     def _eval(self, pts):
@@ -873,8 +878,12 @@ class DiskReplicationMap(_Replication):
 
     @staticmethod
     def _disk(j):
-        s = np.ldexp(1.0, j)  # 2^j; the centre 4^j = s^2 (0 for j = 0) is exact
-        return np.where(j > 0, s * s, 0.0), s
+        # 2^j, exact; numpy's ldexp is vectorised for int32 exponents only,
+        # and an exponent past +-1100 gives inf or 0 as its clipped value does
+        s = np.ldexp(1.0, np.clip(j, -1100, 1100).astype(np.int32))
+        c = s * s  # the centre 4^j, exact, and 0 for the unit disk j = 0
+        c[j <= 0] = 0.0
+        return c, s
 
     @staticmethod
     def disk_count(radius):
@@ -991,13 +1000,20 @@ class ProductMap(MapExpr):
         k = self.left.dim
         return pts[:, :k], pts[:, k:]
 
-    def _eval(self, pts):
+    def _join(self, pts, method):
+        """The rows of ``method`` on each factor side by side, in the
+        memory order of ``pts``."""
         x, y = self._split(pts)
-        return np.hstack([self.left._eval(x), self.right._eval(y)])
+        out = np.empty_like(pts)
+        out[:, : self.left.dim] = getattr(self.left, method)(x)
+        out[:, self.left.dim :] = getattr(self.right, method)(y)
+        return out
+
+    def _eval(self, pts):
+        return self._join(pts, "_eval")
 
     def _displacement(self, pts):
-        x, y = self._split(pts)
-        return np.hstack([self.left._displacement(x), self.right._displacement(y)])
+        return self._join(pts, "_displacement")
 
     def inverse(self):
         return ProductMap(self.left.inverse(), self.right.inverse())
@@ -1023,9 +1039,10 @@ class SpiralMap(MapExpr):
         nz = r > 0.0
         if nz.all():  # the rotated rows are a fresh array already
             return self.profile.rotate(r, pts)
-        out = pts.copy()
+        out = pts.copy(order="K")
         if nz.any():
-            out[nz] = self.profile.rotate(r[nz], pts[nz])
+            rows = np.flatnonzero(nz)
+            row_put(out, rows, self.profile.rotate(r[rows], row_take(pts, rows)))
         return out
 
     def inverse(self):

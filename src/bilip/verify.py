@@ -119,7 +119,9 @@ def verify_radial_bound(phi, cfg, sphere_pairs=200_000):
 def verify_replication_constant(g, cfg):
     """The replication of a disk map with constant lambda =
     ``g.lambda_claimed`` must show no distortion above lambda, including
-    across disks. A disk map without a claim raises ConfigError."""
+    across disks; a region within reach of one disk has no cross-disk
+    pairs, and ``cross_disk_max_ratio`` reads None. A disk map without a
+    claim raises ConfigError."""
     t0 = time.perf_counter()
     claimed = g.lambda_claimed
     if claimed is None:
@@ -129,11 +131,14 @@ def verify_replication_constant(g, cfg):
 
     # dedicated cross-disk pairs: one point in disk i, the other in disk j != i
     n_disks = fmap.disk_count(cfg.region.scale)
-    x, y = E.cross_disk_pairs(cfg.seed, "verify_replication_cross_disk", fmap, n_disks,
-                              20_000)
-    cross_max, _ = E.distortion(fmap._eval, x, y)
+    cross_max = None
+    if n_disks >= 2:
+        x, y = E.cross_disk_pairs(cfg.seed, "verify_replication_cross_disk", fmap,
+                                  n_disks, 20_000)
+        cross_max, _ = E.distortion(fmap._eval, x, y)
 
-    passed = not (E.refutes(est.lambda_lower, claimed) or E.refutes(cross_max, claimed))
+    passed = not (E.refutes(est.lambda_lower, claimed)
+                  or cross_max is not None and E.refutes(cross_max, claimed))
     return Report(
         scenario="replication-constant",
         passed=passed,

@@ -203,14 +203,17 @@ class _Broken(Exception):
 
 
 def _record_thread(monkeypatch, owner, name, threads):
-    """Patch ``owner.name`` to add the id of each calling thread to ``threads``."""
+    """Patch ``owner.name`` (a function, a method or a static method) to
+    add the id of each calling thread to ``threads``."""
     fn = vars(owner)[name]
+    static = isinstance(fn, staticmethod)
+    call = fn.__func__ if static else fn
 
     def recorded(*args, **kwargs):
         threads.add(threading.get_ident())
-        return fn(*args, **kwargs)
+        return call(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, recorded)
+    monkeypatch.setattr(owner, name, staticmethod(recorded) if static else recorded)
 
 
 def _classes(base):
@@ -222,8 +225,9 @@ def _classes(base):
 
 class TestReadAhead:
     """The chunked samplers draw one chunk ahead on one worker thread:
-    the worker only draws, its errors reach the caller, and it ends with
-    its stream."""
+    the worker only draws uniforms and rows and touches no node, the
+    caller's errors and the worker's both come out of ``next()``, and the
+    worker ends with its stream."""
 
     N_PAIRS = 2 * est._CHUNK + 100  # three chunks, two hand-offs
 
@@ -234,14 +238,17 @@ class TestReadAhead:
                                                   c.seed, c.n_pairs),
     ], ids=["bilip", "qi", "sphere"])
     def test_nodes_run_on_the_callers_thread(self, monkeypatch, run):
+        # the witness rows read the replication's disks on the caller
         nodes, draws = set(), set()
-        for base, names in ((M.MapExpr, ("_eval", "_eval_inverse", "_displacement")),
+        for base, names in ((M.MapExpr, ("_eval", "_eval_inverse", "_displacement",
+                                         "disk_points", "disk_count")),
                             (M.SphereMap, ("apply",)), (M.DiskMap, ("apply",))):
             for cls in _classes(base):
                 for name in names:
                     if name in vars(cls):
                         _record_thread(monkeypatch, cls, name, nodes)
-        _record_thread(monkeypatch, est, "_two_point_stats", nodes)
+        for name in ("_two_point_stats", "_witness_pairs"):
+            _record_thread(monkeypatch, est, name, nodes)
         _record_thread(monkeypatch, est, "_uniform_block", draws)
         m = M.disk_replication(M.make_twist_disk_map(dim=2))
         run(m, cfg(radius=300.0, n_pairs=self.N_PAIRS))
@@ -268,23 +275,34 @@ class TestReadAhead:
             est.bilip_lower_bound(m, c)
         assert threading.active_count() == base
 
-    def test_a_draw_error_comes_out_of_next(self, monkeypatch):
+    def raise_on_second_chunk(self, monkeypatch, name):
+        """Make ``est.name`` raise on its second call, then ask the stream
+        for two chunks: the error comes out of the second ``next()``,
+        while the worker is drawing the third chunk, and it ends."""
         calls = []
-        witness = est._witness_pairs
+        fn = getattr(est, name)
 
         def second_raises(*args):
             calls.append(args)
             if len(calls) == 2:
-                raise _Broken("while drawing the second chunk")
-            return witness(*args)
+                raise _Broken(f"{name} on the second chunk")
+            return fn(*args)
 
-        monkeypatch.setattr(est, "_witness_pairs", second_raises)
+        monkeypatch.setattr(est, name, second_raises)
         base = threading.active_count()
         chunks = est._pair_chunks(M.identity(2), cfg(n_pairs=self.N_PAIRS), "read_ahead")
         next(chunks)
         with pytest.raises(_Broken):
             next(chunks)
         assert threading.active_count() == base
+
+    def test_a_draw_error_comes_out_of_next(self, monkeypatch):
+        # the witness rows of a chunk are drawn on the caller, after the
+        # worker hands the chunk over
+        self.raise_on_second_chunk(monkeypatch, "_witness_pairs")
+
+    def test_a_worker_error_comes_out_of_next(self, monkeypatch):
+        self.raise_on_second_chunk(monkeypatch, "_uniform_block")
 
     def test_dimension_mismatch_on_first_next(self):
         chunks = est._pair_chunks(M.identity(3), cfg(dim=2), "read_ahead")
@@ -364,6 +382,12 @@ class TestPairFamilies:
         x, y = est.cross_disk_pairs(seed, "verify_replication_cross_disk", m, n_disks, count)
         assert np.array_equal(x, m.disk_points(i, unit_ball.sample(u[:k])))
         assert np.array_equal(y, m.disk_points(j, unit_ball.sample(u[k : 2 * k])))
+
+    @pytest.mark.parametrize("n_disks", [0, 1])
+    def test_cross_disk_pairs_need_two_disks(self, n_disks):
+        m = M.disk_replication(M.make_twist_disk_map(dim=2))
+        with pytest.raises(InvalidPointError, match="two disks"):
+            est.cross_disk_pairs(11, "verify_replication_cross_disk", m, n_disks, 100)
 
     def test_distortion(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [5.0, 5.0]])

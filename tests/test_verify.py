@@ -71,6 +71,17 @@ class TestReplicationScenario:
         with pytest.raises(ConfigError):
             V.verify_replication_constant(g, small_cfg(radius=300.0))
 
+    @pytest.mark.parametrize("radius", [3.0, 5.0])
+    def test_one_disk_in_reach_has_no_cross_disk_pairs(self, radius):
+        # disk 1, D(4 e1, 2), reaches |x| = 6: below that the region
+        # holds the unit disk alone, and no pair lies in two disks
+        g = M.make_twist_disk_map(dim=2)
+        rep = V.verify_replication_constant(g, small_cfg(radius=radius))
+        assert rep.details == {"cross_disk_max_ratio": None, "disks_in_region": 1}
+        assert rep.passed and json.loads(rep.to_json())["details"]["cross_disk_max_ratio"] is None
+        g.lambda_claimed = 1.01
+        assert not V.verify_replication_constant(g, small_cfg(radius=radius)).passed
+
 
 class _NanSphereMap(M.SphereMap):
     dim = 2
