@@ -47,6 +47,7 @@ only, so the rest of the package loads and runs on numpy alone.
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
@@ -382,16 +383,17 @@ def _read_ahead(draw, total):
     runs beside the caller's work, so it only draws and calls no node
     method. An error raised while drawing comes out of the ``next()``
     that asks for its chunk; closing the stream waits for the chunk in
-    flight, and the worker ends.
+    flight, and the worker ends. A chunk is yielded without a reference
+    kept here, so the caller can free what it holds once used.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as worker:
         ahead = worker.submit(draw, min(_CHUNK, total))
         for start in range(_CHUNK, total, _CHUNK):
-            chunk = ahead.result()
+            done = [ahead.result()]
             ahead = worker.submit(draw, min(_CHUNK, total - start))
-            yield chunk
+            yield done.pop()
         yield ahead.result()
 
 
@@ -451,7 +453,9 @@ def _pair_chunks(m, cfg, op_name):
         rows = np.flatnonzero(cat >= g_frac + l_frac)
         return x, y, rows, np.take(u[1:], rows, axis=1)
 
-    for x, y, rows, v in _read_ahead(draw, cfg.n_pairs):
+    def finish(x, y, rows, v):
+        # on the caller: the witness rows read the node; their temporaries
+        # are freed before the chunk is evaluated
         xw, yw = _witness_pairs(m, region, v[a], v[b], v[-3], v[-2])
         row_put(x, rows, xw)
         row_put(y, rows, yw)
@@ -459,7 +463,9 @@ def _pair_chunks(m, cfg, op_name):
         if out.size:
             row_put(x, rows[out], region.sample(v[a][:, out]))
             row_put(y, rows[out], region.sample(v[b][:, out]))
-        yield x, y
+        return x, y
+
+    yield from starmap(finish, _read_ahead(draw, cfg.n_pairs))
 
 
 # =====================================================================
