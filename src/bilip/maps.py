@@ -6,7 +6,11 @@ many threads at once. A node never writes into the rows it is given or
 into an array another node returned to it; to keep a chunk's
 temporaries few, it writes in place only into arrays it allocated
 itself, and it broadcasts per-row scalars over columns one column at a
-time (``core.row_broadcast``, ``core.row_shift``). Each constructor
+time (``core.row_broadcast``, ``core.row_shift``). A node keeps the
+memory order of its rows: its copies and fresh arrays take that order,
+and it gathers and scatters rows one column at a time (``core.row_take``,
+``core.row_put``), so the pair streams' column-major chunks are never
+copied into C-ordered rows. Each constructor
 records the bi-Lipschitz constant its construction rule promises (when
 one is known) as ``lambda_claimed``; estimators treat those claims as
 hypotheses to falsify, never as trusted facts.
