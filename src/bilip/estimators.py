@@ -113,7 +113,7 @@ def _directions(u, n):
     normalised.
     """
     if n == 1:
-        return np.where(u[0] < 0.5, -1.0, 1.0)[None].T
+        return np.where(u[0] < 0.5, -1.0, 1.0)[:, None]
     if n > 3:
         return _unit_rows(_normals(u[: n + n % 2])[:n].T)
     out = np.empty((n, u.shape[1]))  # filled by coordinate, returned transposed
