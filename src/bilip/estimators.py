@@ -660,6 +660,12 @@ def qi_embedding_check(m, lam, eps, cfg, op_name="qi_embedding_check"):
 # =====================================================================
 
 def _region_grid(region, step, stagger):
+    """The points lo + offset + k * step of the region's bounding box
+    (offset half a step if ``stagger``) that lie in the region, in
+    row-major grid order, as a column-major (N, n) array. A box is the
+    product of its axes, so each axis is filtered alone and no point is
+    tested; any other region tests every point of the box with
+    ``contains``."""
     lo, hi = region.bounds()
     offset = 0.5 * step if stagger else 0.0
     axes = [np.arange(lo[a] + offset, hi[a] + step / 2, step) for a in range(len(lo))]
@@ -668,9 +674,31 @@ def _region_grid(region, step, stagger):
         raise InvalidPointError(f"grid of {total} points is beyond desk scale")
     if total == 0:
         raise EmptyRegionError("grid step larger than the region")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, len(lo))
-    return pts[region.contains(pts)]
+    is_box = isinstance(region, BoxRegion)
+    if is_box:
+        axes = [ax[(ax >= a) & (ax <= b)] for ax, a, b in zip(axes, lo, hi)]
+    shape = tuple(len(ax) for ax in axes)
+    pts = np.empty((len(axes), int(np.prod(shape)))).T
+    for col, coord in zip(pts.T, np.meshgrid(*axes, indexing="ij", sparse=True)):
+        col.reshape(shape)[...] = coord
+    return pts if is_box else row_take(pts, np.flatnonzero(region.contains(pts)))
+
+
+def _covering_within(images, targets, delta):
+    """The largest distance from a target to its nearest image, where
+    the k-d tree holds only the images in the targets' bounding box
+    widened by ``delta`` (1 + 1e-6), or every image for an infinite
+    ``delta``; +inf if no image is kept."""
+    from scipy.spatial import cKDTree
+
+    if np.isfinite(delta):
+        widen = delta * (1.0 + 1e-6)
+        lo, hi = targets.min(axis=0) - widen, targets.max(axis=0) + widen
+        images = row_take(images, np.flatnonzero(((images >= lo) & (images <= hi)).all(axis=1)))
+        if images.shape[0] == 0:
+            return np.inf
+    dist, _ = cKDTree(images).query(targets, k=1)
+    return float(dist.max())
 
 
 def c_density(m, region, grid_step):
@@ -680,9 +708,18 @@ def c_density(m, region, grid_step):
     Upper-bounds the covering gap of the sampled image up to the grid
     resolution. The domain grid is padded by the largest sampled
     displacement so images from outside the region can cover its edge.
-    """
-    from scipy.spatial import cKDTree
 
+    The k-d tree holds only the images within delta of the targets'
+    bounding box, delta first the grid cell's diagonal grid_step
+    sqrt(n). An image left out lies farther than delta from every
+    target along some axis, so if every target has an image within
+    delta, the tree holds each target's nearest image and the answer is
+    exact. Otherwise one second pass takes delta = the first answer (+inf
+    if the first tree was empty): no target's nearest image lies
+    farther, so that pass is exact too. The value equals that of a tree
+    over all images bit for bit; the box is widened by a further 1e-6
+    relative, so rounding in its bounds cannot drop a nearest image.
+    """
     if grid_step <= 0.0:
         raise InvalidPointError("grid_step must be positive")
     domain = _region_grid(region, grid_step, stagger=False)
@@ -695,9 +732,11 @@ def c_density(m, region, grid_step):
     sources = _region_grid(padded, grid_step, stagger=False)
     targets = _region_grid(region, grid_step, stagger=True)
     images = m._eval(sources)
-    tree = cKDTree(images)
-    dist, _ = tree.query(targets, k=1)
-    return float(dist.max())
+    delta = grid_step * np.sqrt(region.dim)
+    covering = _covering_within(images, targets, delta)
+    if covering > delta:
+        covering = _covering_within(images, targets, covering)
+    return covering
 
 
 # =====================================================================
@@ -815,7 +854,13 @@ def spiral_drift_witnesses(p, count):
 # =====================================================================
 
 def dijkstra(*args, **kwargs):
-    """``scipy.sparse.csgraph.dijkstra``, imported on first call."""
+    """``scipy.sparse.csgraph.dijkstra``, imported on first call.
+
+    The graph metrics search ``neighbor_graph``'s output with
+    ``directed=True``: it is symmetric, so the undirected mode would
+    only add its transpose and relax every edge twice. Each edge
+    offers the same candidate sums either way, and float addition is
+    monotone, so the distances are the same bits."""
     from scipy.sparse.csgraph import dijkstra as run
 
     return run(*args, **kwargs)
@@ -838,7 +883,8 @@ def check_positive(name, value):
 
 
 def neighbor_graph(cloud, eps):
-    """Symmetric eps-neighborhood graph with Euclidean edge weights.
+    """Symmetric eps-neighborhood graph with Euclidean edge weights, as
+    CSR; both directions of an edge carry the same weight.
 
     Raises on an eps that is not finite and > 0 or a disconnected graph.
     """
@@ -871,10 +917,12 @@ def neighbor_graph(cloud, eps):
 def geodesic_estimate(cloud, eps, i, j, graph=None):
     """Shortest-path length between cloud points i and j in the
     eps-neighborhood graph; always >= the chordal distance and
-    converges to the length metric as the cloud densifies."""
+    converges to the length metric as the cloud densifies. A given
+    ``graph`` must be ``neighbor_graph(cloud, eps)``, which is searched
+    as directed (see ``dijkstra``)."""
     pts = as_points(cloud)
     g = neighbor_graph(pts, eps) if graph is None else graph
-    dist = dijkstra(g, directed=False, indices=[i])
+    dist = dijkstra(g, directed=True, indices=[i])
     d = float(dist[0, j])
     if not np.isfinite(d):
         raise DisconnectedCloudError(f"no path between {i} and {j}")
@@ -884,7 +932,9 @@ def geodesic_estimate(cloud, eps, i, j, graph=None):
 def metric_equivalence_ratio(cloud, eps, n_pairs, seed, graph=None):
     """Max over sampled pairs of (graph length / chord): a sampled
     lower bound for the constant making the intrinsic and ambient
-    metrics bi-Lipschitz equivalent."""
+    metrics bi-Lipschitz equivalent. A given ``graph`` must be
+    ``neighbor_graph(cloud, eps)``, which is searched as directed (see
+    ``dijkstra``)."""
     if n_pairs < 1:
         raise InvalidPointError(f"n_pairs must be >= 1, got {n_pairs}")
     pts = as_points(cloud)
@@ -895,7 +945,7 @@ def metric_equivalence_ratio(cloud, eps, n_pairs, seed, graph=None):
     per_source = max(n_pairs // n_sources, 1)
     sources = rng.integers(0, n, size=n_sources)
     targets = rng.integers(0, n, size=(n_sources, per_source))
-    dist = dijkstra(g, directed=False, indices=sources)
+    dist = dijkstra(g, directed=True, indices=sources)
     best = 1.0
     for row, src in enumerate(sources):
         tgt = targets[row]

@@ -457,10 +457,11 @@ def verify_metric_equivalence(kind, n_points, eps, n_pairs, seed):
     ratio = E.metric_equivalence_ratio(cloud, eps, n_pairs, seed, graph=graph)
 
     # spot-check delta >= d on explicit pairs, including an antipodal one, in
-    # one search from the pairs' first points and point 0 (the graph is connected)
+    # one search from the pairs' first points and point 0 (the graph is connected
+    # and symmetric, so searched as directed: see E.dijkstra)
     rng = E._op_rng(seed, "verify_metric_delta_ge_d")
     idx = rng.integers(0, n_points, size=(64, 2))
-    dist = E.dijkstra(graph, directed=False, indices=np.append(idx[:, 0], 0))
+    dist = E.dijkstra(graph, directed=True, indices=np.append(idx[:, 0], 0))
     undercut = 0.0
     for row, (i, j) in enumerate(idx):
         if i != j:

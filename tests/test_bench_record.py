@@ -1,8 +1,10 @@
 """The comparison that ``tools/bench_record.py`` prints, on a synthetic
-record, and the usage it records per run: no benchmark runs here."""
+record, the usage it records per run and the clone it measures the
+change in: no benchmark runs here."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,3 +137,29 @@ class TestUsage:
         assert summary["job_s.p50_by_kind"] == {
             "median": {"2d": 0.02, "3d": 0.05},
             "runs": {"2d": [0.02, 0.01, 0.03], "3d": [0.05, 0.04, 0.06]}}
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
+
+
+class TestCloneHead:
+    def test_clone_holds_the_head_commit_alone(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "src").mkdir(parents=True)
+        _git(tmp_path, "init", "--quiet", str(repo))
+        (repo / "src" / "a.py").write_text("A = 1\n")
+        _git(repo, "add", "-A")
+        _git(repo, "commit", "--quiet", "-m", "first")
+        (repo / "src" / "a.py").write_text("A = 2\n")
+        _git(repo, "commit", "--quiet", "-am", "second")
+        _git(repo, "checkout", "--quiet", "HEAD~1")  # a detached HEAD is cloned as itself
+        (repo / "src" / "a.py").write_text("A = 3\n")  # uncommitted
+        (repo / "src" / "left.pyc").write_text("x")  # untracked
+        clone = bench_record.clone_head(repo, tmp_path / "clone")
+        assert clone == tmp_path / "clone"
+        assert _git(clone, "rev-parse", "HEAD") == _git(repo, "rev-parse", "HEAD")
+        assert (clone / "src" / "a.py").read_text() == "A = 1\n"
+        assert not (clone / "src" / "left.pyc").exists()
+        assert bench_record.uncommitted(clone) == ""

@@ -704,6 +704,120 @@ class TestCDensity:
             est.c_density(M.identity(2), est.ball((0.0, 0.0), 0.1), 5.0)
 
 
+def _full_tree_c_density(m, region, step):
+    """``c_density`` with one k-d tree over every image of the padded grid."""
+    from scipy.spatial import cKDTree
+
+    domain = est._region_grid(region, step, stagger=False)
+    pad = float(np.linalg.norm(m._displacement(domain), axis=1).max() + 2.0 * step)
+    lo, hi = region.bounds()
+    sources = est._region_grid(est.box(lo - pad, hi + pad), step, stagger=False)
+    targets = est._region_grid(region, step, stagger=True)
+    dist, _ = cKDTree(m._eval(sources)).query(targets, k=1)
+    return float(dist.max())
+
+
+def _covering_passes(monkeypatch):
+    """The deltas of the tree searches that ``c_density`` runs."""
+    real, deltas = est._covering_within, []
+
+    def recording(images, targets, delta):
+        deltas.append(delta)
+        return real(images, targets, delta)
+
+    monkeypatch.setattr(est, "_covering_within", recording)
+    return deltas
+
+
+_RADIAL_2D = M.radial_extension(M.make_latitude_sphere_map(0.5, dim=2))
+_LOG_SPIRAL_2D = M.spiral_map(M.LogSpiralProfile(1.0, (0, 1), 2))
+_DENSITY_MAPS = {
+    "identity": M.identity(2),
+    "radial": _RADIAL_2D,
+    "log spiral": _LOG_SPIRAL_2D,
+    "twist replication": M.disk_replication(M.make_twist_disk_map(dim=2)),
+    "product": M.product_map(_RADIAL_2D, _LOG_SPIRAL_2D),
+}
+
+
+class TestPrunedCDensity:
+    """The tree over the images near the targets gives the full tree's
+    covering radius bit for bit, in one pass or, where some target's
+    nearest image lies beyond the grid cell's diagonal, in two."""
+
+    @pytest.mark.parametrize("step", [1.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(_DENSITY_MAPS))
+    def test_equals_a_tree_over_every_image(self, name, step, monkeypatch):
+        m = _DENSITY_MAPS[name]
+        region = est.ball((0.0,) * m.dim, 3.0 if m.dim == 4 else 4.0)
+        passes = _covering_passes(monkeypatch)
+        c = est.c_density(m, region, step)
+        assert c == _full_tree_c_density(m, region, step)
+        assert passes == [step * np.sqrt(m.dim)]  # every nearest image lies within delta
+
+    def test_product_scenario_value(self):
+        m = _DENSITY_MAPS["product"]
+        assert est.c_density(m, est.ball((0.0,) * 4, 3.0), 1.0) == 1.0176322112886071
+
+    @pytest.mark.parametrize("scale, expected", [(0.2, 2.7504545078950136),
+                                                 (3.0, 1.0606601717798212)])
+    def test_far_nearest_images_take_the_second_pass(self, scale, expected, monkeypatch):
+        # a contraction leaves the region's rim far from every image; a
+        # dilation spreads the images past the grid cell's diagonal
+        m, region = M.affine(scale * np.eye(2)), est.ball((0.0, 0.0), 5.0)
+        passes = _covering_passes(monkeypatch)
+        c = est.c_density(m, region, 0.5)
+        assert c == expected == _full_tree_c_density(m, region, 0.5)
+        assert passes == [0.5 * np.sqrt(2), expected]
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.0 + 1e-7])
+    def test_keeps_every_image_within_delta_along_an_axis(self, r):
+        # the box is widened by delta (1 + 1e-6): an image on its rim stays
+        targets, images = np.zeros((1, 2)), np.array([[-r, 0.0], [0.0, 3.0]])
+        assert est._covering_within(images, targets, 1.0) == r
+        assert est._covering_within(images, targets, 0.99 * r) == np.inf
+
+    def test_an_empty_first_tree_keeps_every_image(self):
+        images = np.array([[10.0, 10.0], [12.0, 9.0]])
+        targets = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert est._covering_within(images, targets, 1.0) == np.inf
+        assert est._covering_within(images, targets, np.inf) == np.hypot(10.0, 10.0)
+
+
+def _mesh_grid(region, step, stagger):
+    """Every point of the bounding box's grid, tested with ``contains``."""
+    lo, hi = region.bounds()
+    offset = 0.5 * step if stagger else 0.0
+    axes = [np.arange(lo[a] + offset, hi[a] + step / 2, step) for a in range(len(lo))]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+    return pts[region.contains(pts)]
+
+
+class TestRegionGrid:
+    @pytest.mark.parametrize("stagger", [False, True])
+    @pytest.mark.parametrize("region, step", [
+        (est.box((0.0,), (0.9,)), 0.5),
+        (est.box((-1.3, 0.2), (0.9, 2.45)), 0.5),
+        (est.box((-3.0, -2.0, 1.0), (2.0, 2.5, 1.7)), 0.3),
+        (est.box((-4.0,) * 4, (4.0,) * 4), 1.0),
+        (est.ball((0.5, -0.25), 3.0), 0.4),
+        (est.annulus((0.0, 0.0, 0.0), 1.0, 2.5), 0.5),
+    ])
+    def test_points_and_order_match_the_tested_mesh(self, region, step, stagger):
+        got = est._region_grid(region, step, stagger)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, _mesh_grid(region, step, stagger))
+
+    def test_refuses_a_grid_beyond_desk_scale(self):
+        with pytest.raises(InvalidPointError):
+            est._region_grid(est.box((0.0,) * 4, (50.0,) * 4), 1.0, stagger=False)
+
+    def test_refuses_an_empty_grid(self):
+        # the staggered start rounds onto the end: no axis point at all
+        with pytest.raises(EmptyRegionError):
+            est._region_grid(est.box((0.0, 0.0), (1.0, 1.0)), 1e20, stagger=True)
+
+
 class TestDriftProfile:
     def test_identity_bounded(self):
         rep = est.drift_profile(M.identity(2), np.ones((5, 2)), 1.0)
@@ -857,14 +971,28 @@ class TestGeodesicGraph:
 
         def counting(*args, **kwargs):
             out = real(*args, **kwargs)
-            sources.append(out.shape[0])
+            sources.append((out.shape[0], kwargs["directed"]))
             return out
 
         monkeypatch.setattr(est, "dijkstra", counting)
         cloud = est.circle_cloud(2000)
         assert est.metric_equivalence_ratio(cloud, 0.05, 400, 11) == 1.5690831108346024
         assert est.geodesic_estimate(cloud, 0.05, 0, 1000) == 3.141303592660183
-        assert sources == [20, 1]  # ceil(sqrt(400)) sources, then one
+        # ceil(sqrt(400)) sources, then one; the symmetric graph searched as directed
+        assert sources == [(20, True), (1, True)]
+
+    @pytest.mark.parametrize("cloud, eps", [
+        (est.circle_cloud(2000), 0.05),
+        (est.sphere_cloud(3000), 0.12),
+        (est.ellipse_cloud(2.0, 1.0, 2000), 0.05),
+    ], ids=["circle", "sphere", "ellipse"])
+    def test_directed_search_of_the_symmetric_graph_equals_undirected(self, cloud, eps):
+        g = est.neighbor_graph(cloud, eps)
+        assert (g != g.T).nnz == 0  # exactly symmetric: every weight both ways
+        sources = np.arange(0, cloud.shape[0], cloud.shape[0] // 16)
+        directed = est.dijkstra(g, directed=True, indices=sources)
+        assert np.isfinite(directed).all()
+        assert np.array_equal(directed, est.dijkstra(g, directed=False, indices=sources))
 
     def test_disconnected_cloud_raises(self):
         cloud = est.circle_cloud(100)

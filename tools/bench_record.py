@@ -6,11 +6,15 @@ Usage, from the root of a checkout::
 
 For each workload that ``BENCHMARK.json`` declares and each seed it
 runs ``python3 bench/run.py --workload W --seed S --seconds T --trace
-0``, with T the benchmark's ``run_seconds``, in this checkout and in
-the checkout at DIR (a clone of the parent commit). The two checkouts
-run one after the other on the same seed, and the one that goes first
-alternates from seed to seed, so a drift in host speed falls on both
-sides alike. Runs never overlap.
+0``, with T the benchmark's ``run_seconds``, in a fresh ``git clone
+--local`` of this checkout's HEAD (removed afterwards) and in the
+checkout at DIR (a clone of the parent commit). Both sides thus run
+from a clean clone: a working checkout, with its build and run
+leftovers, has read more minor page faults than a fresh clone of the
+same commit (1.5 times as many on ``pl`` in one record). The two checkouts run one after the
+other on the same seed, and the one that goes first alternates from
+seed to seed, so a drift in host speed falls on both sides alike. Runs
+never overlap.
 
 The record, written to ``BENCH_<N>.json`` at the root of this checkout,
 holds for each side the commit and, per workload, the median of every
@@ -47,6 +51,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +63,19 @@ def uncommitted(checkout):
     done = subprocess.run(["git", "status", "--porcelain", "--", "src", "bench"],
                           cwd=checkout, capture_output=True, text=True, check=True)
     return done.stdout.strip()
+
+
+def clone_head(checkout, dest):
+    """A fresh ``git clone --local`` of the commit at ``checkout``'s
+    HEAD, at ``dest``, without the checkout's uncommitted or untracked
+    files; returns ``dest``."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True, check=True).stdout.strip()
+    subprocess.run(["git", "clone", "--quiet", "--local", "--no-checkout", str(checkout),
+                    str(dest)], capture_output=True, check=True)
+    subprocess.run(["git", "checkout", "--quiet", "--detach", head], cwd=dest,
+                   capture_output=True, check=True)
+    return dest
 
 
 def run_counted(cmd, checkout):
@@ -131,6 +149,34 @@ def compare(record, end_to_end):
     return rows
 
 
+def measure(sides, workloads, seeds, seconds):
+    """Run every workload on every seed in both checkouts, the side
+    that goes first alternating from seed to seed; returns the result
+    lines, usages and job-kind medians per side and workload, the
+    commit of each side and the set of machine descriptions."""
+    results = {side: {w: [] for w in workloads} for side in sides}
+    usages = {side: {w: [] for w in workloads} for side in sides}
+    by_kind = {side: {w: [] for w in workloads} for side in sides}
+    commits = {}
+    machines = set()
+    for workload in workloads:
+        for k, seed in enumerate(seeds):
+            order = list(sides) if k % 2 == 0 else list(reversed(sides))
+            for side in order:
+                details, result, usage = run_bench(sides[side], workload, seed, seconds)
+                prov = details["provenance"]
+                by_kind[side][workload].append(details["job_s.p50_by_kind"])
+                commits[side] = prov["commit"]
+                machines.add(json.dumps({key: prov[key] for key in MACHINE}, sort_keys=True))
+                results[side][workload].append(result)
+                usages[side][workload].append(usage)
+                print(f"{workload} seed {seed} {side}: job_s.p50 "
+                      f"{result['metrics']['job_s.p50']['value']:.4f} s, "
+                      f"failed {result['failed']}/{result['attempted']}, "
+                      f"minflt {usage['minflt']}, sys {usage['sys_s']:.2f} s", file=sys.stderr)
+    return results, usages, by_kind, commits, machines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
@@ -147,26 +193,10 @@ def main(argv=None):
         if uncommitted(checkout):  # the record names the commit it measured
             sys.exit(f"bench_record: {side} checkout {checkout} has uncommitted changes "
                      f"under src/ or bench/")
-    results = {side: {w: [] for w in workloads} for side in sides}
-    usages = {side: {w: [] for w in workloads} for side in sides}
-    by_kind = {side: {w: [] for w in workloads} for side in sides}
-    commits = {}
-    machines = set()
-    for workload in workloads:
-        for k, seed in enumerate(args.seeds):
-            order = list(sides) if k % 2 == 0 else list(reversed(sides))
-            for side in order:
-                details, result, usage = run_bench(sides[side], workload, seed, seconds)
-                prov = details["provenance"]
-                by_kind[side][workload].append(details["job_s.p50_by_kind"])
-                commits[side] = prov["commit"]
-                machines.add(json.dumps({key: prov[key] for key in MACHINE}, sort_keys=True))
-                results[side][workload].append(result)
-                usages[side][workload].append(usage)
-                print(f"{workload} seed {seed} {side}: job_s.p50 "
-                      f"{result['metrics']['job_s.p50']['value']:.4f} s, "
-                      f"failed {result['failed']}/{result['attempted']}, "
-                      f"minflt {usage['minflt']}, sys {usage['sys_s']:.2f} s", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
+        sides["change"] = clone_head(ROOT, Path(tmp) / "change")
+        results, usages, by_kind, commits, machines = measure(sides, workloads,
+                                                              args.seeds, seconds)
     if len(machines) != 1:
         sys.exit(f"bench_record: runs disagree on the machine: {sorted(machines)}")
 
