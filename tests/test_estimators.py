@@ -755,10 +755,6 @@ class TestPrunedCDensity:
         assert c == _full_tree_c_density(m, region, step)
         assert passes == [step * np.sqrt(m.dim)]  # every nearest image lies within delta
 
-    def test_product_scenario_value(self):
-        m = _DENSITY_MAPS["product"]
-        assert est.c_density(m, est.ball((0.0,) * 4, 3.0), 1.0) == 1.0176322112886071
-
     @pytest.mark.parametrize("scale, expected", [(0.2, 2.7504545078950136),
                                                  (3.0, 1.0606601717798212)])
     def test_far_nearest_images_take_the_second_pass(self, scale, expected, monkeypatch):
