@@ -5,8 +5,12 @@ and of four ``bilip estimate --claim`` records, written by an earlier
 commit with their timing fields removed. A change that keeps the sample
 stream must reproduce them byte for byte; a change that alters a stream
 or a constant on purpose writes them again and says why.
+
+At the default 1e5 pairs, seeds 7 and 11, only the sha256 of each such
+line is pinned, in ``default_suite_pairs100000_sha256.jsonl``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -57,3 +61,11 @@ def test_reports_match_pinned_lines(tmp_path, capsys):
     for lines, name in ((suite_lines(), "default_suite_seed3_pairs20000.jsonl"),
                         (estimate_lines(tmp_path, capsys), "estimate_claims_seed5.jsonl")):
         assert lines == (DATA / name).read_text().splitlines(), name
+
+
+def test_default_suite_digests_at_default_pairs():
+    lines = [json.dumps({"scenario": rep.scenario, "seed": seed,
+                         "sha256": hashlib.sha256(_line(rep.to_dict()).encode()).hexdigest()},
+                        sort_keys=True)
+             for seed in (7, 11) for rep in V.default_suite(seed, 100_000)]
+    assert lines == (DATA / "default_suite_pairs100000_sha256.jsonl").read_text().splitlines()
