@@ -67,6 +67,16 @@ def _jsonable(x):
     return x
 
 
+def _bound_report(scenario, t0, est, claimed, passed, details):
+    """The report of a scenario started at ``t0`` and judged against
+    ``claimed`` on the sampled bound ``est``, a BilipEstimate or a
+    QiCheckResult."""
+    return Report(scenario=scenario, passed=passed, claimed=float(claimed),
+                  observed=est.lambda_lower, worst=E.worst_pair_record(est.worst_pair),
+                  n_samples=est.n_pairs_used, seed=est.seed,
+                  wall_time_ms=(time.perf_counter() - t0) * 1000.0, details=details)
+
+
 # =====================================================================
 # Scenario: radial extension bound
 # =====================================================================
@@ -95,21 +105,11 @@ def verify_radial_bound(phi, cfg, sphere_pairs=200_000):
     lam_sphere = max(lam_hat, E.distortion(phi.apply, xu, yu)[0])
 
     passed = not (E.refutes(est.lambda_lower, claimed) or E.refutes(eq_max, lam_sphere))
-    return Report(
-        scenario="radial-bound",
-        passed=passed,
-        claimed=claimed,
-        observed=est.lambda_lower,
-        worst=E.worst_pair_record(est.worst_pair),
-        n_samples=est.n_pairs_used,
-        seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        details={
-            "sphere_lambda_lower": lam_sphere,
-            "sphere_pairs": sphere_pairs,
-            "equal_radius_max_ratio": eq_max,
-        },
-    )
+    return _bound_report("radial-bound", t0, est, claimed, passed, {
+        "sphere_lambda_lower": lam_sphere,
+        "sphere_pairs": sphere_pairs,
+        "equal_radius_max_ratio": eq_max,
+    })
 
 
 # =====================================================================
@@ -139,17 +139,8 @@ def verify_replication_constant(g, cfg):
 
     passed = not (E.refutes(est.lambda_lower, claimed)
                   or cross_max is not None and E.refutes(cross_max, claimed))
-    return Report(
-        scenario="replication-constant",
-        passed=passed,
-        claimed=float(claimed),
-        observed=est.lambda_lower,
-        worst=E.worst_pair_record(est.worst_pair),
-        n_samples=est.n_pairs_used,
-        seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        details={"cross_disk_max_ratio": cross_max, "disks_in_region": n_disks},
-    )
+    return _bound_report("replication-constant", t0, est, claimed, passed,
+                         {"cross_disk_max_ratio": cross_max, "disks_in_region": n_disks})
 
 
 # =====================================================================
@@ -190,7 +181,13 @@ def verify_replication_drift(g, x0, count=40, threshold=1e6):
 # Scenario: homomorphism, restriction and monomorphism evidence
 # =====================================================================
 
-_HOM_KINDS = ("disk_replication", "translated_replication", "radial")
+# per homomorphism kind: its construction, and the composition of its two inputs
+_HOM_KINDS = {
+    "disk_replication": (M.disk_replication, M.compose_disk_maps),
+    "translated_replication": (lambda d: M.translated_replication(uniform=d),
+                               M.compose_disk_maps),
+    "radial": (M.radial_extension, M.compose_sphere_maps),
+}
 _DRIFT_COUNT = 30  # witnesses of the drift-class checks
 
 
@@ -204,23 +201,12 @@ def verify_homomorphism(kind, g, h, cfg, n_points=10_000):
     dimension 1 is refused with ConfigError before any sampling."""
     t0 = time.perf_counter()
     if kind not in _HOM_KINDS:
-        raise ConfigError(f"unknown homomorphism kind {kind!r}; pick from {_HOM_KINDS}")
+        raise ConfigError(f"unknown homomorphism kind {kind!r}; "
+                          f"pick from {tuple(_HOM_KINDS)}")
     if kind == "radial" and g.dim < 2:
         raise ConfigError(f"radial homomorphism needs dimension >= 2, got {g.dim}")
-
-    if kind == "radial":
-        build = M.radial_extension
-        composed_inner = M.compose_sphere_maps(g, h)
-    elif kind == "disk_replication":
-        build = M.disk_replication
-        composed_inner = M.compose_disk_maps(g, h)
-    else:
-        build = lambda d: M.translated_replication(uniform=d)  # noqa: E731
-        composed_inner = M.compose_disk_maps(g, h)
-
-    f_gh = build(composed_inner)
-    f_g = build(g)
-    f_h = build(h)
+    build, compose = _HOM_KINDS[kind]
+    f_gh, f_g, f_h = build(compose(g, h)), build(g), build(h)
 
     rng = E._op_rng(cfg.seed, "verify_homomorphism")
     n = g.dim
@@ -305,24 +291,14 @@ def verify_product_qi(f, f_params, g, g_params, cfg):
     density_ok = c_h <= c_bound
 
     passed = qi.passed and drift_err <= 1e-12 and density_ok
-    return Report(
-        scenario="product-qi",
-        passed=passed,
-        claimed=float(nu),
-        observed=qi.lambda_lower,
-        worst=E.worst_pair_record(qi.worst_pair),
-        n_samples=qi.n_pairs_used,
-        seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        details={
-            "eps_combined": float(eps + delta),
-            "drift_identity_error": drift_err,
-            "c_density_left": c_f,
-            "c_density_right": c_g,
-            "c_density_product": c_h,
-            "c_density_bound": float(c_bound),
-        },
-    )
+    return _bound_report("product-qi", t0, qi, nu, passed, {
+        "eps_combined": float(eps + delta),
+        "drift_identity_error": drift_err,
+        "c_density_left": c_f,
+        "c_density_right": c_g,
+        "c_density_product": c_h,
+        "c_density_bound": float(c_bound),
+    })
 
 
 # =====================================================================
@@ -369,21 +345,11 @@ def verify_spiral_bound(p, cfg):
             kernel_detail["verdict"] = "identity-limit"
 
     passed = not E.refutes(est.lambda_lower, claimed) and eq_worst <= 1e-9 and kernel_ok
-    return Report(
-        scenario="spiral-bound",
-        passed=passed,
-        claimed=claimed,
-        observed=est.lambda_lower,
-        worst=E.worst_pair_record(est.worst_pair),
-        n_samples=est.n_pairs_used,
-        seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        details={
-            "c_bound": p.c_bound,
-            "equal_radius_worst_deviation": eq_worst,
-            **kernel_detail,
-        },
-    )
+    return _bound_report("spiral-bound", t0, est, claimed, passed, {
+        "c_bound": p.c_bound,
+        "equal_radius_worst_deviation": eq_worst,
+        **kernel_detail,
+    })
 
 
 # =====================================================================
