@@ -9,6 +9,10 @@ bi-Lipschitz lower bounds against claimed upper bounds, quasi-isometry
 parameters, covering radii, and drift-to-identity witness sequences.
 """
 
+# set before the submodules load: verify reads it as TOOL_VERSION, and
+# pyproject.toml takes the package version from here
+__version__ = "0.1.0"
+
 from .core import (
     frobenius_norm,
     operator_norm,
@@ -96,5 +100,3 @@ from .verify import (
     verify_replication_drift,
     verify_spiral_bound,
 )
-
-__version__ = "0.1.0"

@@ -246,13 +246,10 @@ def _cmd_geodesic(args):
         warnings.simplefilter("ignore", UserWarning)  # numpy's: an empty file
         cloud = E.load_cloud_csv(args.cloud)
     n_points = cloud.shape[0]
-    if n_points < 2:
-        raise ConfigError(f"--cloud needs at least 2 points, got {n_points}")
+    E.check_metric_sizes(n_points, args.pairs)
     if args.pair is not None and not all(0 <= k < n_points for k in args.pair):
         raise ConfigError(f"--pair {args.pair[0]} {args.pair[1]} is out of range "
                           f"for a cloud of {n_points} points")
-    if args.pairs < 1:  # refused before a disconnected graph can exit 1
-        raise ConfigError(f"n_pairs must be >= 1, got {args.pairs}")
     eps = E.default_eps(cloud) if args.eps is None else args.eps
     E.check_positive("eps", eps)
 

@@ -659,6 +659,20 @@ def qi_embedding_check(m, lam, eps, cfg, op_name="qi_embedding_check"):
 # Covering radius (C-density)
 # =====================================================================
 
+DESK_SCALE = 4_000_000  # entries of the largest array one run may build
+
+
+def check_size(name, value, least=1, per_unit=1):
+    """Refuse a size ``value`` below ``least``, or one whose largest
+    array, of ``value * per_unit`` entries, would pass DESK_SCALE;
+    called before anything of that size is allocated."""
+    limit = DESK_SCALE // per_unit
+    if value < least:
+        raise InvalidPointError(f"{name} must be >= {least}, got {value}")
+    if value > limit:
+        raise InvalidPointError(f"{name} = {value} is beyond desk scale: at most {limit}")
+
+
 def _region_grid(region, step, stagger):
     """The points lo + offset + k * step of the region's bounding box
     (offset half a step if ``stagger``) that lie in the region, in
@@ -670,8 +684,7 @@ def _region_grid(region, step, stagger):
     offset = 0.5 * step if stagger else 0.0
     axes = [np.arange(lo[a] + offset, hi[a] + step / 2, step) for a in range(len(lo))]
     total = int(np.prod([len(ax) for ax in axes]))
-    if total > 4_000_000:
-        raise InvalidPointError(f"grid of {total} points is beyond desk scale")
+    check_size("grid points", total, least=0)
     if total == 0:
         raise EmptyRegionError("grid step larger than the region")
     is_box = isinstance(region, BoxRegion)
@@ -929,19 +942,30 @@ def geodesic_estimate(cloud, eps, i, j, graph=None):
     return d
 
 
+_MAX_SOURCES = 128  # of metric_equivalence_ratio's one Dijkstra search
+
+
+def check_metric_sizes(n_points, n_pairs):
+    """Refuse fewer than 2 points or 1 pair (before a disconnected graph
+    can fail the run), or sizes whose ``metric_equivalence_ratio`` tables
+    would pass desk scale: the pair targets (n_pairs entries) or the
+    distance table (up to _MAX_SOURCES rows of n_points)."""
+    check_size("pairs", n_pairs)
+    check_size("points", n_points, least=2, per_unit=_MAX_SOURCES)
+
+
 def metric_equivalence_ratio(cloud, eps, n_pairs, seed, graph=None):
     """Max over sampled pairs of (graph length / chord): a sampled
     lower bound for the constant making the intrinsic and ambient
     metrics bi-Lipschitz equivalent. A given ``graph`` must be
     ``neighbor_graph(cloud, eps)``, which is searched as directed (see
     ``dijkstra``)."""
-    if n_pairs < 1:
-        raise InvalidPointError(f"n_pairs must be >= 1, got {n_pairs}")
     pts = as_points(cloud)
+    n = pts.shape[0]
+    check_metric_sizes(n, n_pairs)
     g = neighbor_graph(pts, eps) if graph is None else graph
     rng = _op_rng(seed, "metric_equivalence_ratio")
-    n = pts.shape[0]
-    n_sources = int(min(max(int(np.ceil(np.sqrt(n_pairs))), 1), 128))
+    n_sources = min(int(np.ceil(np.sqrt(n_pairs))), _MAX_SOURCES)
     per_source = max(n_pairs // n_sources, 1)
     sources = rng.integers(0, n, size=n_sources)
     targets = rng.integers(0, n, size=(n_sources, per_source))

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from . import _svg
 from . import estimators as E
 from . import maps as M
@@ -22,8 +23,6 @@ from . import pl as plmod
 from .core import largest_singular_values, rotation_matrix, row_norms
 from .errors import ConfigError, NoWitnessError
 from .profiles import bump_profile
-
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass
@@ -569,6 +568,16 @@ def _replication_drift(n=2, amplitude=0.8, count=40, threshold=1e6):
     g = M.make_twist_disk_map(dim=n, amplitude=amplitude)
     x0 = np.zeros(n)
     x0[:2] = 0.3125, -0.25
+    # the drift law is exact while each witness 4^k e1 + 2^k x0 holds x0
+    # exactly in its disk's unit coordinates; the last one rounds (here
+    # past k = 48) or overflows first
+    k = np.array([count])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = M.DiskReplicationMap._disk(k)
+        unit = (M.disk_replication(g).disk_points(k, x0[None, :]) - c * M.unit_axis(n)) / s
+    if not np.array_equal(unit[0], x0):
+        raise ConfigError(f"count {count} is beyond the exact drift law: witness {count} "
+                          "does not hold x0 exactly in its disk; lower the count")
     subject = (g, x0, count, threshold)
     return (lambda: [verify_replication_drift(*subject)]), subject
 
@@ -610,12 +619,12 @@ def _spiral_bound(seed=7, pairs=100_000, n=2, profile="log", c=1.0, angle=1.0):
 def _matrix_norms(seed=7, count=1000, max_dim=8):
     if max_dim > 16:  # the dimensions core's linear algebra is meant for
         raise ConfigError(f"max_dim must be <= 16, got {max_dim}")
+    E.check_size("count", count, per_unit=max_dim * max_dim)  # if every matrix is max_dim
     return (lambda: [verify_matrix_norms(seed, count, max_dim)]), None
 
 
 def _metric_equivalence(seed=7, pairs=100_000, cloud="circle", points=10_000, eps=None):
-    if points < 2:
-        raise ConfigError(f"points must be >= 2, got {points}")
+    E.check_metric_sizes(points, pairs)
     eps = _cloud_kind(cloud)[1] if eps is None else eps
     E.check_positive("eps", eps)
     return (lambda: [verify_metric_equivalence(cloud, points, eps, pairs, seed)]), None

@@ -97,15 +97,29 @@ class TestUsage:
     "verify replication-drift --threshold -1",
     "verify matrix-norms --max-dim 17",
     "verify metric-equivalence --points 1 --pairs 10",
+    "verify replication-drift --count 49",
+    "verify replication-drift --count 512",
+    "verify matrix-norms --count 100000000000000",
+    "verify matrix-norms --count 62501",
+    "verify matrix-norms --count 15626 --max-dim 16",
+    "verify metric-equivalence --points 100000000000000",
+    "verify metric-equivalence --points 31251",
+    "verify metric-equivalence --pairs 100000000000000",
+    "verify metric-equivalence --pairs 4000001",
+    "geodesic --cloud {cloud} --pairs 100000000000000",
 ])
 def test_refused_value_is_usage_error(capsys, tmp_path, argv):
     """A claim that is not a finite constant, a graph eps or a drift
     threshold that is not finite and positive, a pair count below 1, a
     radial bound on S^0 (where no pair can be sampled), a radial
     homomorphism on S^0 (where every latitude map is the identity),
-    drift witnesses that overflow or cannot be built, matrices larger
-    than 16 x 16 and a cloud of one point are usage errors, not a result
-    or a failed check."""
+    drift witnesses that overflow or cannot be built, a replication drift
+    count past its exact law, matrices larger than 16 x 16, a cloud of
+    one point, and a size whose largest array (the matrices, the
+    Dijkstra table of up to 128 sources by the points, the pair targets)
+    would pass 4,000,000 entries are usage errors, not a result or a
+    failed check; a size at 1e14 exits 2 only if refused before it is
+    allocated."""
     paths = {name: tmp_path / name for name in
              ("affine", "cloud", "identity", "replication", "cutoff")}
     save_map(M.affine([[1000.0, 0.0], [0.0, 1.0]]), paths["affine"])
@@ -189,6 +203,21 @@ def test_refusal_names_its_flag(capsys, tmp_path, monkeypatch, argv, flag):
     assert flag in assert_usage_error(capsys, *argv.split())
 
 
+@pytest.mark.parametrize("argv", [
+    "verify matrix-norms",
+    "verify matrix-norms --count 62500",
+    "verify matrix-norms --count 15625 --max-dim 16",
+    "verify metric-equivalence",
+    "geodesic --cloud {cloud}",
+])
+def test_sizes_up_to_the_caps_run(capsys, tmp_path, argv):
+    """The defaults and the largest matrix counts under the caps run."""
+    cloud = tmp_path / "two-points.csv"
+    est.save_cloud_csv(np.array([[0.0, 0.0], [1.0, 0.0]]), cloud)
+    code, records = run(capsys, *argv.format(cloud=cloud).split())
+    assert code == 0 and len(records) == 1
+
+
 class TestVerifyCommand:
     def test_spiral_scenario_passes(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -248,6 +277,11 @@ class TestVerifyCommand:
                             "--svg", str(svg)]) == 0
             plots.append(svg.read_bytes())
         assert plots[0].startswith(b"<svg") and plots[0] != plots[1]
+
+    def test_drift_law_is_exact_up_to_count_48(self, capsys):
+        code, records = run(capsys, "verify", "replication-drift", "--count", "48")
+        assert code == 0
+        assert records[0]["details"]["max_relative_error"] == 0.0
 
     def test_drift_scenario_with_svg(self, capsys, tmp_path):
         svg = tmp_path / "drift.svg"

@@ -419,3 +419,11 @@ class TestTracerContract:
                             lambda seed, n_pairs: seen.append((seed, n_pairs)) or [])
         assert run_cli(["verify", "all", "--seed", "3", "--pairs", "100"]) == 0
         assert seen == [(3, 100)]
+
+
+def test_reports_carry_the_package_version():
+    """The version is written once, in the package; reports read it."""
+    import bilip
+
+    assert V.TOOL_VERSION is bilip.__version__
+    assert V.Report("x", True, None, None, None, 0, 0, 0.0).tool_version == bilip.__version__
